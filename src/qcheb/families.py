@@ -107,30 +107,53 @@ def fib_qb(n: int, point: ParamPoint) -> XsPoly:
 
 
 def fib_qb_closed(n: int, point: ParamPoint) -> XsPoly:
-    """Closed-form sum route for the (q,b)-Fibonacci polynomials."""
+    """Closed-form sum route for the (q,b)-Fibonacci polynomials:
+    sum of q^(k^2) [n-1-k over k] s^k x^(n-1-2k) / ((qb;q)_k (q^(n-k) b;q)_k).
+
+    The denominator is carried from k-1 to k by its two new factors
+    (1 - q^k b)(1 - q^(n-k) b)."""
     q, b = point.q, point.b
-    terms = ZERO
+    terms = {}
+    den = Fraction(1)
     for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
-        den = q_poch(q * b, q, k) * q_poch(q ** (n - k) * b, q, k)
+        if k:
+            den *= (1 - q**k * b) * (1 - q ** (n - k) * b)
         if den == 0:
             raise ValueError("pole in closed-form denominator")
-        c = q ** (k * k) * q_binom(n - 1 - k, k, q) / den
-        terms = terms + XsPoly.monomial(c, n - 1 - 2 * k, k)
-    return terms
+        terms[(n - 1 - 2 * k, k)] = q ** (k * k) * q_binom(n - 1 - k, k, q) / den
+    return XsPoly(terms)
 
 
 def fib_qb_dilated(n: int, point: ParamPoint) -> XsPoly:
     """Parameter-dilated recurrence route:
-    F_n(x,b,s) = x F_(n-1)(x,qb,qs) + qs/((1-qb)(1-q^2 b)) F_(n-2)(x,q^2 b,q^2 s)."""
+    F_n(x,b,s) = x F_(n-1)(x,qb,qs) + qs/((1-qb)(1-q^2 b)) F_(n-2)(x,q^2 b,q^2 s),
+    built bottom-up by _dilated_bottom_up."""
+    return _dilated_bottom_up(n, point, ZERO, ONE)
+
+
+def _dilated_bottom_up(n: int, point: ParamPoint, seed0: XsPoly, seed1: XsPoly) -> XsPoly:
+    """Unroll P_n(x,b,s) = x P_(n-1)(x,qb,qs) + qs/((1-qb)(1-q^2 b)) P_(n-2)(x,q^2 b,q^2 s).
+
+    Index m of the unrolled recursion is only ever needed at b-level n-m,
+    b_(n-m) = q^(n-m) b, so G_m = P_m(x, b_(n-m), s) is built for m = 0, 1, ..., n
+    from the seeds G_0 = P_0 at level n and G_1 = P_1 at level n-1:
+    G_m = x G_(m-1)(x,qs) + qs/((1-q b_(n-m))(1-q^2 b_(n-m))) G_(m-2)(x,q^2 s).
+    That is n-1 steps of two dilations each.  The pole checks run first, at
+    levels 0..n-2 in the order the depth-first recursion meets them, so the
+    same PoleError is raised."""
+    if n < 0:
+        raise ValueError("the dilated route holds for n >= 0")
     if n == 0:
-        return ZERO
-    if n == 1:
-        return ONE
+        return seed0
     q, b = point.q, point.b
-    point.require_pole_free((1, 2))
-    a = fib_qb_dilated(n - 1, point.shift_b(1)).dilate(q, 0, 1)
-    c = fib_qb_dilated(n - 2, point.shift_b(2)).dilate(q, 0, 2)
-    return X * a + S.scale(q / ((1 - q * b) * (1 - q**2 * b))) * c
+    for j in range(n - 1):
+        point.shift_b(j).require_pole_free((1, 2))
+    prev, cur = seed0, seed1
+    for m in range(2, n + 1):
+        level_b = q ** (n - m) * b
+        coeff = q / ((1 - q * level_b) * (1 - q**2 * level_b))
+        prev, cur = cur, X * cur.dilate(q, 0, 1) + S.scale(coeff) * prev.dilate(q, 0, 2)
+    return cur
 
 
 @_memoized
@@ -156,15 +179,18 @@ def fib_qb_ext(n: int, point: ParamPoint) -> SPoly:
 
 def fib_qb_backward(n: int, point: ParamPoint) -> SPoly:
     """Backward-run recurrence oracle for negative indices, from
-    F_(n-2) = (F_n - x F_(n-1)) (1-q^(n-2)b)(1-q^(n-1)b) / (q^(n-2) s)."""
+    F_(n-2) = (F_n - x F_(n-1)) (1-q^(n-2)b)(1-q^(n-1)b) / (q^(n-2) s),
+    walked in one loop from (F_1, F_0) down to F_n; the pole check at
+    levels (m, m+1) precedes step m."""
     if n >= 0:
         return SPoly(fib_qb(n, point))
     q, b = point.q, point.b
-    hi = fib_qb_backward(n + 2, point)
-    mid = fib_qb_backward(n + 1, point)
-    point.require_pole_free((n, n + 1))
-    scalar = (1 - q**n * b) * (1 - q ** (n + 1) * b) / q**n
-    return (hi - SPoly(X) * mid).scale(scalar).times_s_power(-1)
+    hi, mid = SPoly(fib_qb(1, point)), SPoly(fib_qb(0, point))
+    for m in range(-1, n - 1, -1):
+        point.require_pole_free((m, m + 1))
+        scalar = (1 - q**m * b) * (1 - q ** (m + 1) * b) / q**m
+        hi, mid = mid, (hi - SPoly(X) * mid).scale(scalar).times_s_power(-1)
+    return mid
 
 
 # -- trace-Lucas l_n ---------------------------------------------------
@@ -181,22 +207,24 @@ def lucas_trace(n: int, point: ParamPoint) -> SPoly:
 
 
 def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
-    """Explicit sum for l_n, n > 0."""
+    """Explicit sum for l_n, n > 0:
+    sum of q^(k^2-k) [n]/[n-k] [n-k over k] s^k x^(n-2k) / ((b;q)_k (q^(n-k+1) b;q)_k).
+
+    The denominator is carried from k-1 to k by its two new factors
+    (1 - q^(k-1) b)(1 - q^(n-k+1) b)."""
     if n <= 0:
         raise ValueError("closed form holds for n > 0")
     q, b = point.q, point.b
-    out = ZERO
+    qn = q_int(n, q)
+    terms = {}
+    den = Fraction(1)
     for k in range(n // 2 + 1):
-        den = q_poch(b, q, k) * q_poch(q ** (n - k + 1) * b, q, k)
-        c = (
-            q ** (k * k - k)
-            * q_int(n, q)
-            / q_int(n - k, q)
-            * q_binom(n - k, k, q)
-            / den
+        if k:
+            den *= (1 - q ** (k - 1) * b) * (1 - q ** (n - k + 1) * b)
+        terms[(n - 2 * k, k)] = (
+            q ** (k * k - k) * qn / q_int(n - k, q) * q_binom(n - k, k, q) / den
         )
-        out = out + XsPoly.monomial(c, n - 2 * k, k)
-    return out
+    return XsPoly(terms)
 
 
 def lucas_trace_neg_closed(n: int, point: ParamPoint) -> SPoly:
@@ -237,30 +265,28 @@ def lucas_qb(n: int, point: ParamPoint) -> XsPoly:
 def lucas_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     """Closed form, n >= 1:
     sum of q^(k^2) s^k x^(n-2k) ([n-k over k] - q^(n-k) b [n-1-k over k-1])
-    / ((qb;q)_k (q^(n-k) b;q)_k)."""
+    / ((qb;q)_k (q^(n-k) b;q)_k).
+
+    The denominator is carried from k-1 to k by its two new factors
+    (1 - q^k b)(1 - q^(n-k) b)."""
     if n < 1:
         raise ValueError("closed form holds for n >= 1")
     q, b = point.q, point.b
-    out = ZERO
+    terms = {}
+    den = Fraction(1)
     for k in range(n // 2 + 1):
-        den = q_poch(q * b, q, k) * q_poch(q ** (n - k) * b, q, k)
+        if k:
+            den *= (1 - q**k * b) * (1 - q ** (n - k) * b)
         num = q_binom(n - k, k, q) - q ** (n - k) * b * q_binom(n - 1 - k, k - 1, q)
-        out = out + XsPoly.monomial(q ** (k * k) * num / den, n - 2 * k, k)
-    return out
+        terms[(n - 2 * k, k)] = q ** (k * k) * num / den
+    return XsPoly(terms)
 
 
 def lucas_qb_dilated(n: int, point: ParamPoint) -> XsPoly:
     """Parameter-dilated recurrence route:
-    L_n(x,b,s) = x L_(n-1)(x,qb,qs) + qs/((1-qb)(1-q^2 b)) L_(n-2)(x,q^2 b,q^2 s)."""
-    q, b = point.q, point.b
-    if n == 0:
-        return XsPoly.const(1 - b)
-    if n == 1:
-        return X
-    point.require_pole_free((1, 2))
-    a = lucas_qb_dilated(n - 1, point.shift_b(1)).dilate(q, 0, 1)
-    c = lucas_qb_dilated(n - 2, point.shift_b(2)).dilate(q, 0, 2)
-    return X * a + S.scale(q / ((1 - q * b) * (1 - q**2 * b))) * c
+    L_n(x,b,s) = x L_(n-1)(x,qb,qs) + qs/((1-qb)(1-q^2 b)) L_(n-2)(x,q^2 b,q^2 s),
+    built bottom-up by _dilated_bottom_up from L_0 = 1 - q^n b at level n."""
+    return _dilated_bottom_up(n, point, XsPoly.const(1 - point.q**n * point.b), X)
 
 
 def lucas_qb_relation(n: int, point: ParamPoint) -> XsPoly:
@@ -289,17 +315,18 @@ def gen_lucas_neg_closed(n: int, q) -> SPoly:
 
 
 def gen_lucas_backward(n: int, q) -> SPoly:
-    """Backward-run (3.8)-style oracle for L_n(x,-1,s,q) at negative n."""
+    """Backward-run (3.8)-style oracle for L_n(x,-1,s,q) at negative n, from
+    L_(m-2) = (L_m - x L_(m-1)) (1+q^(m-2))(1+q^(m-1)) / (q^(m-1) s),
+    walked in one loop from (L_1, L_0) down to L_n."""
     q = as_rational(q)
     point = ParamPoint(q, Fraction(-1))
     if n >= 0:
         return SPoly(lucas_qb(n, point))
-    # from L_(m) = x L_(m-1) + q^(m-1) s/((1+q^(m-2))(1+q^(m-1))) L_(m-2) at m = n+2
-    m = n + 2
-    hi = gen_lucas_backward(m, q)
-    mid = gen_lucas_backward(m - 1, q)
-    scalar = (1 + q ** (m - 2)) * (1 + q ** (m - 1)) / q ** (m - 1)
-    return (hi - SPoly(X) * mid).scale(scalar).times_s_power(-1)
+    hi, mid = SPoly(lucas_qb(1, point)), SPoly(lucas_qb(0, point))
+    for m in range(1, n + 1, -1):
+        scalar = (1 + q ** (m - 2)) * (1 + q ** (m - 1)) / q ** (m - 1)
+        hi, mid = mid, (hi - SPoly(X) * mid).scale(scalar).times_s_power(-1)
+    return mid
 
 
 # -- Al-Salam / Ismail -------------------------------------------------
@@ -338,13 +365,21 @@ def cheb_u(n: int, q) -> XsPoly:
 
 
 def cheb_u_closed(n: int, q) -> XsPoly:
-    """Closed form: sum of q^(k^2) [n-k over k] (-q^(k+1);q)_(n-2k) s^k x^(n-2k)."""
+    """Closed form: sum of q^(k^2) [n-k over k] (-q^(k+1);q)_(n-2k) s^k x^(n-2k).
+
+    The sum runs from k = n//2 down to 0, so the Pochhammer symbol
+    (1+q^(k+1))...(1+q^(n-k)) grows by the two factors (1+q^(k+1))(1+q^(n-k))
+    per step and is never divided (a factor vanishes at q = -1)."""
     q = as_rational(q)
-    out = ZERO
-    for k in range(n // 2 + 1) if n >= 0 else range(0):
-        c = q ** (k * k) * q_binom(n - k, k, q) * q_poch(-(q ** (k + 1)), q, n - 2 * k)
-        out = out + XsPoly.monomial(c, n - 2 * k, k)
-    return out
+    if n < 0:
+        return ZERO
+    terms = {}
+    poch = q_poch(-(q ** (n // 2 + 1)), q, n % 2)
+    for k in range(n // 2, -1, -1):
+        if k < n // 2:
+            poch *= (1 + q ** (k + 1)) * (1 + q ** (n - k))
+        terms[(n - 2 * k, k)] = q ** (k * k) * q_binom(n - k, k, q) * poch
+    return XsPoly(terms)
 
 
 def cheb_u_ext(n: int, q) -> SPoly:
@@ -361,14 +396,17 @@ def cheb_u_ext(n: int, q) -> SPoly:
 
 
 def cheb_u_backward(n: int, q) -> SPoly:
-    """Backward-run recurrence oracle for negative U-indices."""
+    """Backward-run recurrence oracle for negative U-indices, from
+    U_(m-2) = (U_m - (1+q^m) x U_(m-1)) q^(1-m) / s,
+    walked in one loop from (U_1, U_0) down to U_n."""
     q = as_rational(q)
     if n >= 0:
         return SPoly(cheb_u(n, q))
-    m = n + 2
-    hi = cheb_u_backward(m, q)
-    mid = cheb_u_backward(m - 1, q)
-    return (hi - SPoly(X.scale(1 + q**m)) * mid).scale(q ** (1 - m)).times_s_power(-1)
+    hi, mid = SPoly(cheb_u(1, q)), SPoly(cheb_u(0, q))
+    for m in range(1, n + 1, -1):
+        step = hi - SPoly(X.scale(1 + q**m)) * mid
+        hi, mid = mid, step.scale(q ** (1 - m)).times_s_power(-1)
+    return mid
 
 
 @_memoized
@@ -388,22 +426,28 @@ def cheb_t(n: int, q) -> XsPoly:
 
 
 def cheb_t_closed(n: int, q) -> XsPoly:
-    """Closed form via (-q;q)_(n-1) times the generalized q-Lucas sum."""
+    """Closed form via (-q;q)_(n-1) times the generalized q-Lucas sum:
+    sum of q^(k^2) [n]/[n-k] [n-k over k] (-q;q)_(n-1) s^k x^(n-2k)
+    / ((-q;q)_k (-q^(n-k);q)_k).
+
+    [n] and (-q;q)_(n-1) are computed once; the denominator is carried from
+    k-1 to k by its two new factors (1+q^k)(1+q^(n-k))."""
     q = as_rational(q)
     if n == 0:
         return ONE
-    out = ZERO
+    if n < 0:
+        return ZERO
+    qn = q_int(n, q)
+    poch_n = q_poch(-q, q, n - 1)
+    terms = {}
+    den = Fraction(1)
     for k in range(n // 2 + 1):
-        c = (
-            q ** (k * k)
-            * q_int(n, q)
-            / q_int(n - k, q)
-            * q_binom(n - k, k, q)
-            * q_poch(-q, q, n - 1)
-            / (q_poch(-q, q, k) * q_poch(-(q ** (n - k)), q, k))
+        if k:
+            den *= (1 + q**k) * (1 + q ** (n - k))
+        terms[(n - 2 * k, k)] = (
+            q ** (k * k) * qn / q_int(n - k, q) * q_binom(n - k, k, q) * poch_n / den
         )
-        out = out + XsPoly.monomial(c, n - 2 * k, k)
-    return out
+    return XsPoly(terms)
 
 
 def cheb_t_ext(n: int, q) -> SPoly:
@@ -416,18 +460,17 @@ def cheb_t_ext(n: int, q) -> SPoly:
 
 
 def cheb_t_backward(n: int, q) -> SPoly:
-    """Backward-run recurrence oracle for negative T-indices."""
+    """Backward-run recurrence oracle for negative T-indices, from
+    T_(m-2) = (T_m - (1+q^(m-1)) x T_(m-1)) q^(1-m) / s,
+    walked in one loop from (T_1, T_0) down to T_n."""
     q = as_rational(q)
     if n >= 0:
         return SPoly(cheb_t(n, q))
-    m = n + 2
-    hi = cheb_t_backward(m, q)
-    mid = cheb_t_backward(m - 1, q)
-    return (
-        (hi - SPoly(X.scale(1 + q ** (m - 1))) * mid)
-        .scale(q ** (1 - m))
-        .times_s_power(-1)
-    )
+    hi, mid = SPoly(cheb_t(1, q)), SPoly(cheb_t(0, q))
+    for m in range(1, n + 1, -1):
+        step = hi - SPoly(X.scale(1 + q ** (m - 1))) * mid
+        hi, mid = mid, step.scale(q ** (1 - m)).times_s_power(-1)
+    return mid
 
 
 # -- hypergeometric forms (b = -1 families) ---------------------------
@@ -449,13 +492,7 @@ def hypergeom_gen_fib(n: int, q) -> XsPoly:
     q = as_rational(q)
     if q == 0:
         raise ValueError("q must be nonzero")
-    q2 = q * q
-    out = ZERO
-    for k in range(n // 2 + 1) if n >= 0 else range(0):
-        num = q_poch(q**-n, q2, k) * q_poch(q ** (1 - n), q2, k)
-        den = q_poch(q ** (-2 * n), q2, k) * q_poch(q2, q2, k)
-        out = out + XsPoly.monomial(num / den * Fraction(-1) ** k, n - 2 * k, k)
-    return out
+    return _hypergeom_sum(n, q, q ** (-2 * n), Fraction(-1))
 
 
 def hypergeom_gen_lucas(n: int, q) -> XsPoly:
@@ -464,13 +501,25 @@ def hypergeom_gen_lucas(n: int, q) -> XsPoly:
     q = as_rational(q)
     if n < 1:
         raise ValueError("hypergeometric Lucas form holds for n >= 1")
+    return _hypergeom_sum(n, q, q ** (2 - 2 * n), -q * q)
+
+
+def _hypergeom_sum(n: int, q: Fraction, c: Fraction, z: Fraction) -> XsPoly:
+    """Sum over 0 <= k <= n//2 of
+    (q^-n;q^2)_k (q^(1-n);q^2)_k / ((c;q^2)_k (q^2;q^2)_k) z^k s^k x^(n-2k).
+
+    Each Pochhammer symbol (a;q^2)_k gains one factor per k, 1 - a q^(2(k-1))."""
     q2 = q * q
-    out = ZERO
-    for k in range(n // 2 + 1):
-        num = q_poch(q**-n, q2, k) * q_poch(q ** (1 - n), q2, k)
-        den = q_poch(q ** (2 - 2 * n), q2, k) * q_poch(q2, q2, k)
-        out = out + XsPoly.monomial(num / den * (-q2) ** k, n - 2 * k, k)
-    return out
+    a1, a2 = q**-n, q ** (1 - n)
+    terms = {}
+    num = den = step = Fraction(1)
+    for k in range(n // 2 + 1) if n >= 0 else range(0):
+        if k:
+            num *= (1 - a1 * step) * (1 - a2 * step)
+            den *= (1 - c * step) * (1 - q2 * step)
+            step *= q2
+        terms[(n - 2 * k, k)] = num / den * z**k
+    return XsPoly(terms)
 
 
 # -- uniform dispatch --------------------------------------------------

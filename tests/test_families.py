@@ -1,13 +1,24 @@
 """Family generators: dual/triple routes, negative-index extensions, aliases
 between families, hypergeometric forms and the dispatch surface."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcheb import families
 from qcheb.polyring import ONE, S, SPoly, X, XsPoly, ZERO
-from qcheb.qkernel import ParamPoint, q_int, q_poch, sample_points
+from qcheb.qkernel import (
+    DEFAULT_QS,
+    ParamPoint,
+    PoleError,
+    q_binom,
+    q_int,
+    q_poch,
+    sample_points,
+)
 
 F = Fraction
 
@@ -161,3 +172,245 @@ def test_binet_float():
     # exact classical values at (3, 1): 1, 3, 10, 33, ...
     assert families.binet_float_fib(1, 3.0, 1.0) == pytest.approx(1.0)
     assert families.binet_float_fib(4, 3.0, 1.0) == pytest.approx(33.0)
+
+
+# -- oracle routes: pole parity, linear cost, closed-form references --
+
+POLE_CASES = [
+    (families.fib_qb_dilated, (8, ParamPoint(2, F(1, 32))),
+     PoleError, "1 - q^2 b vanishes at q=2, b=1/4"),
+    (families.lucas_qb_dilated, (8, ParamPoint(2, F(1, 32))),
+     PoleError, "1 - q^2 b vanishes at q=2, b=1/4"),
+    (families.fib_qb_dilated, (6, ParamPoint(-1, 3)),
+     PoleError, "1 + q^1 vanishes at q=-1"),
+    (families.fib_qb_backward, (-8, ParamPoint(2, 32)),
+     PoleError, "1 - q^-5 b vanishes at q=2, b=32"),
+    (families.gen_lucas_backward, (-5, 0), PoleError, "q = 0 is not a valid parameter"),
+    (families.gen_lucas_backward, (-5, 1),
+     PoleError, "q = 1 requires an explicit classical-limit point"),
+    (families.cheb_u_backward, (-4, 0), ZeroDivisionError, "Fraction(1, 0)"),
+    (families.cheb_t_backward, (-4, 0), ZeroDivisionError, "Fraction(1, 0)"),
+    (families.fib_qb_closed, (8, ParamPoint(2, F(1, 32))),
+     ValueError, "pole in closed-form denominator"),
+    (families.fib_qb_closed, (8, ParamPoint(-1, 3)), ZeroDivisionError, "Fraction(0, 0)"),
+    (families.lucas_qb_closed, (8, ParamPoint(2, F(1, 32))),
+     ZeroDivisionError, "Fraction(1, 0)"),
+    (families.lucas_trace_closed, (8, ParamPoint(2, F(1, 32))),
+     ZeroDivisionError, "Fraction(1, 0)"),
+    (families.lucas_trace_closed, (8, ParamPoint(-1, 3)),
+     ZeroDivisionError, "Fraction(0, 0)"),
+    (families.cheb_t_closed, (7, -1), ZeroDivisionError, "Fraction(-1, 0)"),
+    (families.cheb_t_closed, (8, -1), ZeroDivisionError, "Fraction(0, 0)"),
+    (families.cheb_u_closed, (6, -1), ZeroDivisionError, "Fraction(0, 0)"),
+    (families.hypergeom_gen_fib, (6, 1), ZeroDivisionError, "Fraction(0, 0)"),
+    (families.hypergeom_gen_fib, (6, 0), ValueError, "q must be nonzero"),
+    (families.hypergeom_gen_lucas, (6, -1), ZeroDivisionError, "Fraction(0, 0)"),
+    (families.hypergeom_gen_lucas, (6, 0), ZeroDivisionError, "Fraction(1, 0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, exc, message",
+    POLE_CASES,
+    ids=[f"{fn.__name__}{args[:1]}-{i}" for i, (fn, args, _, _) in enumerate(POLE_CASES)],
+)
+def test_oracle_pole_errors(fn, args, exc, message):
+    """Each route raises the first pole it meets with the same type and
+    message as the plain recursion or from-scratch Pochhammer sum."""
+    with pytest.raises(exc) as info:
+        fn(*args)
+    assert info.type is exc
+    assert str(info.value) == message
+
+
+def test_dilated_routes_do_linear_work(monkeypatch):
+    n, point = 40, ParamPoint(F(3, 5), F(3, 7))
+    plain_dilate = XsPoly.dilate
+    count = [0]
+
+    def counting_dilate(self, *args):
+        count[0] += 1
+        assert count[0] <= 2 * (n - 1), "dilated route does more than n-1 steps"
+        return plain_dilate(self, *args)
+
+    monkeypatch.setattr(XsPoly, "dilate", counting_dilate)
+    for route, primary in (
+        (families.fib_qb_dilated, families.fib_qb),
+        (families.lucas_qb_dilated, families.lucas_qb),
+    ):
+        count[0] = 0
+        assert route(n, point) == primary(n, point)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_backward_oracles_need_no_recursion():
+    n, point = -40, ParamPoint(F(3, 5), F(3, 7))
+    q = point.q
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        got = (
+            families.fib_qb_backward(n, point),
+            families.gen_lucas_backward(n, q),
+            families.cheb_u_backward(n, q),
+            families.cheb_t_backward(n, q),
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (
+        families.fib_qb_ext(n, point),
+        families.gen_lucas_neg_closed(-n, q),
+        families.cheb_u_ext(n, q),
+        families.cheb_t_ext(n, q),
+    )
+
+
+# Reference closed forms: each coefficient from q_poch called from scratch,
+# summed one monomial at a time.
+
+
+def ref_fib_qb_closed(n, point):
+    q, b = point.q, point.b
+    terms = ZERO
+    for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
+        den = q_poch(q * b, q, k) * q_poch(q ** (n - k) * b, q, k)
+        if den == 0:
+            raise ValueError("pole in closed-form denominator")
+        c = q ** (k * k) * q_binom(n - 1 - k, k, q) / den
+        terms = terms + XsPoly.monomial(c, n - 1 - 2 * k, k)
+    return terms
+
+
+def ref_lucas_trace_closed(n, point):
+    if n <= 0:
+        raise ValueError("closed form holds for n > 0")
+    q, b = point.q, point.b
+    out = ZERO
+    for k in range(n // 2 + 1):
+        den = q_poch(b, q, k) * q_poch(q ** (n - k + 1) * b, q, k)
+        c = q ** (k * k - k) * q_int(n, q) / q_int(n - k, q) * q_binom(n - k, k, q) / den
+        out = out + XsPoly.monomial(c, n - 2 * k, k)
+    return out
+
+
+def ref_lucas_qb_closed(n, point):
+    if n < 1:
+        raise ValueError("closed form holds for n >= 1")
+    q, b = point.q, point.b
+    out = ZERO
+    for k in range(n // 2 + 1):
+        den = q_poch(q * b, q, k) * q_poch(q ** (n - k) * b, q, k)
+        num = q_binom(n - k, k, q) - q ** (n - k) * b * q_binom(n - 1 - k, k - 1, q)
+        out = out + XsPoly.monomial(q ** (k * k) * num / den, n - 2 * k, k)
+    return out
+
+
+def ref_cheb_u_closed(n, q):
+    out = ZERO
+    for k in range(n // 2 + 1) if n >= 0 else range(0):
+        c = q ** (k * k) * q_binom(n - k, k, q) * q_poch(-(q ** (k + 1)), q, n - 2 * k)
+        out = out + XsPoly.monomial(c, n - 2 * k, k)
+    return out
+
+
+def ref_cheb_t_closed(n, q):
+    if n == 0:
+        return ONE
+    out = ZERO
+    for k in range(n // 2 + 1):
+        c = (
+            q ** (k * k)
+            * q_int(n, q)
+            / q_int(n - k, q)
+            * q_binom(n - k, k, q)
+            * q_poch(-q, q, n - 1)
+            / (q_poch(-q, q, k) * q_poch(-(q ** (n - k)), q, k))
+        )
+        out = out + XsPoly.monomial(c, n - 2 * k, k)
+    return out
+
+
+def ref_hypergeom_gen_fib(n, q):
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    q2 = q * q
+    out = ZERO
+    for k in range(n // 2 + 1) if n >= 0 else range(0):
+        num = q_poch(q**-n, q2, k) * q_poch(q ** (1 - n), q2, k)
+        den = q_poch(q ** (-2 * n), q2, k) * q_poch(q2, q2, k)
+        out = out + XsPoly.monomial(num / den * Fraction(-1) ** k, n - 2 * k, k)
+    return out
+
+
+def ref_hypergeom_gen_lucas(n, q):
+    if n < 1:
+        raise ValueError("hypergeometric Lucas form holds for n >= 1")
+    q2 = q * q
+    out = ZERO
+    for k in range(n // 2 + 1):
+        num = q_poch(q**-n, q2, k) * q_poch(q ** (1 - n), q2, k)
+        den = q_poch(q ** (2 - 2 * n), q2, k) * q_poch(q2, q2, k)
+        out = out + XsPoly.monomial(num / den * (-q2) ** k, n - 2 * k, k)
+    return out
+
+
+POINT_FORMS = (
+    (families.fib_qb_closed, ref_fib_qb_closed),
+    (families.lucas_trace_closed, ref_lucas_trace_closed),
+    (families.lucas_qb_closed, ref_lucas_qb_closed),
+)
+Q_FORMS = (
+    (families.cheb_u_closed, ref_cheb_u_closed),
+    (families.cheb_t_closed, ref_cheb_t_closed),
+    (families.hypergeom_gen_fib, ref_hypergeom_gen_fib),
+    (families.hypergeom_gen_lucas, ref_hypergeom_gen_lucas),
+)
+
+
+def _outcome(fn, *args):
+    """The value, or the type and message of a pole or domain error."""
+    try:
+        return fn(*args)
+    except (PoleError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("point", sample_points(), ids=str)
+def test_point_closed_forms_match_reference(point):
+    for n in range(25):
+        for fast, ref in POINT_FORMS:
+            assert _outcome(fast, n, point) == _outcome(ref, n, point), (fast, n)
+
+
+@pytest.mark.parametrize("q", DEFAULT_QS)
+def test_q_closed_forms_match_reference(q):
+    for n in range(25):
+        for fast, ref in Q_FORMS:
+            assert _outcome(fast, n, q) == _outcome(ref, n, q), (fast, n)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def near_pole_points(draw):
+    """Small-height (q, b), with b often a power of q so that some
+    1 - q^j b factor vanishes; q = 1 and q = -1 are included."""
+    q = draw(small_rationals.filter(lambda v: v != 0))
+    b = draw(st.one_of(small_rationals, st.integers(-8, 8).map(lambda j: q**j)))
+    return ParamPoint(q, b, allow_classical=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_pole_points(), st.integers(0, 12))
+def test_closed_forms_match_reference_near_poles(point, n):
+    for fast, ref in POINT_FORMS:
+        assert _outcome(fast, n, point) == _outcome(ref, n, point), fast
+    for fast, ref in Q_FORMS:
+        assert _outcome(fast, n, point.q) == _outcome(ref, n, point.q), fast
