@@ -6,10 +6,10 @@ registry of standalone identities.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import families, matrixids
-from .polyring import ONE, S, TruncSeries, X, XsPoly, ZERO
+from . import families
+from .polyring import S, TruncSeries, X, XsPoly, ZERO
 from .qkernel import as_rational, binom2, q_int, q_poch
-from .report import IdentityReport, check_range, failing, passing
+from .report import check_range, failing, passing
 
 
 def _xsq_plus(q):
@@ -385,19 +385,3 @@ def registry_check(name: str, max_n: int, q):
     limit = max_n // 2 if name in ("eq-5.31", "eq-5.32") else max_n
     return check_range(name, None, range(limit + 1), lambda n: _registry_pairs(name, n, q))
 
-
-def identity_registry_run(max_n: int, qs, selection=REGISTRY_IDS):
-    """Run the selected registry identities at each q sample; reports are
-    tagged with the q value (b plays no role in these identities)."""
-    from .qkernel import ParamPoint
-
-    reports = []
-    for name in selection:
-        for q in qs:
-            q = as_rational(q)
-            r = registry_check(name, max_n, q)
-            label = ParamPoint(q, Fraction(0), allow_classical=True)
-            reports.append(
-                IdentityReport(r.identity_id, label, r.index_range, r.status, r.witness)
-            )
-    return reports

@@ -14,8 +14,7 @@ from fractions import Fraction
 from . import families, moments
 from .polyring import format_rational
 from .qkernel import ParamPoint, PoleError, q_catalan
-from .report import IdentityReport
-from .suites import run_suite, summarize
+from .suites import bounds_for, run_suite, summarize
 
 
 class UsageError(Exception):
@@ -57,7 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--q", default=None, help="restrict to one q sample")
     verify.add_argument("--b", default=None, help="restrict to one b sample")
     verify.add_argument("--max-n", type=int, default=None, help="override index bounds")
-    verify.add_argument("--parallelism", type=int, default=1)
+    verify.add_argument(
+        "--parallelism", type=int, default=1,
+        help="accepted for compatibility; checks always run serially",
+    )
     verify.add_argument("--format", choices=("json", "csv", "text"), default="text")
     verify.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
 
@@ -67,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mom.add_argument("--n", type=int, required=True)
     mom.add_argument("--q", default="2", help='rational q as "num/den"')
-    mom.add_argument("--s-implied", action="store_true", help=argparse.SUPPRESS)
     mom.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     cat = sub.add_parser("catalan", help="print q-Catalan numbers C_0 .. C_N")
@@ -145,42 +146,17 @@ def cmd_verify(args, out) -> int:
     bs = [_parse_rational(args.b)] if args.b is not None else None
     if args.parallelism < 1:
         raise UsageError("--parallelism must be >= 1")
-    bounds = None
-    if args.max_n is not None:
-        if args.max_n < 1:
-            raise UsageError("--max-n must be >= 1")
-        m = args.max_n
-        bounds = {
-            "dual": m,
-            "third_route": min(m, 14),
-            "negative": min(m, 10),
-            "cassini": (-min(m, 6), m),
-            "cassini_euler": (min(m, 12), 6),
-            "matrix": min(m, 10),
-            "trace": min(m, 10),
-            "det": m,
-            "det_sqrt": min(m, 12),
-            "tridiag": min(m, 14),
-            "moments": min(m, 12),
-            "reconstruct": min(m, 14),
-            "deriv": m,
-            "qode": min(m, 16),
-            "genfun": min(m, 16),
-            "registry": m,
-            "binet_sum": min(m, 14),
-            "classical": min(m, 12),
-            "schlosser": min(m, 10),
-            "fib_words": min(m, 14),
-            "rodrigues": min(m, 8),
-        }
-    if args.inject_fault is not None:
-        families.set_fault(_parse_family(args.inject_fault))
-    try:
-        reports = run_suite(
-            args.suite, qs=qs, bs=bs, parallelism=args.parallelism, bounds=bounds
-        )
-    finally:
-        families.set_fault(None)
+    if args.max_n is not None and args.max_n < 1:
+        raise UsageError("--max-n must be >= 1")
+    fault = _parse_family(args.inject_fault) if args.inject_fault is not None else None
+    reports = run_suite(
+        args.suite,
+        qs=qs,
+        bs=bs,
+        parallelism=args.parallelism,
+        bounds=bounds_for(args.max_n),
+        fault=fault,
+    )
     _emit_reports(reports, args.format, out)
     return 0 if summarize(reports)["fail"] == 0 else 1
 
@@ -268,6 +244,10 @@ def main(argv=None, out=None) -> int:
         return handlers[args.command](args, out)
     except (UsageError, PoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ZeroDivisionError as exc:
+        # a denominator vanishes at these parameters; no output was written yet
+        print(f"error: division by zero at these parameters ({exc})", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ denominator as an SPoly.
 
 import enum
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .polyring import ONE, S, SPoly, X, XsPoly, ZERO
 from .qkernel import (
@@ -19,18 +20,6 @@ from .qkernel import (
     q_int,
     q_poch,
 )
-
-# -- fault injection hook (harness integrity self-test) ----------------
-
-_FAULT = None  # FamilyId whose generated polynomials get one coefficient bumped
-
-
-def set_fault(family):
-    """Perturb one coefficient of every polynomial the given family generates
-    through family_poly().  Pass None to clear."""
-    global _FAULT
-    _FAULT = family
-
 
 def _memoized(fn):
     cache = {}
@@ -322,6 +311,11 @@ def gen_lucas_backward(n: int, q) -> SPoly:
     point = ParamPoint(q, Fraction(-1))
     if n >= 0:
         return SPoly(lucas_qb(n, point))
+    # At b = -1 level j is a pole exactly when level -j is, so the walk first
+    # checks the levels of the forward recurrence to L_(-n), in its order, and
+    # raises the PoleError that gen_lucas_neg_closed raises.
+    for m in range(-n, 1, -1):
+        point.require_pole_free((m - 2, m - 1))
     hi, mid = SPoly(lucas_qb(1, point)), SPoly(lucas_qb(0, point))
     for m in range(1, n + 1, -1):
         scalar = (1 + q ** (m - 2)) * (1 + q ** (m - 1)) / q ** (m - 1)
@@ -372,7 +366,7 @@ def cheb_u_closed(n: int, q) -> XsPoly:
     per step and is never divided (a factor vanishes at q = -1)."""
     q = as_rational(q)
     if n < 0:
-        return ZERO
+        raise ValueError("closed form holds for n >= 0")
     terms = {}
     poch = q_poch(-(q ** (n // 2 + 1)), q, n % 2)
     for k in range(n // 2, -1, -1):
@@ -433,10 +427,10 @@ def cheb_t_closed(n: int, q) -> XsPoly:
     [n] and (-q;q)_(n-1) are computed once; the denominator is carried from
     k-1 to k by its two new factors (1+q^k)(1+q^(n-k))."""
     q = as_rational(q)
+    if n < 0:
+        raise ValueError("closed form holds for n >= 0")
     if n == 0:
         return ONE
-    if n < 0:
-        return ZERO
     qn = q_int(n, q)
     poch_n = q_poch(-q, q, n - 1)
     terms = {}
@@ -525,35 +519,63 @@ def _hypergeom_sum(n: int, q: Fraction, c: Fraction, z: Fraction) -> XsPoly:
 # -- uniform dispatch --------------------------------------------------
 
 
-def family_poly(family: FamilyId, n: int, point: ParamPoint) -> XsPoly:
-    """Generate one family member (n >= 0) at a parameter point.
+class Family(NamedTuple):
+    """A family's two routes, each called as route(n, point).  The oracle is
+    independent: it never calls the recurrence of the primary route."""
 
-    This is the surface the verify pipeline and the CLI consume; the fault
-    injection hook perturbs its output when enabled."""
-    q = point.q
-    if family is FamilyId.FIB_CARLITZ:
-        poly = fib_carlitz(n, q)
-    elif family is FamilyId.FIB_QB:
-        poly = fib_qb(n, point)
-    elif family is FamilyId.LUCAS_TRACE:
-        poly = lucas_trace(n, point).as_poly()
-    elif family is FamilyId.LUCAS_QB:
-        poly = lucas_qb(n, point)
-    elif family is FamilyId.GEN_FIB:
-        poly = gen_fib(n, q)
-    elif family is FamilyId.GEN_LUCAS:
-        poly = gen_lucas(n, q)
-    elif family is FamilyId.CHEB_U:
-        poly = cheb_u(n, q)
-    elif family is FamilyId.CHEB_T:
-        poly = cheb_t(n, q)
-    elif family is FamilyId.ALSALAM_ISMAIL:
-        poly = alsalam_ismail(n, q, S.scale(-q), q)
-    else:
-        raise ValueError(f"unknown family {family}")
-    if _FAULT is family:
-        poly = poly + ONE
-    return poly
+    primary: Callable
+    oracle: Callable
+    b_free: bool  # b is a parameter of the family; the others fix or ignore it
+    lowest_n: int  # the oracle holds for n >= lowest_n
+
+
+# The routes are looked up by name when called, so each call reaches the
+# module-level function even where that name has been rebound.
+FAMILIES = {
+    FamilyId.FIB_CARLITZ: Family(
+        lambda n, p: fib_carlitz(n, p.q), lambda n, p: fib_carlitz_rec(n, p.q), False, 0
+    ),
+    FamilyId.FIB_QB: Family(
+        lambda n, p: fib_qb(n, p), lambda n, p: fib_qb_closed(n, p), True, 0
+    ),
+    FamilyId.LUCAS_TRACE: Family(
+        lambda n, p: lucas_trace(n, p).as_poly(),
+        lambda n, p: lucas_trace_closed(n, p),
+        True,
+        1,
+    ),
+    FamilyId.LUCAS_QB: Family(
+        lambda n, p: lucas_qb(n, p), lambda n, p: lucas_qb_closed(n, p), True, 1
+    ),
+    FamilyId.GEN_FIB: Family(
+        lambda n, p: gen_fib(n, p.q),
+        lambda n, p: fib_qb_closed(n, ParamPoint(p.q, Fraction(-1))),
+        False,
+        0,
+    ),
+    FamilyId.GEN_LUCAS: Family(
+        lambda n, p: gen_lucas(n, p.q), lambda n, p: hypergeom_gen_lucas(n, p.q), False, 1
+    ),
+    FamilyId.CHEB_U: Family(
+        lambda n, p: cheb_u(n, p.q), lambda n, p: cheb_u_closed(n, p.q), False, 0
+    ),
+    FamilyId.CHEB_T: Family(
+        lambda n, p: cheb_t(n, p.q), lambda n, p: cheb_t_closed(n, p.q), False, 0
+    ),
+    FamilyId.ALSALAM_ISMAIL: Family(
+        lambda n, p: alsalam_ismail(n, p.q, S.scale(-p.q), p.q),
+        lambda n, p: cheb_u_closed(n, p.q),
+        False,
+        0,
+    ),
+}
+
+
+def family_poly(family: FamilyId, n: int, point: ParamPoint) -> XsPoly:
+    """Generate one family member (n >= 0) at a parameter point by its
+    primary route.  This is the surface the verify pipeline and the CLI
+    consume."""
+    return FAMILIES[family].primary(n, point)
 
 
 def binet_float_fib(n: int, x_val: float, s_val: float) -> float:

@@ -244,15 +244,12 @@ def classical_moment_check(n_max: int):
         # which collapses to binomial-difference coefficients)
         total = ZERO
         basis = classical_spec().basis(m + 2)
-        for k, c in enumerate(expand_in_basis(X_POWER(m), basis)):
+        power = XsPoly.monomial(1, m, 0)
+        for k, c in enumerate(expand_in_basis(power, basis)):
             total = total + c * basis[k]
-        return total, X_POWER(m)
+        return total, power
 
     return check_range("eq-4.7-4.8", None, range(2 * n_max + 1), sides)
-
-
-def X_POWER(m: int) -> XsPoly:
-    return XsPoly.monomial(1, m, 0)
 
 
 def orthogonality_check(spec: RecurrenceSpec, total_degree: int):
@@ -260,20 +257,15 @@ def orthogonality_check(spec: RecurrenceSpec, total_degree: int):
     basis = spec.basis(total_degree + 2)
     for m in range(total_degree + 1):
         for n in range(m + 1, total_degree + 1 - m):
-            coeffs = expand_in_basis(basis[m] * basis[n], basis)
-            value = _apply_functional(coeffs, spec, basis)
+            # Lambda(p_0) = 1 and Lambda(p_k) = 0 for k >= 1, so the value
+            # of the functional is the degree-0 coefficient of the expansion
+            value = expand_in_basis(basis[m] * basis[n], basis)[0]
             if not value.is_zero():
                 return failing(
                     f"orthogonality-{spec.name}", None, (0, total_degree),
                     (m, n), value, ZERO,
                 )
     return passing(f"orthogonality-{spec.name}", None, (0, total_degree))
-
-
-def _apply_functional(coeffs, spec, basis):
-    # Lambda(p_0) = 1 and Lambda(p_k) = 0 for k >= 1, so the functional value
-    # is the degree-0 coefficient of the expansion.
-    return coeffs[0]
 
 
 def nonorthogonality_witness(q):

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import families
 from .polyring import ONE, S, X as POLY_X, XsPoly, ZERO
-from .qkernel import ParamPoint, PoleError, as_rational, binom2, q_binom, q_int
+from .qkernel import ParamPoint, PoleError, as_rational, binom2, q_binom
 from .report import check_range, failing, passing
 
 
@@ -31,39 +31,8 @@ class OpState:
         self.m = m
         self.denoms = tuple(denoms)
 
-    def eta(self, q, times=1):
-        """b -> q b, s -> q s: shift every b-exponent, scale by q^(j+m) per step."""
-        return OpState(
-            self.c * q ** (times * (self.j + self.m)),
-            self.i,
-            self.j,
-            self.m,
-            tuple(e + times for e in self.denoms),
-        )
-
-    def apply_x(self, q):
-        out = self.eta(q)
-        return OpState(out.c, out.i + 1, out.j, out.m, out.denoms)
-
-    def apply_y(self, q):
-        out = self.eta(q, 2)
-        return OpState(out.c * q, out.i, out.j + 1, out.m, out.denoms + (1, 2))
-
     def mul_b(self):
         return OpState(self.c, self.i, self.j, self.m + 1, self.denoms)
-
-    def scale(self, c):
-        return OpState(self.c * c, self.i, self.j, self.m, self.denoms)
-
-    def evaluate(self, point: ParamPoint) -> XsPoly:
-        q, b = point.q, point.b
-        value = self.c * b**self.m
-        for e in self.denoms:
-            factor = 1 - q**e * b
-            if factor == 0:
-                raise PoleError(f"1 - q^{e} b vanishes at q={q}, b={b}")
-            value /= factor
-        return XsPoly.monomial(value, self.i, self.j)
 
 
 @lru_cache(maxsize=None)
@@ -78,9 +47,10 @@ def apply_word(word, point: ParamPoint, start: OpState = None) -> XsPoly:
     """Apply a word over {"X", "Y"} to the monomial held in `start`
     (default: the constant 1), rightmost letter first.
 
-    Equivalent to chaining OpState.apply_x/apply_y, but tracks the q-exponent
-    and the denominator shifts as plain integers for speed: a denominator
-    created when the running shift was s0 ends at exponent base + (total - s0).
+    The letters act as X = x eta and Y = qs/((1-qb)(1-q^2 b)) eta^2 (see the
+    module docstring).  The q-exponent and the denominator shifts are tracked
+    as plain integers: a denominator created when the running shift was s0
+    ends at exponent base + (total - s0).
     """
     q, b = point.q, point.b
     state = start if start is not None else OpState()
@@ -288,14 +258,10 @@ def binet_product_parts(n: int, q):
     t, u = ONE, ZERO
     for k in range(n):
         t, u = (
-            X_SCALED(q, k) * t + (POLY_X * POLY_X + S.scale(q)) * u.dilate(q, 0, 2),
-            X_SCALED(q, k) * u + t,
+            POLY_X.scale(q**k) * t + (POLY_X * POLY_X + S.scale(q)) * u.dilate(q, 0, 2),
+            POLY_X.scale(q**k) * u + t,
         )
     return t, u
-
-
-def X_SCALED(q, k):
-    return POLY_X.scale(q**k)
 
 
 def q_binomial_product_check(n: int, q):

@@ -5,7 +5,7 @@ formulas, 2x2 matrices and truncated power series.
 
 from fractions import Fraction
 
-from .qkernel import Rational, as_rational, q_int
+from .qkernel import as_rational, q_int
 
 
 def _coerce_coeff(c) -> Fraction:

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 
 class PoleError(ArithmeticError):
     """A parameter choice makes one of the scalar denominators vanish."""

@@ -1,6 +1,6 @@
 """Result records for identity checks."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .polyring import format_rational

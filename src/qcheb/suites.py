@@ -1,6 +1,6 @@
-"""Verification suites: assembles every identity check into the "core",
-"extended" and "all" suites, runs them on a bounded worker pool, and returns
-deterministically ordered reports.
+"""Verification suites: one table of checks, expanded over its sample
+scopes into the "core", "extended" and "all" suites, run serially, and
+returned as deterministically ordered reports.
 
 The classical (q = 1) reductions live here as well: they compare the q-family
 generators against independently computed classical Fibonacci / Lucas /
@@ -8,42 +8,54 @@ Chebyshev polynomials and the floating-point Binet values.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from . import analysis, families, matrixids, moments, operators
 from .polyring import ONE, S, X, XsPoly
 from .qkernel import DEFAULT_BS, DEFAULT_QS, ParamPoint, sample_points
 from .report import IdentityReport, check_range, failing, passing, skipped
 
-# Index bounds per check group, chosen so `verify --suite all` stays well
-# under a minute while still exercising every identity nontrivially.
+# Index bounds per key: (default, value under `verify --max-n m`).  The
+# defaults keep `verify --suite all` well under a minute while exercising
+# every identity nontrivially; a key whose rule is None keeps its default
+# under --max-n.
 BOUNDS = {
-    "dual": 24,
-    "third_route": 12,
-    "negative": 8,
-    "cassini": (-5, 16),
-    "cassini_euler": (10, 5),
-    "matrix": 8,
-    "trace": 8,
-    "det": 16,
-    "det_sqrt": 10,
-    "tridiag": 12,
-    "moments": 10,
-    "reconstruct": 12,
-    "orthogonality": 8,
-    "deriv": 16,
-    "qode": 14,
-    "series_order": 24,
-    "genfun": 12,
-    "registry": 14,
-    "binet_sum": 12,
-    "classical": 12,
-    "binet_float": 20,
-    "schlosser": 8,
-    "fib_words": 12,
-    "rodrigues": 6,
+    "dual": (24, lambda m: m),
+    "third_route": (12, lambda m: min(m, 14)),
+    "negative": (8, lambda m: min(m, 10)),
+    "cassini": ((-5, 16), lambda m: (-min(m, 6), m)),
+    "cassini_euler": ((10, 5), lambda m: (min(m, 12), 6)),
+    "matrix": (8, lambda m: min(m, 10)),
+    "trace": (8, lambda m: min(m, 10)),
+    "det": (16, lambda m: m),
+    "det_sqrt": (10, lambda m: min(m, 12)),
+    "tridiag": (12, lambda m: min(m, 14)),
+    "moments": (10, lambda m: min(m, 12)),
+    "reconstruct": (12, lambda m: min(m, 14)),
+    "orthogonality": (8, None),
+    "deriv": (16, lambda m: m),
+    "qode": (14, lambda m: min(m, 16)),
+    "series_order": (24, None),
+    "genfun": (12, lambda m: min(m, 16)),
+    "registry": (14, lambda m: m),
+    "binet_sum": (12, lambda m: min(m, 14)),
+    "classical": (12, lambda m: min(m, 12)),
+    "binet_float": (20, None),
+    "schlosser": (8, lambda m: min(m, 10)),
+    "fib_words": (12, lambda m: min(m, 14)),
+    "rodrigues": (6, lambda m: min(m, 8)),
 }
+
+
+def bounds_for(max_n=None):
+    """The value of every bound key: its default, or its --max-n rule at max_n."""
+    return {
+        key: default if max_n is None or rule is None else rule(max_n)
+        for key, (default, rule) in BOUNDS.items()
+    }
+
 
 SQRT_SAMPLES = (Fraction(2), Fraction(1, 2), Fraction(3))
 WEIGHT_CONTEXTS = ((Fraction(2), Fraction(1)), (Fraction(3, 5), Fraction(-2)))
@@ -54,69 +66,29 @@ def _label(q):
     return ParamPoint(q, Fraction(0), allow_classical=True)
 
 
-def _with_point(report, point):
-    return IdentityReport(
-        report.identity_id, point, report.index_range, report.status, report.witness
-    )
+def _word_point(q):
+    """The point at which the extended suite runs the word-operator checks."""
+    return ParamPoint(q, Fraction(3, 7))
 
 
 # -- dual-route checks through the dispatch surface --------------------
 
 
-def _oracle(family, n, point):
-    """An independent second route for each family, bypassing family_poly."""
-    q = point.q
-    if family is families.FamilyId.FIB_CARLITZ:
-        return families.fib_carlitz_rec(n, q)
-    if family is families.FamilyId.FIB_QB:
-        return families.fib_qb_closed(n, point)
-    if family is families.FamilyId.LUCAS_TRACE:
-        return families.lucas_trace_closed(n, point)
-    if family is families.FamilyId.LUCAS_QB:
-        return families.lucas_qb_closed(n, point)
-    if family is families.FamilyId.GEN_FIB:
-        return families.fib_qb_closed(n, ParamPoint(q, Fraction(-1)))
-    if family is families.FamilyId.GEN_LUCAS:
-        return families.hypergeom_gen_lucas(n, q)
-    if family is families.FamilyId.CHEB_U:
-        return families.cheb_u_closed(n, q)
-    if family is families.FamilyId.CHEB_T:
-        return families.cheb_t_closed(n, q)
-    if family is families.FamilyId.ALSALAM_ISMAIL:
-        return families.cheb_u_closed(n, q)
-    raise ValueError(family)
+def dual_route_check(family, point, n_max, fault=None):
+    """family_poly against the family's oracle.  When `fault` is this family,
+    the primary side is perturbed by one (a self-test of the harness)."""
+    spec = families.FAMILIES[family]
 
+    def sides(n):
+        primary = families.family_poly(family, n, point)
+        return (primary + ONE if family is fault else primary), spec.oracle(n, point)
 
-# families whose b parameter is free (others fix b internally)
-_B_FAMILIES = frozenset(
-    {
-        families.FamilyId.FIB_QB,
-        families.FamilyId.LUCAS_TRACE,
-        families.FamilyId.LUCAS_QB,
-    }
-)
-
-# families whose oracle needs n >= 1
-_SKIP_ZERO = frozenset(
-    {
-        families.FamilyId.LUCAS_TRACE,
-        families.FamilyId.LUCAS_QB,
-        families.FamilyId.GEN_LUCAS,
-    }
-)
-
-
-def dual_route_check(family, point, n_max):
-    lo = 1 if family in _SKIP_ZERO else 0
     return check_range(
-        f"dual-{family.value}",
-        point,
-        range(lo, n_max + 1),
-        lambda n: (families.family_poly(family, n, point), _oracle(family, n, point)),
+        f"dual-{family.value}", point, range(spec.lowest_n, n_max + 1), sides
     )
 
 
-def third_route_check(point, n_max):
+def third_route_check(n_max, point):
     """The parameter-dilated recurrences and the Fibonacci/Lucas relation."""
     f = families
 
@@ -132,7 +104,7 @@ def third_route_check(point, n_max):
     return check_range("eq-2.8-3.6", point, range(n_max + 1), sides)
 
 
-def negative_index_check(point, n_max):
+def negative_index_check(n_max, point):
     """Closed-form negative-index extensions against backward recurrences."""
     f = families
     q = point.q
@@ -151,11 +123,11 @@ def negative_index_check(point, n_max):
     return check_range("negative-index", point, range(n_max + 1), sides)
 
 
-def gen_lucas_negative_check(q, n_max):
+def gen_lucas_negative_check(n_max, q):
     f = families
     return check_range(
         "eq-4.6",
-        _label(q),
+        None,
         range(1, n_max + 1),
         lambda m: (f.gen_lucas_neg_closed(m, q), f.gen_lucas_backward(-m, q)),
     )
@@ -164,7 +136,7 @@ def gen_lucas_negative_check(q, n_max):
 # -- operator Binet-like sums ------------------------------------------
 
 
-def binet_sum_check(q, n_max):
+def binet_sum_check(n_max, q):
     """Even/odd word-product sums equal T_n and U_n, including the coupled
     product iteration."""
 
@@ -179,13 +151,13 @@ def binet_sum_check(q, n_max):
         expected_u = families.cheb_u(n - 1, q) if n >= 1 else XsPoly.zero()
         return u_part, expected_u
 
-    return check_range("eq-5.12-5.14", _label(q), range(n_max + 1), sides)
+    return check_range("eq-5.12-5.14", None, range(n_max + 1), sides)
 
 
 # -- matrix checks wrapped as reports ----------------------------------
 
 
-def fib_matrix_check(point, n_max):
+def fib_matrix_check(n_max, point):
     return check_range(
         "eq-2.30",
         point,
@@ -197,10 +169,10 @@ def fib_matrix_check(point, n_max):
     )
 
 
-def cheb_matrix_check(q, n_max):
+def cheb_matrix_check(n_max, q):
     return check_range(
         "eq-5.15",
-        _label(q),
+        None,
         range(1, n_max + 1),
         lambda n: (
             matrixids.cheb_matrix_product(n, q).entries(),
@@ -209,10 +181,10 @@ def cheb_matrix_check(q, n_max):
     )
 
 
-def tridiag_check(q, n_max):
+def tridiag_check(n_max, q):
     return check_range(
         "eq-5.39-5.40",
-        _label(q),
+        None,
         range(1, n_max + 1),
         lambda n: (
             (matrixids.tridiag_u(n, q), matrixids.tridiag_t(n, q)),
@@ -243,7 +215,7 @@ def cassini_euler_grid_check(point, n_max, k_max):
     return passing("eq-2.33", point, (1, n_max))
 
 
-def reconstruction_check(q, n_max):
+def reconstruction_check(n_max, q):
     """x^n rebuilt from its Fibonacci- and Lucas-basis expansions."""
 
     def sides(n):
@@ -252,15 +224,15 @@ def reconstruction_check(q, n_max):
             return moments.reconstruct_x_fib(n, q), power
         return moments.reconstruct_x_lucas(n, q), power
 
-    return check_range("eq-4.9-4.13", _label(q), range(n_max + 1), sides)
+    return check_range("eq-4.9-4.13", None, range(n_max + 1), sides)
 
 
-def orthogonality_smoke_check(q, total_degree):
+def orthogonality_smoke_check(total_degree, q):
     for spec in (moments.gen_fib_spec(q), moments.gen_lucas_spec(q)):
         r = moments.orthogonality_check(spec, total_degree)
         if not r.passed:
-            return _with_point(r, _label(q))
-    return passing("orthogonality", _label(q), (0, total_degree))
+            return r
+    return passing("orthogonality", None, (0, total_degree))
 
 
 # -- classical (q = 1) reductions --------------------------------------
@@ -375,227 +347,183 @@ def classical_binet_check(n_max, x_val=3.0, s_val=1.0, tol=1e-6):
     return passing("classical-binet", _label(one), (0, n_max))
 
 
-# -- suite assembly ----------------------------------------------------
+# -- the table of checks ----------------------------------------------
 
 
-def _q_item(items, q, check_id, fn):
-    """Queue a q-only check, degrading to a skipped report at q = 1."""
-    if q == 1:
-        items.append(lambda: skipped(check_id, _label(q), (0, 0)))
-    else:
-        items.append(fn)
+class Check(NamedTuple):
+    """One identity check, run as fn(bound, *sample) at every sample of its
+    scope (fn(*sample) when bound is None):
+
+    q          q for each q sample; skipped at q = 1
+    point      each pole-free (q, b) sample point with q != 1
+    neg_point  those points that are also pole-free at b-levels -12..-1
+    word       (q, 3/7) for each q sample other than 1
+    sqrt       each r of SQRT_SAMPLES, reported at q = r^2
+    weight     each (q, s) of WEIGHT_CONTEXTS
+    rodrigues  (q, s) of WEIGHT_CONTEXTS and n for 0 <= n <= the rodrigues bound
+    fixed      once, with no sample
+    """
+
+    id: str
+    scope: str
+    fn: Callable
+    bound: Optional[str]
 
 
-def _point_item(items, point, check_id, fn):
-    if point.q == 1:
-        items.append(lambda: skipped(check_id, point, (0, 0)))
-    else:
-        items.append(fn)
+def _dual_row(family, fault):
+    if families.FAMILIES[family].b_free:
+        return Check(
+            f"dual-{family.value}", "point",
+            lambda n, p: dual_route_check(family, p, n, fault), "dual",
+        )
+    return Check(
+        f"dual-{family.value}", "q",
+        lambda n, q: dual_route_check(family, _label(q), n, fault), "dual",
+    )
 
 
-def build_work_items(suite="core", qs=None, bs=None, bounds=None):
-    """The list of zero-argument callables making up a suite run."""
-    if suite not in ("core", "extended", "all"):
+def _series(check):
+    """A weight-series check run at the series order bound."""
+    return lambda order, w: check(analysis.SeriesContext(*w, order))
+
+
+def _rodrigues(check):
+    """A Rodrigues check of T_n or U_n, at the series order its n needs."""
+    return lambda n_max, w, n: check(n, analysis.SeriesContext(*w, 2 * n_max + 10))
+
+
+def checks(fault=None):
+    """The table of checks as (core rows, extended rows).  `fault` names a
+    family whose dual-route check perturbs its primary side."""
+    core = [
+        *(_dual_row(family, fault) for family in families.FamilyId),
+        Check("eq-2.8-3.6", "point", third_route_check, "third_route"),
+        Check("negative-index", "neg_point", negative_index_check, "negative"),
+        Check("eq-4.6", "q", gen_lucas_negative_check, "negative"),
+        Check("eq-5.12-5.14", "q", binet_sum_check, "binet_sum"),
+        # matrices and determinant identities
+        Check("eq-2.30", "point", fib_matrix_check, "matrix"),
+        Check("eq-3.1", "point", matrixids.trace_lucas_check, "trace"),
+        Check(
+            "eq-2.33", "point",
+            lambda bound, p: cassini_euler_grid_check(p, *bound), "cassini_euler",
+        ),
+        Check(
+            "eq-2.31", "neg_point",
+            lambda bound, p: cassini_range_check(p, *bound), "cassini",
+        ),
+        Check("eq-5.15", "q", cheb_matrix_check, "matrix"),
+        Check("eq-5.16", "q", matrixids.det_identity_check, "det"),
+        Check("eq-5.39-5.40", "q", tridiag_check, "tridiag"),
+        Check("eq-5.17", "sqrt", matrixids.det_identity_sqrt_check, "det_sqrt"),
+        # moments
+        Check("eq-4.10", "q", partial(moments.moment_consistency_check, "fib"), "moments"),
+        Check(
+            "eq-4.14", "q", partial(moments.moment_consistency_check, "lucas"), "moments"
+        ),
+        Check("carlitz-moments", "q", moments.carlitz_moment_check, "moments"),
+        Check("eq-4.9-4.13", "q", reconstruction_check, "reconstruct"),
+        Check("orthogonality", "q", orthogonality_smoke_check, "orthogonality"),
+        Check("nonorthogonality", "q", moments.nonorthogonality_witness, None),
+        Check("eq-4.7-4.8", "fixed", partial(moments.classical_moment_check, 8), None),
+        # q-analysis
+        Check("eq-5.18", "q", analysis.deriv_relation_t, "deriv"),
+        Check("eq-5.19", "q", analysis.deriv_relation_u, "deriv"),
+        Check("eq-5.20-5.22", "q", analysis.qode_check_t, "qode"),
+        Check("eq-5.21-5.23", "q", analysis.qode_check_u, "qode"),
+        Check("eq-5.37-5.38", "q", analysis.genfun_check, "genfun"),
+        *(
+            Check(name, "q", partial(analysis.registry_check, name), "registry")
+            for name in analysis.REGISTRY_IDS
+        ),
+        Check(
+            "h-functional-eq", "weight",
+            _series(analysis.h_functional_equation_check), "series_order",
+        ),
+        Check("pearson", "weight", _series(analysis.pearson_check), "series_order"),
+        # classical limit
+        Check("classical-fib-lucas", "fixed", classical_families_check, "classical"),
+        Check("classical-cheb", "fixed", classical_cheb_check, "classical"),
+        Check("classical-pell", "fixed", classical_pell_check, "classical"),
+        Check("classical-binet", "fixed", classical_binet_check, "binet_float"),
+    ]
+    extended = [
+        Check(
+            "eq-2.13..15", "q",
+            lambda q: operators.commutation_check(_word_point(q)), None,
+        ),
+        Check("eq-2.16..21", "word", operators.schlosser_binomial_check, "schlosser"),
+        Check("eq-2.24", "word", operators.fib_word_check, "fib_words"),
+        Check("eq-5.25", "rodrigues", _rodrigues(analysis.rodrigues_t), "rodrigues"),
+        Check("eq-5.26", "rodrigues", _rodrigues(analysis.rodrigues_u), "rodrigues"),
+    ]
+    return core, extended
+
+
+# -- the runner --------------------------------------------------------
+
+
+def _skip(check_id, label):
+    return lambda: skipped(check_id, label, (0, 0))
+
+
+def _run(fn, args, label):
+    """Run one check; a report without a point is tagged with the sample's."""
+
+    def item():
+        report = fn(*args)
+        if report.point is None:
+            report.point = label
+        return report
+
+    return item
+
+
+def build_work_items(suite="core", qs=None, bs=None, bounds=None, fault=None):
+    """The zero-argument callables making up a suite run, one per row of the
+    suite's checks and sample of the row's scope.  `bounds` overrides the
+    default value of any bound key; `fault` is passed to checks()."""
+    core, extended = checks(fault)
+    rows = {"core": core, "extended": extended, "all": core + extended}.get(suite)
+    if rows is None:
         raise ValueError(f"unknown suite {suite!r}")
-    bounds = dict(BOUNDS, **(bounds or {}))
+    bounds = dict(bounds_for(), **(bounds or {}))
     qs = tuple(qs) if qs is not None else DEFAULT_QS
     bs = tuple(bs) if bs is not None else DEFAULT_BS
-    points = [
-        p
-        for p in sample_points(levels=range(0, 40), qs=[q for q in qs if q != 1], bs=bs)
-    ]
-    neg_points = [p for p in points if p.is_pole_free(range(-12, 0))]
+    points = sample_points(levels=range(0, 40), qs=[q for q in qs if q != 1], bs=bs)
+    # scope -> (report label, fn arguments) per sample; None arguments skip
+    samples = {
+        "q": [(_label(q), None if q == 1 else (q,)) for q in qs],
+        "point": [(p, (p,)) for p in points],
+        "neg_point": [(p, (p,)) for p in points if p.is_pole_free(range(-12, 0))],
+        "word": [(p, (p,)) for p in [_word_point(q) for q in qs if q != 1]],
+        "sqrt": [(_label(r * r), (r,)) for r in SQRT_SAMPLES],
+        "weight": [(_label(w[0]), (w,)) for w in WEIGHT_CONTEXTS],
+        "rodrigues": [
+            (_label(w[0]), (w, n))
+            for w in WEIGHT_CONTEXTS
+            for n in range(bounds["rodrigues"] + 1)
+        ],
+        "fixed": [(None, ())],
+    }
     items = []
-    run_core = suite in ("core", "all")
-    run_extended = suite in ("extended", "all")
-
-    if run_core:
-        # dual routes through the dispatch surface (fault-injection sensitive)
-        for family in families.FamilyId:
-            if family in _B_FAMILIES:
-                for p in points:
-                    _point_item(
-                        items, p, f"dual-{family.value}",
-                        lambda f=family, p=p: dual_route_check(f, p, bounds["dual"]),
-                    )
+    for row in rows:
+        bound = () if row.bound is None else (bounds[row.bound],)
+        for label, args in samples[row.scope]:
+            if args is None:
+                items.append(_skip(row.id, label))
             else:
-                for q in qs:
-                    _q_item(
-                        items, q, f"dual-{family.value}",
-                        lambda f=family, q=q: dual_route_check(
-                            f, _label(q), bounds["dual"]
-                        ),
-                    )
-        for p in points:
-            _point_item(
-                items, p, "eq-2.8-3.6",
-                lambda p=p: third_route_check(p, bounds["third_route"]),
-            )
-        for p in neg_points:
-            _point_item(
-                items, p, "negative-index",
-                lambda p=p: negative_index_check(p, bounds["negative"]),
-            )
-        for q in qs:
-            _q_item(
-                items, q, "eq-4.6",
-                lambda q=q: gen_lucas_negative_check(q, bounds["negative"]),
-            )
-            _q_item(items, q, "eq-5.12-5.14", lambda q=q: binet_sum_check(q, bounds["binet_sum"]))
-
-        # matrices and determinant identities
-        for p in points:
-            _point_item(items, p, "eq-2.30", lambda p=p: fib_matrix_check(p, bounds["matrix"]))
-            _point_item(
-                items, p, "eq-3.1",
-                lambda p=p: matrixids.trace_lucas_check(bounds["trace"], p),
-            )
-            _point_item(
-                items, p, "eq-2.33",
-                lambda p=p: cassini_euler_grid_check(p, *bounds["cassini_euler"]),
-            )
-        for p in neg_points:
-            _point_item(
-                items, p, "eq-2.31",
-                lambda p=p: cassini_range_check(p, *bounds["cassini"]),
-            )
-        for q in qs:
-            _q_item(items, q, "eq-5.15", lambda q=q: cheb_matrix_check(q, bounds["matrix"]))
-            _q_item(
-                items, q, "eq-5.16",
-                lambda q=q: _with_point(
-                    matrixids.det_identity_check(bounds["det"], q), _label(q)
-                ),
-            )
-            _q_item(items, q, "eq-5.39-5.40", lambda q=q: tridiag_check(q, bounds["tridiag"]))
-        for r in SQRT_SAMPLES:
-            items.append(
-                lambda r=r: _with_point(
-                    matrixids.det_identity_sqrt_check(bounds["det_sqrt"], r),
-                    _label(r * r),
-                )
-            )
-
-        # moments
-        for q in qs:
-            _q_item(
-                items, q, "eq-4.10",
-                lambda q=q: _with_point(
-                    moments.moment_consistency_check("fib", bounds["moments"], q), _label(q)
-                ),
-            )
-            _q_item(
-                items, q, "eq-4.14",
-                lambda q=q: _with_point(
-                    moments.moment_consistency_check("lucas", bounds["moments"], q), _label(q)
-                ),
-            )
-            _q_item(
-                items, q, "carlitz-moments",
-                lambda q=q: _with_point(
-                    moments.carlitz_moment_check(bounds["moments"], q), _label(q)
-                ),
-            )
-            _q_item(items, q, "eq-4.9-4.13", lambda q=q: reconstruction_check(q, bounds["reconstruct"]))
-            _q_item(items, q, "orthogonality", lambda q=q: orthogonality_smoke_check(q, bounds["orthogonality"]))
-            _q_item(
-                items, q, "nonorthogonality",
-                lambda q=q: moments.nonorthogonality_witness(q),
-            )
-        items.append(lambda: moments.classical_moment_check(8))
-
-        # q-analysis
-        for q in qs:
-            _q_item(
-                items, q, "eq-5.18",
-                lambda q=q: _with_point(analysis.deriv_relation_t(bounds["deriv"], q), _label(q)),
-            )
-            _q_item(
-                items, q, "eq-5.19",
-                lambda q=q: _with_point(analysis.deriv_relation_u(bounds["deriv"], q), _label(q)),
-            )
-            _q_item(
-                items, q, "eq-5.20-5.22",
-                lambda q=q: _with_point(analysis.qode_check_t(bounds["qode"], q), _label(q)),
-            )
-            _q_item(
-                items, q, "eq-5.21-5.23",
-                lambda q=q: _with_point(analysis.qode_check_u(bounds["qode"], q), _label(q)),
-            )
-            _q_item(
-                items, q, "eq-5.37-5.38",
-                lambda q=q: _with_point(analysis.genfun_check(bounds["genfun"], q), _label(q)),
-            )
-            for name in analysis.REGISTRY_IDS:
-                _q_item(
-                    items, q, name,
-                    lambda name=name, q=q: _with_point(
-                        analysis.registry_check(name, bounds["registry"], q), _label(q)
-                    ),
-                )
-        for q_val, s_val in WEIGHT_CONTEXTS:
-            ctx = analysis.SeriesContext(q_val, s_val, bounds["series_order"])
-            items.append(
-                lambda ctx=ctx: _with_point(
-                    analysis.h_functional_equation_check(ctx), _label(ctx.q)
-                )
-            )
-            items.append(
-                lambda ctx=ctx: _with_point(analysis.pearson_check(ctx), _label(ctx.q))
-            )
-
-        # classical limit
-        items.append(lambda: classical_families_check(bounds["classical"]))
-        items.append(lambda: classical_cheb_check(bounds["classical"]))
-        items.append(lambda: classical_pell_check(bounds["classical"]))
-        items.append(lambda: classical_binet_check(bounds["binet_float"]))
-
-    if run_extended:
-        word_points = [
-            p for q in qs if q != 1 for p in [ParamPoint(q, Fraction(3, 7))]
-        ]
-        for p in word_points:
-            items.append(lambda p=p: operators.commutation_check(p))
-            items.append(
-                lambda p=p: operators.schlosser_binomial_check(bounds["schlosser"], p)
-            )
-            items.append(lambda p=p: operators.fib_word_check(bounds["fib_words"], p))
-        if any(q == 1 for q in qs):
-            items.append(lambda: skipped("eq-2.13..15", _label(Fraction(1)), (0, 0)))
-        for q_val, s_val in WEIGHT_CONTEXTS:
-            order = 2 * bounds["rodrigues"] + 10
-            ctx = analysis.SeriesContext(q_val, s_val, order)
-            for n in range(bounds["rodrigues"] + 1):
-                items.append(
-                    lambda n=n, ctx=ctx: _with_point(
-                        analysis.rodrigues_t(n, ctx), _label(ctx.q)
-                    )
-                )
-                items.append(
-                    lambda n=n, ctx=ctx: _with_point(
-                        analysis.rodrigues_u(n, ctx), _label(ctx.q)
-                    )
-                )
-
+                items.append(_run(row.fn, bound + args, label))
     return items
 
 
-def run_suite(suite="core", qs=None, bs=None, parallelism=1, bounds=None):
-    """Run a suite and return its reports sorted by (identity, point, range)."""
-    items = build_work_items(suite, qs=qs, bs=bs, bounds=bounds)
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(lambda fn: fn(), items))
-    else:
-        results = [fn() for fn in items]
-    reports = []
-    for r in results:
-        if isinstance(r, IdentityReport):
-            reports.append(r)
-        else:
-            reports.extend(r)
-    reports.sort(key=IdentityReport.sort_key)
-    return reports
+def run_suite(suite="core", qs=None, bs=None, parallelism=1, bounds=None, fault=None):
+    """Run a suite and return its reports sorted by (identity, point, range).
+
+    The items run one after another in the calling thread; `parallelism` is
+    accepted for callers that pass it and changes nothing."""
+    items = build_work_items(suite, qs=qs, bs=bs, bounds=bounds, fault=fault)
+    return sorted((item() for item in items), key=IdentityReport.sort_key)
 
 
 def summarize(reports):

@@ -72,7 +72,7 @@ def test_criterion_2_dual_route_suite():
     start = time.perf_counter()
     ok = True
     for family in families.FamilyId:
-        if family in suites._B_FAMILIES:
+        if families.FAMILIES[family].b_free:
             for p in POINTS:
                 ok = ok and suites.dual_route_check(family, p, 30).passed
         else:

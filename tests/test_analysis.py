@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcheb import analysis, families
+from qcheb import analysis, families, suites
 from qcheb.polyring import TruncSeries
 from qcheb.qkernel import q_int
 
@@ -93,9 +93,13 @@ def test_registry_identities(name):
 
 
 def test_registry_run_aggregates():
-    reports = analysis.identity_registry_run(6, (F(2),))
-    assert len(reports) == len(analysis.REGISTRY_IDS)
-    assert all(r.passed for r in reports)
+    bounds = dict(suites.bounds_for(2), registry=6)
+    reports = suites.run_suite("core", qs=(F(2),), bounds=bounds)
+    registry = [r for r in reports if r.identity_id in analysis.REGISTRY_IDS]
+    assert len(registry) == len(analysis.REGISTRY_IDS)
+    assert all(r.passed and r.index_range[1] in (3, 6) for r in registry)
+    # each report is tagged with its q sample (b plays no role)
+    assert {(r.point.q, r.point.b) for r in registry} == {(F(2), F(0))}
 
 
 def test_registry_rejects_unknown():

@@ -112,19 +112,20 @@ def test_verify_q1_skips():
 
 
 def test_verify_fault_injection_exits_1():
-    code, text = run_cli(
-        [
-            "verify", "--suite", "core", "--q", "2", "--max-n", "4",
-            "--inject-fault", "U", "--format", "json",
-        ]
-    )
-    assert code == 1
-    payload = json.loads(text)
-    assert payload["summary"]["fail"] >= 1
-    fails = [r for r in payload["reports"] if r["status"] == "fail"]
-    assert all("witness" in r for r in fails)
-    # the hook is cleared afterwards
-    assert families._FAULT is None
+    args = ["verify", "--suite", "core", "--q", "2", "--max-n", "4", "--format", "json"]
+    for family in ("U", "F_QB"):
+        code, text = run_cli(args + ["--inject-fault", family])
+        assert code == 1
+        payload = json.loads(text)
+        assert payload["summary"]["fail"] >= 1
+        fails = [r for r in payload["reports"] if r["status"] == "fail"]
+        assert all("witness" in r for r in fails)
+        # only the injected family's dual-route rows fail
+        assert {r["identity_id"] for r in fails} == {f"dual-{family}"}
+        # the fault belongs to that run alone: the next run passes
+        code, text = run_cli(args)
+        assert code == 0
+        assert json.loads(text)["summary"]["fail"] == 0
 
 
 def test_verify_csv_columns():
@@ -162,3 +163,20 @@ def test_suite_summary_counts():
 def test_unknown_suite_raises():
     with pytest.raises(ValueError):
         suites.build_work_items("bogus")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "core", "--q", "-1", "--format", "json"],
+        ["moments", "--family", "GEN_FIB", "--q", "-1", "--n", "4"],
+    ],
+    ids=["verify", "moments"],
+)
+def test_pole_at_q_minus_1_is_a_clean_usage_error(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

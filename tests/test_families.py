@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcheb import families
+from qcheb import families, suites
 from qcheb.polyring import ONE, S, SPoly, X, XsPoly, ZERO
 from qcheb.qkernel import (
     DEFAULT_QS,
@@ -150,22 +150,18 @@ def test_alsalam_ismail_recurrence():
 
 def test_family_poly_dispatch_and_fault():
     point = ParamPoint(F(2), F(0))
-    assert families.family_poly(families.FamilyId.CHEB_T, 2, point) == families.cheb_t(
-        2, F(2)
-    )
-    families.set_fault(families.FamilyId.CHEB_T)
-    try:
-        perturbed = families.family_poly(families.FamilyId.CHEB_T, 2, point)
-        assert perturbed == families.cheb_t(2, F(2)) + ONE
-        # other families unaffected
-        assert families.family_poly(
-            families.FamilyId.CHEB_U, 2, point
-        ) == families.cheb_u(2, F(2))
-    finally:
-        families.set_fault(None)
-    assert families.family_poly(families.FamilyId.CHEB_T, 2, point) == families.cheb_t(
-        2, F(2)
-    )
+    t, u = families.FamilyId.CHEB_T, families.FamilyId.CHEB_U
+    assert families.family_poly(t, 2, point) == families.cheb_t(2, F(2))
+    # the fault perturbs the primary side of that family's dual-route check
+    faulted = suites.dual_route_check(t, point, 2, fault=t)
+    assert faulted.status == "fail"
+    assert faulted.witness["lhs"] == families.cheb_t(0, F(2)) + ONE
+    assert faulted.witness["rhs"] == families.cheb_t_closed(0, F(2))
+    # other families unaffected
+    assert suites.dual_route_check(u, point, 2, fault=t).passed
+    # family_poly itself is pure, and a run without the fault passes
+    assert families.family_poly(t, 2, point) == families.cheb_t(2, F(2))
+    assert suites.dual_route_check(t, point, 2).passed
 
 
 def test_binet_float():
@@ -206,6 +202,8 @@ POLE_CASES = [
     (families.hypergeom_gen_fib, (6, 0), ValueError, "q must be nonzero"),
     (families.hypergeom_gen_lucas, (6, -1), ZeroDivisionError, "Fraction(0, 0)"),
     (families.hypergeom_gen_lucas, (6, 0), ZeroDivisionError, "Fraction(1, 0)"),
+    (families.cheb_t_closed, (-2, 2), ValueError, "closed form holds for n >= 0"),
+    (families.cheb_u_closed, (-2, 2), ValueError, "closed form holds for n >= 0"),
 ]
 
 
@@ -221,6 +219,15 @@ def test_oracle_pole_errors(fn, args, exc, message):
         fn(*args)
     assert info.type is exc
     assert str(info.value) == message
+
+
+def test_gen_lucas_negative_routes_agree_at_q_minus_1():
+    """At q = -1 the backward walk raises the closed form's PoleError (or
+    agrees with its value) instead of returning a silent 0."""
+    for n in range(1, 9):
+        assert _outcome(families.gen_lucas_backward, -n, F(-1)) == _outcome(
+            families.gen_lucas_neg_closed, n, F(-1)
+        ), n
 
 
 def test_dilated_routes_do_linear_work(monkeypatch):
