@@ -291,8 +291,6 @@ def _registry_pairs(name, n, q):
         f = lambda m: families.gen_fib(m, q).dilate(q, 0, 2)
         lhs = (families.gen_lucas(n, q) if n >= 1 else XsPoly.const(2)).scale(q**n)
         return lhs, f(n + 1).scale(1 + q**n) - X * f(n)
-    if name == "eq-3.6":
-        raise ValueError("eq-3.6 needs a ParamPoint; handled separately")
     if name in ("eq-5.9", "eq-5.27"):
         return t(n, q), u(n, q) - X.scale(q**n) * _u(n - 1, q)
     if name == "eq-5.10":

@@ -3,15 +3,15 @@ trace-Lucas and (q,b)-Lucas, the b = -1 generalized families, Al-Salam/Ismail
 polynomials and both kinds of q-Chebyshev polynomials.
 
 Every family is computable by at least two independent routes (closed-form sum
-and three-term recurrence); negative indices carry an explicit s-power
-denominator as an SPoly.
+and three-term recurrence); negative indices give polynomials in x with
+negative powers of s, held in the same XsPoly type.
 """
 
 import enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .polyring import ONE, S, SPoly, X, XsPoly, ZERO
+from .polyring import ONE, S, X, XsPoly, ZERO
 from .qkernel import (
     ParamPoint,
     as_rational,
@@ -22,13 +22,19 @@ from .qkernel import (
 )
 
 def _memoized(fn):
+    """Cache fn(n, *rest).  A miss first fills the missing lower indices
+    bottom-up, in one loop, so the calls fn(m) makes at m-1 and m-2 are cache
+    hits and a recurrence never nests more than two frames deep."""
     cache = {}
 
-    def wrapper(*args):
-        key = args
-        hit = cache.get(key)
+    def wrapper(n, *rest):
+        hit = cache.get((n, *rest))
         if hit is None:
-            hit = cache[key] = fn(*args)
+            low = n
+            while low > 0 and (low - 1, *rest) not in cache:
+                low -= 1
+            for m in range(low, n + 1):
+                hit = cache[(m, *rest)] = fn(m, *rest)
         return hit
 
     wrapper.cache_clear = cache.clear
@@ -146,14 +152,14 @@ def _dilated_bottom_up(n: int, point: ParamPoint, seed0: XsPoly, seed1: XsPoly) 
 
 
 @_memoized
-def fib_qb_ext(n: int, point: ParamPoint) -> SPoly:
+def fib_qb_ext(n: int, point: ParamPoint) -> XsPoly:
     """(q,b)-Fibonacci for any integer index.
 
     Negative indices use the explicit extension
     F_(-m) = (-1)^(m-1) q^C(m+1,2) (b/q^(m-1);q)_m (b/q^m;q)_m F_m(x, b/q^m, s/q^m) / s^m.
     """
     if n >= 0:
-        return SPoly(fib_qb(n, point))
+        return fib_qb(n, point)
     m = -n
     q, b = point.q, point.b
     scalar = (
@@ -163,34 +169,34 @@ def fib_qb_ext(n: int, point: ParamPoint) -> SPoly:
         * q_poch(b * q**-m, q, m)
     )
     inner = fib_qb(m, point.shift_b(-m)).dilate(q, 0, -m)
-    return SPoly(inner.scale(scalar), m)
+    return inner.scale(scalar).shift_s(-m)
 
 
-def fib_qb_backward(n: int, point: ParamPoint) -> SPoly:
+def fib_qb_backward(n: int, point: ParamPoint) -> XsPoly:
     """Backward-run recurrence oracle for negative indices, from
     F_(n-2) = (F_n - x F_(n-1)) (1-q^(n-2)b)(1-q^(n-1)b) / (q^(n-2) s),
     walked in one loop from (F_1, F_0) down to F_n; the pole check at
     levels (m, m+1) precedes step m."""
     if n >= 0:
-        return SPoly(fib_qb(n, point))
+        return fib_qb(n, point)
     q, b = point.q, point.b
-    hi, mid = SPoly(fib_qb(1, point)), SPoly(fib_qb(0, point))
+    hi, mid = fib_qb(1, point), fib_qb(0, point)
     for m in range(-1, n - 1, -1):
         point.require_pole_free((m, m + 1))
         scalar = (1 - q**m * b) * (1 - q ** (m + 1) * b) / q**m
-        hi, mid = mid, (hi - SPoly(X) * mid).scale(scalar).times_s_power(-1)
+        hi, mid = mid, (hi - X * mid).scale(scalar).shift_s(-1)
     return mid
 
 
 # -- trace-Lucas l_n ---------------------------------------------------
 
 
-def lucas_trace(n: int, point: ParamPoint) -> SPoly:
+def lucas_trace(n: int, point: ParamPoint) -> XsPoly:
     """l_n = F_(n+1)(x,b,s) + s/((1-b)(1-qb)) F_(n-1)(x,qb,qs), any integer n."""
     q, b = point.q, point.b
     point.require_pole_free((0, 1))
     shifted = fib_qb_ext(n - 1, point.shift_b(1)).dilate(q, 0, 1)
-    return fib_qb_ext(n + 1, point) + shifted.times_s_power(1).scale(
+    return fib_qb_ext(n + 1, point) + shifted.shift_s(1).scale(
         1 / ((1 - b) * (1 - q * b))
     )
 
@@ -216,7 +222,7 @@ def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
     return XsPoly(terms)
 
 
-def lucas_trace_neg_closed(n: int, point: ParamPoint) -> SPoly:
+def lucas_trace_neg_closed(n: int, point: ParamPoint) -> XsPoly:
     """Negative-index extension:
     l_(-n) = (-1)^n q^C(n+1,2) / s^n (b/q^n;q)_n (b/q^(n-1);q)_n l_n(x, b/q^n, s/q^n)."""
     if n <= 0:
@@ -229,7 +235,7 @@ def lucas_trace_neg_closed(n: int, point: ParamPoint) -> SPoly:
         * q_poch(b * q ** (1 - n), q, n)
     )
     inner = lucas_trace(n, point.shift_b(-n)).dilate(q, 0, -n)
-    return inner.scale(scalar).times_s_power(-n)
+    return inner.scale(scalar).shift_s(-n)
 
 
 # -- (q, b)-Lucas L_n --------------------------------------------------
@@ -288,7 +294,7 @@ def lucas_qb_relation(n: int, point: ParamPoint) -> XsPoly:
     return fib_qb(n + 1, point) - S.scale(coeff) * fib_qb(n - 1, point)
 
 
-def gen_lucas_neg_closed(n: int, q) -> SPoly:
+def gen_lucas_neg_closed(n: int, q) -> XsPoly:
     """L_(-n)(x,-1,s,q) = (-1)^n q^(-C(n+1,2)) s^(-n) (-q;q)_n (-1;q)_n L_n(x,-1,s,q)."""
     if n <= 0:
         raise ValueError("pass the positive n of L_(-n)")
@@ -300,26 +306,26 @@ def gen_lucas_neg_closed(n: int, q) -> SPoly:
         * q_poch(-q, q, n)
         * q_poch(Fraction(-1), q, n)
     )
-    return SPoly(lucas_qb(n, point).scale(scalar), n)
+    return lucas_qb(n, point).scale(scalar).shift_s(-n)
 
 
-def gen_lucas_backward(n: int, q) -> SPoly:
+def gen_lucas_backward(n: int, q) -> XsPoly:
     """Backward-run (3.8)-style oracle for L_n(x,-1,s,q) at negative n, from
     L_(m-2) = (L_m - x L_(m-1)) (1+q^(m-2))(1+q^(m-1)) / (q^(m-1) s),
     walked in one loop from (L_1, L_0) down to L_n."""
     q = as_rational(q)
     point = ParamPoint(q, Fraction(-1))
     if n >= 0:
-        return SPoly(lucas_qb(n, point))
+        return lucas_qb(n, point)
     # At b = -1 level j is a pole exactly when level -j is, so the walk first
     # checks the levels of the forward recurrence to L_(-n), in its order, and
     # raises the PoleError that gen_lucas_neg_closed raises.
-    for m in range(-n, 1, -1):
+    for m in range(2, -n + 1):
         point.require_pole_free((m - 2, m - 1))
-    hi, mid = SPoly(lucas_qb(1, point)), SPoly(lucas_qb(0, point))
+    hi, mid = lucas_qb(1, point), lucas_qb(0, point)
     for m in range(1, n + 1, -1):
         scalar = (1 + q ** (m - 2)) * (1 + q ** (m - 1)) / q ** (m - 1)
-        hi, mid = mid, (hi - SPoly(X) * mid).scale(scalar).times_s_power(-1)
+        hi, mid = mid, (hi - X * mid).scale(scalar).shift_s(-1)
     return mid
 
 
@@ -376,30 +382,30 @@ def cheb_u_closed(n: int, q) -> XsPoly:
     return XsPoly(terms)
 
 
-def cheb_u_ext(n: int, q) -> SPoly:
+def cheb_u_ext(n: int, q) -> XsPoly:
     """U_n for any integer index: U_(-1) = 0 and
     U_(-m-2) = (-1)^m (q/s)^(m+1) U_m for m >= 0."""
     q = as_rational(q)
     if n >= 0:
-        return SPoly(cheb_u(n, q))
+        return cheb_u(n, q)
     if n == -1:
-        return SPoly(ZERO)
+        return ZERO
     m = -n - 2
     scalar = Fraction(-1) ** m * q ** (m + 1)
-    return SPoly(cheb_u(m, q).scale(scalar), m + 1)
+    return cheb_u(m, q).scale(scalar).shift_s(-m - 1)
 
 
-def cheb_u_backward(n: int, q) -> SPoly:
+def cheb_u_backward(n: int, q) -> XsPoly:
     """Backward-run recurrence oracle for negative U-indices, from
     U_(m-2) = (U_m - (1+q^m) x U_(m-1)) q^(1-m) / s,
     walked in one loop from (U_1, U_0) down to U_n."""
     q = as_rational(q)
     if n >= 0:
-        return SPoly(cheb_u(n, q))
-    hi, mid = SPoly(cheb_u(1, q)), SPoly(cheb_u(0, q))
+        return cheb_u(n, q)
+    hi, mid = cheb_u(1, q), cheb_u(0, q)
     for m in range(1, n + 1, -1):
-        step = hi - SPoly(X.scale(1 + q**m)) * mid
-        hi, mid = mid, step.scale(q ** (1 - m)).times_s_power(-1)
+        step = hi - X.scale(1 + q**m) * mid
+        hi, mid = mid, step.scale(q ** (1 - m)).shift_s(-1)
     return mid
 
 
@@ -444,26 +450,26 @@ def cheb_t_closed(n: int, q) -> XsPoly:
     return XsPoly(terms)
 
 
-def cheb_t_ext(n: int, q) -> SPoly:
+def cheb_t_ext(n: int, q) -> XsPoly:
     """T_n for any integer index: T_(-m) = (-1)^m s^(-m) T_m."""
     q = as_rational(q)
     if n >= 0:
-        return SPoly(cheb_t(n, q))
+        return cheb_t(n, q)
     m = -n
-    return SPoly(cheb_t(m, q).scale(Fraction(-1) ** m), m)
+    return cheb_t(m, q).scale(Fraction(-1) ** m).shift_s(-m)
 
 
-def cheb_t_backward(n: int, q) -> SPoly:
+def cheb_t_backward(n: int, q) -> XsPoly:
     """Backward-run recurrence oracle for negative T-indices, from
     T_(m-2) = (T_m - (1+q^(m-1)) x T_(m-1)) q^(1-m) / s,
     walked in one loop from (T_1, T_0) down to T_n."""
     q = as_rational(q)
     if n >= 0:
-        return SPoly(cheb_t(n, q))
-    hi, mid = SPoly(cheb_t(1, q)), SPoly(cheb_t(0, q))
+        return cheb_t(n, q)
+    hi, mid = cheb_t(1, q), cheb_t(0, q)
     for m in range(1, n + 1, -1):
-        step = hi - SPoly(X.scale(1 + q ** (m - 1))) * mid
-        hi, mid = mid, step.scale(q ** (1 - m)).times_s_power(-1)
+        step = hi - X.scale(1 + q ** (m - 1)) * mid
+        hi, mid = mid, step.scale(q ** (1 - m)).shift_s(-1)
     return mid
 
 
@@ -471,13 +477,15 @@ def cheb_t_backward(n: int, q) -> SPoly:
 
 
 def gen_fib(n: int, q) -> XsPoly:
-    """F_n(x, -1, s, q)."""
-    return fib_qb(n, ParamPoint(as_rational(q), Fraction(-1)))
+    """F_n(x, -1, s, q); q = 1 is the classical limit, as in `gen`."""
+    q = as_rational(q)
+    return fib_qb(n, ParamPoint(q, Fraction(-1), allow_classical=(q == 1)))
 
 
 def gen_lucas(n: int, q) -> XsPoly:
-    """L_n(x, -1, s, q)."""
-    return lucas_qb(n, ParamPoint(as_rational(q), Fraction(-1)))
+    """L_n(x, -1, s, q); q = 1 is the classical limit, as in `gen`."""
+    q = as_rational(q)
+    return lucas_qb(n, ParamPoint(q, Fraction(-1), allow_classical=(q == 1)))
 
 
 def hypergeom_gen_fib(n: int, q) -> XsPoly:

@@ -5,7 +5,7 @@ Chebyshev determinant identities and tridiagonal determinant representations.
 from fractions import Fraction
 
 from . import families
-from .polyring import Mat2, ONE, S, SPoly, X, XsPoly, ZERO
+from .polyring import Mat2, ONE, S, X, XsPoly, ZERO
 from .qkernel import ParamPoint, as_rational, binom2, q_poch
 from .report import check_range, failing, passing
 
@@ -37,8 +37,8 @@ def fib_matrix_expected(n: int, point: ParamPoint) -> Mat2:
     def upshift(m):
         return families.fib_qb_ext(m, shifted).dilate(q, 0, 1)
 
-    a11 = (upshift(n - 1).times_s_power(1) * scalar).as_poly()
-    a21 = (upshift(n).times_s_power(1) * scalar).as_poly()
+    a11 = (upshift(n - 1).shift_s(1) * scalar).as_poly()
+    a21 = (upshift(n).shift_s(1) * scalar).as_poly()
     return Mat2(a11, families.fib_qb(n, point), a21, families.fib_qb(n + 1, point))
 
 
@@ -60,7 +60,7 @@ def cassini_check(n: int, point: ParamPoint):
         * q ** binom2(n)
         / (q_poch(q * point.b, q, n - 1) * q_poch(q**2 * point.b, q, n - 1))
     )
-    rhs = SPoly(XsPoly.const(scalar)).times_s_power(n - 1)
+    rhs = XsPoly.monomial(scalar, 0, n - 1)
     if lhs == rhs:
         return passing("eq-2.31", point, (n, n))
     return failing("eq-2.31", point, (n, n), n, lhs, rhs)
@@ -77,12 +77,12 @@ def cassini_euler_check(n: int, k: int, point: ParamPoint):
 
     f = lambda m: families.fib_qb_ext(m, point)
     point.require_pole_free((0, 1))
-    d = (up(n - 1) * f(n + k) - up(n + k - 1) * f(n)).times_s_power(1) * (
+    d = (up(n - 1) * f(n + k) - up(n + k - 1) * f(n)).shift_s(1) * (
         1 / ((1 - b) * (1 - q * b))
     )
     scalar = q ** binom2(n) / (q_poch(b, q, n) * q_poch(q * b, q, n))
     inner = families.fib_qb_ext(k, point.shift_b(n)).dilate(q, 0, n)
-    rhs = (inner * scalar * Fraction(-1) ** n).times_s_power(n)
+    rhs = (inner * scalar * Fraction(-1) ** n).shift_s(n)
     if d == rhs:
         return passing("eq-2.33", point, (n, n))
     return failing("eq-2.33", point, (n, n), (n, k), d, rhs)
@@ -92,10 +92,7 @@ def trace_lucas_check(n: int, point: ParamPoint):
     """tr(C(x,q^(n-1)b,q^(n-1)s) ... C(x,b,s)) = l_n(x,b,s,q) for n >= 1."""
 
     def sides(m):
-        return (
-            SPoly(fib_matrix_product(m, point).trace()),
-            families.lucas_trace(m, point),
-        )
+        return fib_matrix_product(m, point).trace(), families.lucas_trace(m, point)
 
     return check_range("eq-3.1", point, range(1, n + 1), sides)
 

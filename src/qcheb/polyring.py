@@ -1,6 +1,5 @@
-"""Sparse bivariate polynomials in x and s over exact rationals, plus the
-q-dilation substitution, q-derivative, Laurent-in-s pairs for negative-index
-formulas, 2x2 matrices and truncated power series.
+"""Sparse polynomials in x, Laurent in s, over exact rationals, plus the
+q-dilation substitution, q-derivative, 2x2 matrices and truncated power series.
 """
 
 from fractions import Fraction
@@ -17,10 +16,12 @@ def _coerce_coeff(c) -> Fraction:
 
 
 class XsPoly:
-    """Polynomial in x and s stored as {(deg_x, deg_s): coefficient}.
+    """Polynomial in x, Laurent in s, stored as {(deg_x, deg_s): coefficient}.
 
-    Zero coefficients are never stored; the zero polynomial is the empty map.
-    Instances are treated as immutable.
+    deg_x >= 0; deg_s may be negative, as in the negative-index family
+    members, whose denominators are pure powers of s.  Zero coefficients are
+    never stored; the zero polynomial is the empty map.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("terms",)
@@ -31,8 +32,8 @@ class XsPoly:
             for (dx, ds), c in terms.items():
                 c = _coerce_coeff(c)
                 if c != 0:
-                    if dx < 0 or ds < 0:
-                        raise ValueError("negative exponents are not representable")
+                    if dx < 0:
+                        raise ValueError("negative x exponents are not representable")
                     clean[(dx, ds)] = c
         self.terms = clean
 
@@ -150,9 +151,6 @@ class XsPoly:
             out.setdefault(dx, {})[(0, ds)] = c
         return {dx: XsPoly(t) for dx, t in out.items()}
 
-    def min_s_degree(self) -> int:
-        return min((ds for _, ds in self.terms), default=0)
-
     def constant(self) -> Fraction:
         """The value when the polynomial is constant; error otherwise."""
         if not self.terms:
@@ -201,10 +199,17 @@ class XsPoly:
         return XsPoly(terms)
 
     def shift_s(self, k: int):
-        """Multiply by s^k (k >= 0)."""
+        """Multiply by s^k for any integer k."""
         if k == 0:
             return self
         return XsPoly({(dx, ds + k): c for (dx, ds), c in self.terms.items()})
+
+    def as_poly(self):
+        """self, checked to be a polynomial in s: no negative s exponent."""
+        low = min((ds for _, ds in self.terms), default=0)
+        if low < 0:
+            raise ValueError(f"value has a residual s^{-low} denominator")
+        return self
 
     def evalf(self, x_val: float, s_val: float) -> float:
         return sum(float(c) * x_val**dx * s_val**ds for (dx, ds), c in self.terms.items())
@@ -256,101 +261,6 @@ X = XsPoly.x()
 S = XsPoly.s()
 ONE = XsPoly.const(1)
 ZERO = XsPoly.zero()
-
-
-class SPoly:
-    """A Laurent-in-s value num / s^spow.
-
-    Negative-index family members have pure s-power denominators; this pair
-    representation keeps the coefficient ring polynomial.  Normal form: either
-    spow == 0 or some term of num is s-free.
-    """
-
-    __slots__ = ("num", "spow")
-
-    def __init__(self, num: XsPoly, spow: int = 0):
-        if spow < 0:
-            num = num.shift_s(-spow)
-            spow = 0
-        low = num.min_s_degree()
-        if spow > 0 and low > 0 and not num.is_zero():
-            drop = min(spow, low)
-            num = XsPoly({(dx, ds - drop): c for (dx, ds), c in num.terms.items()})
-            spow -= drop
-        if num.is_zero():
-            spow = 0
-        self.num = num
-        self.spow = spow
-
-    @staticmethod
-    def _coerce(v):
-        if isinstance(v, SPoly):
-            return v
-        if isinstance(v, XsPoly):
-            return SPoly(v)
-        if isinstance(v, (int, Fraction)):
-            return SPoly(XsPoly.const(v))
-        raise TypeError(f"cannot coerce {type(v)} to SPoly")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        k = max(self.spow, other.spow)
-        num = self.num.shift_s(k - self.spow) + other.num.shift_s(k - other.spow)
-        return SPoly(num, k)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SPoly(-self.num, self.spow)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SPoly(self.num.scale(other), self.spow)
-        other = self._coerce(other)
-        return SPoly(self.num * other.num, self.spow + other.spow)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        return SPoly(self.num.scale(c), self.spow)
-
-    def times_s_power(self, k: int):
-        """Multiply by s^k for any integer k."""
-        if k >= 0:
-            return SPoly(self.num.shift_s(k), self.spow)
-        return SPoly(self.num, self.spow - k)
-
-    def dilate(self, q, m_x: int, m_s: int):
-        q = as_rational(q)
-        return SPoly(self.num.dilate(q, m_x, m_s).scale(q ** (-m_s * self.spow)), self.spow)
-
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.num == other.num and self.spow == other.spow
-
-    def __hash__(self):
-        return hash((self.num, self.spow))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def as_poly(self) -> XsPoly:
-        if self.spow != 0:
-            raise ValueError(f"value has a residual s^{self.spow} denominator")
-        return self.num
-
-    def __str__(self):
-        if self.spow == 0:
-            return str(self.num)
-        return f"({self.num}) / s^{self.spow}"
-
-    __repr__ = __str__
 
 
 class Mat2:
@@ -522,16 +432,11 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check(other)
-        return all(_is_same(a, b) for a, b in zip(self.coeffs, other.coeffs))
+        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def is_zero(self):
-        return all(_is_same(c, Fraction(0)) for c in self.coeffs)
+        return all(c == 0 for c in self.coeffs)
 
     def __repr__(self):
         return f"TruncSeries({self.coeffs!r}, order={self.order})"
 
-
-def _is_same(a, b):
-    if isinstance(a, XsPoly) or isinstance(b, XsPoly):
-        return XsPoly._coerce(a) == XsPoly._coerce(b)
-    return a == b

@@ -13,8 +13,8 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import analysis, families, matrixids, moments, operators
-from .polyring import ONE, S, X, XsPoly
-from .qkernel import DEFAULT_BS, DEFAULT_QS, ParamPoint, sample_points
+from .polyring import ONE, S, X, XsPoly, format_rational
+from .qkernel import DEFAULT_BS, DEFAULT_QS, ParamPoint, PoleError, sample_points
 from .report import IdentityReport, check_range, failing, passing, skipped
 
 # Index bounds per key: (default, value under `verify --max-n m`).  The
@@ -467,16 +467,31 @@ def _skip(check_id, label):
     return lambda: skipped(check_id, label, (0, 0))
 
 
-def _run(fn, args, label):
-    """Run one check; a report without a point is tagged with the sample's."""
+def _run(row, args, label):
+    """Run one row at one sample; a report without a point is tagged with the
+    sample's.  A pole is re-raised as a PoleError naming the row and sample."""
 
     def item():
-        report = fn(*args)
+        try:
+            report = row.fn(*args)
+        except (PoleError, ZeroDivisionError) as exc:
+            detail = exc if isinstance(exc, PoleError) else f"division by zero ({exc})"
+            raise PoleError(f"{row.id}{_at(label, row.scope)}: {detail}") from exc
         if report.point is None:
             report.point = label
         return report
 
     return item
+
+
+def _at(label, scope):
+    """Where a work item runs: " at q=..." (with b for the point scopes)."""
+    if label is None:
+        return ""
+    at = f" at q={format_rational(label.q)}"
+    if scope in ("point", "neg_point", "word"):
+        at += f", b={format_rational(label.b)}"
+    return at
 
 
 def build_work_items(suite="core", qs=None, bs=None, bounds=None, fault=None):
@@ -513,7 +528,7 @@ def build_work_items(suite="core", qs=None, bs=None, bounds=None, fault=None):
             if args is None:
                 items.append(_skip(row.id, label))
             else:
-                items.append(_run(row.fn, bound + args, label))
+                items.append(_run(row, bound + args, label))
     return items
 
 

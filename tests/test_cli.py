@@ -166,17 +166,30 @@ def test_unknown_suite_raises():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, names",
     [
-        ["verify", "--suite", "core", "--q", "-1", "--format", "json"],
-        ["moments", "--family", "GEN_FIB", "--q", "-1", "--n", "4"],
+        (
+            ["verify", "--suite", "core", "--q", "-1", "--format", "json"],
+            "error: dual-F_CARLITZ at q=-1: ",
+        ),
+        (["moments", "--family", "GEN_FIB", "--q", "-1", "--n", "4"], "error: "),
     ],
     ids=["verify", "moments"],
 )
-def test_pole_at_q_minus_1_is_a_clean_usage_error(argv, capsys):
+def test_pole_at_q_minus_1_is_a_clean_usage_error(argv, names, capsys):
     code, text = run_cli(argv)
     assert code == 2
     assert text == ""
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(names) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("b_minus_1, family", [("GEN_FIB", "F_QB"), ("GEN_LUCAS", "L_QB")])
+def test_b_minus_1_families_at_classical_q(b_minus_1, family):
+    """At q = 1 the b = -1 families print the rows of F_QB/L_QB at b = -1."""
+    args = ["--n", "6", "--q", "1", "--format", "json"]
+    code, text = run_cli(["gen", "--family", b_minus_1, *args])
+    assert code == 0
+    _, expected = run_cli(["gen", "--family", family, "--b", "-1", *args])
+    assert json.loads(text)["rows"] == json.loads(expected)["rows"]

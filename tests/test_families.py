@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcheb import families, suites
-from qcheb.polyring import ONE, S, SPoly, X, XsPoly, ZERO
+from qcheb.polyring import ONE, S, X, XsPoly, ZERO
 from qcheb.qkernel import (
     DEFAULT_QS,
     ParamPoint,
@@ -66,11 +66,9 @@ def test_fib_qb_negative_indices(point):
 
 @pytest.mark.parametrize("point", POINTS, ids=str)
 def test_lucas_trace_routes(point):
-    assert families.lucas_trace(0, point) == SPoly(XsPoly.const(2))
+    assert families.lucas_trace(0, point) == XsPoly.const(2)
     for n in range(1, 10):
-        assert families.lucas_trace(n, point) == SPoly(
-            families.lucas_trace_closed(n, point)
-        )
+        assert families.lucas_trace(n, point) == families.lucas_trace_closed(n, point)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +120,7 @@ def test_cheb_t_routes_and_alias(q):
 
 @pytest.mark.parametrize("q", QS)
 def test_cheb_negative_indices(q):
-    assert families.cheb_u_ext(-1, q) == SPoly(ZERO)
+    assert families.cheb_u_ext(-1, q) == ZERO
     for n in range(-9, 0):
         assert families.cheb_u_ext(n, q) == families.cheb_u_backward(n, q)
         assert families.cheb_t_ext(n, q) == families.cheb_t_backward(n, q)
@@ -276,6 +274,27 @@ def test_backward_oracles_need_no_recursion():
         families.cheb_u_ext(n, q),
         families.cheb_t_ext(n, q),
     )
+
+
+def test_cold_generators_need_no_recursion():
+    """A cold memoized generator fills its lower indices bottom-up."""
+    n, q, point = 100, F(2), ParamPoint(F(2), F(3, 7))
+    generators = (
+        (families.cheb_t, q, families.cheb_t_closed),
+        (families.cheb_u, q, families.cheb_u_closed),
+        (families.fib_carlitz_rec, q, families.fib_carlitz),
+        (families.fib_qb, point, families.fib_qb_closed),
+        (families.lucas_qb, point, families.lucas_qb_closed),
+    )
+    for fn, _, _ in generators:
+        fn.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        got = [fn(n, arg) for fn, arg, _ in generators]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [closed(n, arg) for _, arg, closed in generators]
 
 
 # Reference closed forms: each coefficient from q_poch called from scratch,

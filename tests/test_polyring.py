@@ -1,5 +1,5 @@
 """Polynomial ring layer: XsPoly arithmetic, dilation, q-derivative,
-serialization, SPoly Laurent pairs, 2x2 matrices and truncated series."""
+serialization, negative powers of s, 2x2 matrices and truncated series."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcheb.polyring import ONE, S, SPoly, TruncSeries, X, XsPoly, ZERO, Mat2
+from qcheb.polyring import ONE, S, TruncSeries, X, XsPoly, ZERO, Mat2
 from qcheb.qkernel import q_int
 
 F = Fraction
@@ -18,6 +18,12 @@ rationals = st.fractions(
 
 polys = st.dictionaries(
     st.tuples(st.integers(0, 5), st.integers(0, 4)),
+    rationals,
+    max_size=6,
+).map(XsPoly)
+
+laurent = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(-4, 4)),
     rationals,
     max_size=6,
 ).map(XsPoly)
@@ -74,8 +80,14 @@ def test_q_leibniz_rule(p, r):
 
 
 @settings(max_examples=40)
-@given(polys)
+@given(laurent)
 def test_json_round_trip(p):
+    assert XsPoly.from_json(p.to_json()) == p
+
+
+def test_json_round_trip_negative_s_power():
+    p = X.shift_s(-2).scale(F(-3, 4)) + S
+    assert p.to_json()["terms"][0] == {"dx": 1, "ds": -2, "c": "-3/4"}
     assert XsPoly.from_json(p.to_json()) == p
 
 
@@ -90,27 +102,56 @@ def test_str_canonical():
     assert str(p) == "-2*x^2 + 1 + s"
 
 
-def test_spoly_normal_form():
-    v = SPoly(X.shift_s(2), 3)  # x s^2 / s^3 -> x / s
-    assert v.spow == 1 and v.num == X
-    assert SPoly(ZERO, 5).spow == 0
-    assert SPoly(X, -2) == SPoly(X.shift_s(2))
+def test_str_negative_s_power():
+    assert str(X.shift_s(-1)) == "x*s^-1"
+    assert str(XsPoly.monomial(F(-3, 2), 0, -2) + X) == "x - 3/2*s^-2"
 
 
-def test_spoly_arithmetic():
-    a = SPoly(X, 1)
-    b = SPoly(S)
-    assert a + b == SPoly(X + S.shift_s(1), 1)
-    assert a * b == SPoly(X)  # x/s * s = x
-    assert a.times_s_power(1) == SPoly(X)
-    assert a.times_s_power(-1) == SPoly(X, 2)
+def test_negative_x_exponent_rejected():
+    with pytest.raises(ValueError):
+        XsPoly({(-1, 0): 1})
 
 
-def test_spoly_dilate_respects_denominator():
+def test_laurent_normal_form():
+    v = X.shift_s(2).shift_s(-3)  # x s^2 / s^3 -> x / s
+    assert v.terms == {(1, -1): 1} and v == XsPoly.monomial(1, 1, -1)
+    assert ZERO.shift_s(-5).is_zero() and ZERO.shift_s(-5) == 0
+    assert X.shift_s(-2).shift_s(2) == X == X.shift_s(2).shift_s(-2)
+
+
+def test_laurent_arithmetic():
+    a = X.shift_s(-1)  # x / s
+    assert a + S == XsPoly({(1, -1): 1, (0, 1): 1})
+    assert a * S == X  # x/s * s = x
+    assert a.shift_s(1) == X
+    assert a.shift_s(-1) == XsPoly.monomial(1, 1, -2)
+
+
+def test_laurent_dilate_respects_denominator():
     q = F(2)
-    v = SPoly(X, 1)  # x / s
+    v = X.shift_s(-1)  # x / s
     # substituting s -> q s divides the value by q
-    assert v.dilate(q, 0, 1) == SPoly(X.scale(F(1, 2)), 1)
+    assert v.dilate(q, 0, 1) == v.scale(F(1, 2))
+
+
+def test_as_poly():
+    p = X * X + S
+    assert p.as_poly() is p
+    with pytest.raises(ValueError, match=r"^value has a residual s\^1 denominator$"):
+        (X.shift_s(-1) + ONE).as_poly()
+    with pytest.raises(ValueError, match=r"residual s\^3 denominator"):
+        (S.shift_s(-4) + X.shift_s(-1)).as_poly()
+
+
+@settings(max_examples=40)
+@given(laurent, laurent, st.integers(-5, 5))
+def test_laurent_shift_mul_dilate_agree(p, r, k):
+    q = F(3, 2)
+    assert p.shift_s(k) == p * XsPoly.s(k)
+    assert p.shift_s(k).shift_s(-k) == p
+    assert (p * r).shift_s(k) == p.shift_s(k) * r
+    assert p.shift_s(k).dilate(q, 1, 2) == p.dilate(q, 1, 2).shift_s(k).scale(q ** (2 * k))
+    assert (p * r).dilate(q, 1, 2) == p.dilate(q, 1, 2) * r.dilate(q, 1, 2)
 
 
 def test_mat2():
