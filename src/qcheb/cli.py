@@ -47,14 +47,22 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="print family polynomials for n = 0 .. N")
     gen.add_argument("--family", required=True, help="family id, e.g. T, U, F_QB")
     gen.add_argument("--n", type=int, required=True, help="largest index to print")
-    gen.add_argument("--q", default="2", help='rational q as "num/den"')
-    gen.add_argument("--b", default="0", help='rational b as "num/den"')
+    gen.add_argument("--q", default="2", help='rational q as "num/den"; negative: --q=-1/2')
+    gen.add_argument("--b", default="0", help='rational b as "num/den"; negative: --b=-1/2')
     gen.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     verify = sub.add_parser("verify", help="run an identity verification suite")
     verify.add_argument("--suite", choices=("core", "extended", "all"), default="core")
-    verify.add_argument("--q", default=None, help="restrict to one q sample")
-    verify.add_argument("--b", default=None, help="restrict to one b sample")
+    verify.add_argument(
+        "--q", default=None,
+        help="run the checks of the q, point, neg_point and word scopes at this q "
+        "only (negative: --q=-1/2); weight, sqrt, rodrigues and fixed keep their samples",
+    )
+    verify.add_argument(
+        "--b", default=None,
+        help="run the checks of the point and neg_point scopes at this b only "
+        "(negative: --b=-1/2); the other scopes keep their samples",
+    )
     verify.add_argument("--max-n", type=int, default=None, help="override index bounds")
     verify.add_argument(
         "--parallelism", type=int, default=1,

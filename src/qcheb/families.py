@@ -5,6 +5,10 @@ polynomials and both kinds of q-Chebyshev polynomials.
 Every family is computable by at least two independent routes (closed-form sum
 and three-term recurrence); negative indices give polynomials in x with
 negative powers of s, held in the same XsPoly type.
+
+The primary recurrences and the dilated Carlitz route are `qkernel.sequence`s,
+built bottom-up and kept for the 64 most recently used parameter sets; the
+closed forms and the dilated (q,b) and backward routes keep no memo.
 """
 
 import enum
@@ -19,28 +23,8 @@ from .qkernel import (
     q_binom,
     q_int,
     q_poch,
+    sequence,
 )
-
-def _memoized(fn):
-    """Cache fn(n, *rest).  A miss first fills the missing lower indices
-    bottom-up, in one loop, so the calls fn(m) makes at m-1 and m-2 are cache
-    hits and a recurrence never nests more than two frames deep."""
-    cache = {}
-
-    def wrapper(n, *rest):
-        hit = cache.get((n, *rest))
-        if hit is None:
-            low = n
-            while low > 0 and (low - 1, *rest) not in cache:
-                low -= 1
-            for m in range(low, n + 1):
-                hit = cache[(m, *rest)] = fn(m, *rest)
-        return hit
-
-    wrapper.cache_clear = cache.clear
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
 
 class FamilyId(enum.Enum):
@@ -67,23 +51,20 @@ def fib_carlitz(n: int, q) -> XsPoly:
     return XsPoly(terms)
 
 
-@_memoized
 def fib_carlitz_rec(n: int, q) -> XsPoly:
     """Parameter-dilated recurrence route: F_n = x F_(n-1)(x,qs) + qs F_(n-2)(x,q^2 s)."""
-    q = as_rational(q)
-    if n == 0:
-        return ZERO
-    if n == 1:
-        return ONE
-    a = fib_carlitz_rec(n - 1, q).dilate(q, 0, 1)
-    b = fib_carlitz_rec(n - 2, q).dilate(q, 0, 2)
-    return X * a + S.scale(q) * b
+    return _fib_carlitz_rec(n, as_rational(q))
+
+
+_fib_carlitz_rec = sequence(
+    lambda q: (ZERO, ONE),
+    lambda m, f, q: X * f[m - 1].dilate(q, 0, 1) + S.scale(q) * f[m - 2].dilate(q, 0, 2),
+)
 
 
 # -- (q, b)-Fibonacci --------------------------------------------------
 
 
-@_memoized
 def fib_qb(n: int, point: ParamPoint) -> XsPoly:
     """Primary route: fixed-parameter recurrence with index-dependent coefficient.
 
@@ -91,14 +72,20 @@ def fib_qb(n: int, point: ParamPoint) -> XsPoly:
     """
     if n < 0:
         raise ValueError("use fib_qb_ext for negative indices")
-    if n == 0:
-        return ZERO
-    if n == 1:
-        return ONE
+    return _fib_qb(n, point)
+
+
+def _qb_coeff(m: int, point: ParamPoint, e: int) -> Fraction:
+    """q^e / ((1 - q^(m-2) b)(1 - q^(m-1) b)): step m of F_n (e = m-2) and L_n (e = m-1)."""
+    point.require_pole_free((m - 2, m - 1))
     q, b = point.q, point.b
-    point.require_pole_free((n - 2, n - 1))
-    coeff = q ** (n - 2) / ((1 - q ** (n - 2) * b) * (1 - q ** (n - 1) * b))
-    return X * fib_qb(n - 1, point) + S.scale(coeff) * fib_qb(n - 2, point)
+    return q**e / ((1 - q ** (m - 2) * b) * (1 - q ** (m - 1) * b))
+
+
+_fib_qb = sequence(
+    lambda point: (ZERO, ONE),
+    lambda m, f, p: X * f[m - 1] + S.scale(_qb_coeff(m, p, m - 2)) * f[m - 2],
+)
 
 
 def fib_qb_closed(n: int, point: ParamPoint) -> XsPoly:
@@ -151,7 +138,6 @@ def _dilated_bottom_up(n: int, point: ParamPoint, seed0: XsPoly, seed1: XsPoly) 
     return cur
 
 
-@_memoized
 def fib_qb_ext(n: int, point: ParamPoint) -> XsPoly:
     """(q,b)-Fibonacci for any integer index.
 
@@ -241,20 +227,18 @@ def lucas_trace_neg_closed(n: int, point: ParamPoint) -> XsPoly:
 # -- (q, b)-Lucas L_n --------------------------------------------------
 
 
-@_memoized
 def lucas_qb(n: int, point: ParamPoint) -> XsPoly:
     """Primary route: fixed-parameter recurrence (L_0 = 1 - b, L_1 = x),
     L_n = x L_(n-1) + q^(n-1) s / ((1 - q^(n-2) b)(1 - q^(n-1) b)) L_(n-2)."""
     if n < 0:
         raise ValueError("use lucas_qb_ext for negative indices")
-    q, b = point.q, point.b
-    if n == 0:
-        return XsPoly.const(1 - b)
-    if n == 1:
-        return X
-    point.require_pole_free((n - 2, n - 1))
-    coeff = q ** (n - 1) / ((1 - q ** (n - 2) * b) * (1 - q ** (n - 1) * b))
-    return X * lucas_qb(n - 1, point) + S.scale(coeff) * lucas_qb(n - 2, point)
+    return _lucas_qb(n, point)
+
+
+_lucas_qb = sequence(
+    lambda point: (XsPoly.const(1 - point.b), X),
+    lambda m, f, p: X * f[m - 1] + S.scale(_qb_coeff(m, p, m - 1)) * f[m - 2],
+)
 
 
 def lucas_qb_closed(n: int, point: ParamPoint) -> XsPoly:
@@ -337,31 +321,30 @@ def alsalam_ismail(n: int, a, beta, q) -> XsPoly:
     u_n = x (1 + q^(n-1) a) u_(n-1) - q^(n-2) beta u_(n-2).
 
     beta may be a rational or an XsPoly (e.g. -q*s for the Chebyshev case)."""
-    q = as_rational(q)
-    a = as_rational(a)
-    beta = XsPoly._coerce(beta)
-    prev, cur = ONE, X.scale(1 + a)
-    if n == 0:
-        return prev
-    for m in range(2, n + 1):
-        prev, cur = cur, X.scale(1 + q ** (m - 1) * a) * cur - q ** (m - 2) * beta * prev
-    return cur
+    return _alsalam_ismail(n, as_rational(a), XsPoly._coerce(beta), as_rational(q))
+
+
+_alsalam_ismail = sequence(
+    lambda a, beta, q: (ONE, X.scale(1 + a)),
+    lambda m, u, a, beta, q: X.scale(1 + q ** (m - 1) * a) * u[m - 1]
+    - q ** (m - 2) * beta * u[m - 2],
+)
 
 
 # -- q-Chebyshev U and T ----------------------------------------------
 
 
-@_memoized
 def cheb_u(n: int, q) -> XsPoly:
     """U_n = (1 + q^n) x U_(n-1) + q^(n-1) s U_(n-2); U_0 = 1, U_1 = (1+q)x."""
-    q = as_rational(q)
     if n < 0:
         raise ValueError("use cheb_u_ext for negative indices")
-    if n == 0:
-        return ONE
-    if n == 1:
-        return X.scale(1 + q)
-    return X.scale(1 + q**n) * cheb_u(n - 1, q) + S.scale(q ** (n - 1)) * cheb_u(n - 2, q)
+    return _cheb_u(n, as_rational(q))
+
+
+_cheb_u = sequence(
+    lambda q: (ONE, X.scale(1 + q)),
+    lambda m, u, q: X.scale(1 + q**m) * u[m - 1] + S.scale(q ** (m - 1)) * u[m - 2],
+)
 
 
 def cheb_u_closed(n: int, q) -> XsPoly:
@@ -409,20 +392,17 @@ def cheb_u_backward(n: int, q) -> XsPoly:
     return mid
 
 
-@_memoized
 def cheb_t(n: int, q) -> XsPoly:
     """T_n = (1 + q^(n-1)) x T_(n-1) + q^(n-1) s T_(n-2); T_0 = 1, T_1 = x."""
-    q = as_rational(q)
     if n < 0:
         raise ValueError("use cheb_t_ext for negative indices")
-    if n == 0:
-        return ONE
-    if n == 1:
-        return X
-    return (
-        X.scale(1 + q ** (n - 1)) * cheb_t(n - 1, q)
-        + S.scale(q ** (n - 1)) * cheb_t(n - 2, q)
-    )
+    return _cheb_t(n, as_rational(q))
+
+
+_cheb_t = sequence(
+    lambda q: (ONE, X),
+    lambda m, t, q: X.scale(1 + q ** (m - 1)) * t[m - 1] + S.scale(q ** (m - 1)) * t[m - 2],
+)
 
 
 def cheb_t_closed(n: int, q) -> XsPoly:

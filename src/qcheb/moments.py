@@ -167,19 +167,6 @@ def moments_fib_closed(n: int, q) -> XsPoly:
     return XsPoly.monomial(scalar, 0, n)
 
 
-def moments_fib_product_form(n: int, q) -> XsPoly:
-    """Same moment with the denominator in product form
-    (1+q)(1+q^(n+1)) prod_{j=2}^n (1+q^j)^2."""
-    q = as_rational(q)
-    if n == 0:
-        return ONE
-    den = (1 + q) * (1 + q ** (n + 1))
-    for j in range(2, n + 1):
-        den *= (1 + q**j) ** 2
-    scalar = q_binom(2 * n, n, q) / q_int(n + 1, q) * (-q) ** n / den
-    return XsPoly.monomial(scalar, 0, n)
-
-
 def moments_lucas_closed(n: int, q) -> XsPoly:
     """Even moment of the generalized q-Lucas functional:
     [2n over n] (-qs)^n / (-q;q)_n^2."""

@@ -35,7 +35,7 @@ class OpState:
         return OpState(self.c, self.i, self.j, self.m + 1, self.denoms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _inv_factor(q, b, e: int):
     factor = 1 - q**e * b
     if factor == 0:
@@ -263,20 +263,3 @@ def binet_product_parts(n: int, q):
         )
     return t, u
 
-
-def q_binomial_product_check(n: int, q):
-    """(x+y)(qx+y)...(q^(n-1)x+y) = sum_k q^C(k,2) [n over k] x^k y^(n-k),
-    with y played by the formal variable s."""
-    q = as_rational(q)
-
-    def sides(m):
-        product = ONE
-        for j in range(m):
-            product = product * (POLY_X.scale(q**j) + S)
-        expansion = ZERO
-        for k in range(m + 1):
-            c = q ** binom2(k) * q_binom(m, k, q)
-            expansion = expansion + XsPoly.monomial(c, k, m - k)
-        return product, expansion
-
-    return check_range("q-binomial-product", None, range(n + 1), sides)

@@ -241,13 +241,14 @@ class XsPoly:
         parts = []
         for (dx, ds), c in self.sorted_terms():
             factors = []
-            if c != 1 or (dx == 0 and ds == 0):
+            if abs(c) != 1 or (dx == 0 and ds == 0):
                 factors.append(format_rational(c))
             if dx:
                 factors.append("x" if dx == 1 else f"x^{dx}")
             if ds:
                 factors.append("s" if ds == 1 else f"s^{ds}")
-            parts.append("*".join(factors))
+            sign = "-" if c == -1 and (dx or ds) else ""
+            parts.append(sign + "*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__

@@ -1,9 +1,10 @@
 """Exact scalar building blocks: q-integers, Gaussian binomials, q-Pochhammer
-symbols and Carlitz q-Catalan numbers.
+symbols, Carlitz q-Catalan numbers and the bounded memo of every recurrence.
 
 All arithmetic is over `fractions.Fraction`; nothing here ever rounds.
 """
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,7 +80,35 @@ def sample_points(levels=range(0, 40), qs=DEFAULT_QS, bs=DEFAULT_BS):
     return points
 
 
-@lru_cache(maxsize=None)
+def sequence(first, step):
+    """The recurrence P_0, P_1, ... = *first(*params), then P_m = step(m, P, *params)
+    for each later m, as fn(n, *params) -> P_n.  step may read any P_k, k < m.
+
+    P is built bottom-up into one list per params, never by recursion, under
+    one lock per sequence.  The lists of the 64 most recently used params are
+    kept; fn.cache_clear drops them and fn.cache_info counts them.  A step that
+    raises keeps the members below it, so the next call with the same params
+    raises the same error."""
+    lock = threading.RLock()
+
+    @lru_cache(maxsize=64)
+    def members(*params):
+        return list(first(*params))
+
+    def fn(n: int, *params):
+        if n < 0:
+            raise ValueError(f"a sequence index must be >= 0, got {n}")
+        with lock:
+            seq = members(*params)
+            for m in range(len(seq), n + 1):
+                seq.append(step(m, seq, *params))
+            return seq[n]
+
+    fn.cache_clear, fn.cache_info = members.cache_clear, members.cache_info
+    return fn
+
+
+@lru_cache(maxsize=1024)
 def q_int(n: int, q: Fraction) -> Fraction:
     """[n] = 1 + q + ... + q^(n-1); equals n at q = 1."""
     if n < 0:
@@ -92,7 +121,7 @@ def q_int(n: int, q: Fraction) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def q_binom(n: int, k: int, q) -> Fraction:
     """Gaussian binomial [n over k] evaluated at q; 0 outside 0 <= k <= n."""
     q = as_rational(q)
@@ -131,20 +160,17 @@ def q_poch(a, q, n: int) -> Fraction:
     return 1 / result
 
 
-@lru_cache(maxsize=None)
 def q_catalan(n: int, q) -> Fraction:
     """Carlitz q-Catalan number via C_n = sum_k q^k C_k C_(n-1-k), C_0 = 1."""
-    q = as_rational(q)
     if n < 0:
         raise ValueError("q_catalan needs n >= 0")
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    power = Fraction(1)
-    for k in range(n):
-        total += power * q_catalan(k, q) * q_catalan(n - 1 - k, q)
-        power *= q
-    return total
+    return _q_catalan(n, as_rational(q))
+
+
+_q_catalan = sequence(
+    lambda q: [Fraction(1)],
+    lambda n, c, q: sum(q**k * c[k] * c[n - 1 - k] for k in range(n)),
+)
 
 
 def binom2(n: int) -> int:

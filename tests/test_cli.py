@@ -22,6 +22,29 @@ def test_gen_text():
     assert "T_2 = 3*x^2 + 2*s" in text
 
 
+def test_gen_text_unit_coefficients():
+    code, text = run_cli(["gen", "--family", "F_CARLITZ", "--n", "3", "--q=-1"])
+    assert code == 0
+    assert "F_CARLITZ_3 = x^2 - s\n" in text
+
+
+def test_negative_rational_needs_equals_sign(capsys):
+    code, text = run_cli(["gen", "--family", "T", "--n", "3", "--q=-1/2"])
+    assert code == 0 and "T_2 = 1/2*x^2 - 1/2*s" in text
+    code, _ = run_cli(["gen", "--family", "T", "--n", "3", "--q", "-1/2"])
+    assert code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_verify_q_and_b_leave_the_fixed_sample_scopes_alone():
+    code, text = run_cli(
+        ["verify", "--suite", "core", "--q", "3/5", "--b", "3/7", "--max-n", "3"]
+    )
+    assert code == 0
+    assert "pass    pearson @ q=2, b=0" in text
+    assert "dual-T @ q=3/5" in text and "dual-T @ q=2," not in text
+
+
 def test_gen_json_round_trip():
     code, text = run_cli(
         ["gen", "--family", "U", "--n", "4", "--q", "3/5", "--format", "json"]

@@ -1,20 +1,23 @@
 """Family generators: dual/triple routes, negative-index extensions, aliases
 between families, hypergeometric forms and the dispatch surface."""
 
+import math
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcheb import families, suites
+from qcheb import families, qkernel, suites
 from qcheb.polyring import ONE, S, X, XsPoly, ZERO
 from qcheb.qkernel import (
     DEFAULT_QS,
     ParamPoint,
     PoleError,
     q_binom,
+    q_catalan,
     q_int,
     q_poch,
     sample_points,
@@ -276,6 +279,14 @@ def test_backward_oracles_need_no_recursion():
     )
 
 
+def clear_memos():
+    """Empty every cache of qkernel and families, found by its cache_clear."""
+    for module in (qkernel, families):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
 def test_cold_generators_need_no_recursion():
     """A cold memoized generator fills its lower indices bottom-up."""
     n, q, point = 100, F(2), ParamPoint(F(2), F(3, 7))
@@ -286,8 +297,7 @@ def test_cold_generators_need_no_recursion():
         (families.fib_qb, point, families.fib_qb_closed),
         (families.lucas_qb, point, families.lucas_qb_closed),
     )
-    for fn, _, _ in generators:
-        fn.cache_clear()
+    clear_memos()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 30)
     try:
@@ -295,6 +305,134 @@ def test_cold_generators_need_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert got == [closed(n, arg) for _, arg, closed in generators]
+
+
+def test_cold_q_catalan_needs_no_recursion():
+    clear_memos()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        got = q_catalan(60, F(1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == F(math.comb(120, 60), 61)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (families.fib_carlitz_rec, (-1, 2), "a sequence index must be >= 0, got -1"),
+        (families.alsalam_ismail, (-3, 1, 2, 2), "a sequence index must be >= 0, got -3"),
+        (families.fib_qb, (-1, ParamPoint(2, 0)), "use fib_qb_ext for negative indices"),
+        (families.lucas_qb, (-1, ParamPoint(2, 0)), "use lucas_qb_ext for negative indices"),
+        (families.cheb_u, (-1, 2), "use cheb_u_ext for negative indices"),
+        (families.cheb_t, (-1, 2), "use cheb_t_ext for negative indices"),
+        (q_catalan, (-1, 2), "q_catalan needs n >= 0"),
+    ],
+)
+def test_negative_index_raises_value_error(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
+def test_sequence_memo_is_bounded():
+    """A long-lived process keeps the members of 64 parameter sets at most."""
+    for i in range(1, 201):
+        families.cheb_t(30, F(i, 7919))
+    info = families._cheb_t.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
+
+
+@pytest.mark.parametrize(
+    "point, n, message",
+    [
+        (ParamPoint(F(-1), F(3)), 6, "1 + q^1 vanishes at q=-1"),
+        (ParamPoint(F(2), F(1, 8)), 6, "1 - q^3 b vanishes at q=2, b=1/8"),
+    ],
+)
+def test_pole_error_repeats_after_a_partial_fill(point, n, message):
+    """The members below a pole stay; the pole is met again on every call,
+    with the same type and message."""
+    for _ in range(2):
+        with pytest.raises(PoleError) as err:
+            families.fib_qb(n, point)
+        assert type(err.value) is PoleError and str(err.value) == message
+    assert families.fib_qb(1, point) == ONE
+
+
+SEQUENCES = {
+    "T": (families.cheb_t, families.cheb_t_closed),
+    "U": (families.cheb_u, families.cheb_u_closed),
+    "F": (
+        lambda n, q: families.fib_qb(n, ParamPoint(q, F(3, 7))),
+        lambda n, q: families.fib_qb_closed(n, ParamPoint(q, F(3, 7))),
+    ),
+}
+FRESH = iter(range(1, 10**6))  # numerators of q values no other test uses
+
+
+def _sweep(kind, count):
+    """Touch `count` fresh parameter sets of one sequence, evicting as many
+    of its least recently used entries."""
+    for _ in range(count):
+        SEQUENCES[kind][0](0, F(next(FRESH), 1000003))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("get"), st.sampled_from(sorted(SEQUENCES)),
+                st.integers(0, 10), st.integers(1, 80),
+            ),
+            st.tuples(
+                st.just("sweep"), st.sampled_from(sorted(SEQUENCES)), st.integers(1, 64)
+            ),
+            st.tuples(st.just("clear")),
+        ),
+        max_size=40,
+    )
+)
+def test_sequences_match_closed_forms_in_any_order(actions):
+    """Whatever the order of access, eviction and clearing, each member equals
+    its closed form."""
+    for action in actions:
+        if action[0] == "clear":
+            clear_memos()
+        elif action[0] == "sweep":
+            _sweep(*action[1:])
+        else:
+            _, kind, n, i = action
+            fn, closed = SEQUENCES[kind]
+            q = F(i, 81)
+            assert fn(n, q) == closed(n, q)
+
+
+def test_threads_filling_one_sequence_agree_with_the_closed_form():
+    """Four threads fill the same cold sequences in different orders; a lost
+    or doubled member would shift every index after it."""
+    q = F(5, 1000039)
+    want = [families.cheb_t_closed(n, q) for n in range(25)]
+    orders = [list(range(25)), list(range(24, -1, -1)), list(range(0, 25, 3)) * 2, [24] * 4]
+    results = [[] for _ in orders]
+
+    def work(order, out):
+        out.extend((n, families.cheb_t(n, q)) for n in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=job) for job in zip(orders, results)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len(out) for out in results] == [len(order) for order in orders]
+    assert all(poly == want[n] for out in results for n, poly in out)
 
 
 # Reference closed forms: each coefficient from q_poch called from scratch,

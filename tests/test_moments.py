@@ -7,7 +7,7 @@ import pytest
 
 from qcheb import families, moments
 from qcheb.polyring import ONE, S, X, XsPoly, ZERO
-from qcheb.qkernel import q_catalan
+from qcheb.qkernel import q_binom, q_catalan, q_int
 
 F = Fraction
 
@@ -46,9 +46,19 @@ def test_moment_closed_forms(q):
     assert moments.moment_consistency_check("fib", 8, q).passed
     assert moments.moment_consistency_check("lucas", 8, q).passed
     for n in range(6):
-        assert moments.moments_fib_closed(n, q) == moments.moments_fib_product_form(
-            n, q
-        )
+        assert moments.moments_fib_closed(n, q) == moments_fib_product_form(n, q)
+
+
+def moments_fib_product_form(n, q):
+    """The even moment of moments_fib_closed with its denominator in product
+    form (1+q)(1+q^(n+1)) prod_{j=2}^n (1+q^j)^2."""
+    if n == 0:
+        return ONE
+    den = (1 + q) * (1 + q ** (n + 1))
+    for j in range(2, n + 1):
+        den *= (1 + q**j) ** 2
+    scalar = q_binom(2 * n, n, q) / q_int(n + 1, q) * (-q) ** n / den
+    return XsPoly.monomial(scalar, 0, n)
 
 
 @pytest.mark.parametrize("q", QS)

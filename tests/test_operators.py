@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qcheb import families, operators
-from qcheb.polyring import ONE, XsPoly
-from qcheb.qkernel import ParamPoint
+from qcheb.polyring import ONE, S, X, XsPoly
+from qcheb.qkernel import ParamPoint, binom2, q_binom
 
 F = Fraction
 
@@ -78,8 +78,18 @@ def test_binet_product_parts(q):
 
 
 def test_q_binomial_product():
-    assert operators.q_binomial_product_check(10, F(2)).passed
-    assert operators.q_binomial_product_check(10, F(3, 5)).passed
+    """(x+y)(qx+y)...(q^(n-1)x+y) = sum_k q^C(k,2) [n over k] x^k y^(n-k),
+    with y played by the formal variable s."""
+    for q in (F(2), F(3, 5)):
+        for n in range(11):
+            product = ONE
+            for j in range(n):
+                product = product * (X.scale(q**j) + S)
+            expansion = XsPoly.zero()
+            for k in range(n + 1):
+                c = q ** binom2(k) * q_binom(n, k, q)
+                expansion = expansion + XsPoly.monomial(c, k, n - k)
+            assert product == expansion
 
 
 def test_word_sum_matches_closed_form_small():

@@ -102,6 +102,14 @@ def test_str_canonical():
     assert str(p) == "-2*x^2 + 1 + s"
 
 
+def test_str_unit_coefficients_print_as_their_sign():
+    assert str(X * X + S.scale(-1)) == "x^2 - s"
+    assert str(X.scale(-1) * X + S.scale(-1)) == "-x^2 - s"
+    assert str(XsPoly.monomial(-1, 1, -2) + ONE) == "-x*s^-2 + 1"
+    assert str(XsPoly.const(-1)) == "-1"
+    assert str(X.scale(F(-1, 2))) == "-1/2*x"
+
+
 def test_str_negative_s_power():
     assert str(X.shift_s(-1)) == "x*s^-1"
     assert str(XsPoly.monomial(F(-3, 2), 0, -2) + X) == "x - 3/2*s^-2"

@@ -4,10 +4,12 @@ rules."""
 
 import hashlib
 import io
+from fractions import Fraction as F
 
 import pytest
 
-from qcheb import cli, suites
+from qcheb import cli, families, qkernel, suites
+from qcheb.qkernel import ParamPoint
 
 
 def test_every_row_bound_is_in_the_bounds_table_and_every_key_is_read():
@@ -43,3 +45,42 @@ def test_json_report_is_pinned(command):
     code = cli.main(command.split() + ["--format", "json"], out=out)
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED[command]
+
+
+def _sequence_memos():
+    """The memo of every recurrence built by qkernel.sequence."""
+    return [
+        value
+        for module in (qkernel, families)
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_info", None)) and value.cache_info().maxsize == 64
+    ]
+
+
+def _evict_every_sequence():
+    """Touch 64 fresh parameter sets of every sequence, so that none of the
+    entries made before is left."""
+    for i in range(1, 65):
+        q, point = F(i, 1000033), ParamPoint(F(i, 1000033), F(3, 7))
+        families.fib_carlitz_rec(0, q)
+        families.fib_qb(0, point)
+        families.lucas_qb(0, point)
+        families.alsalam_ismail(0, q, 1, q)
+        families.cheb_u(0, q)
+        families.cheb_t(0, q)
+        qkernel.q_catalan(0, q)
+
+
+def test_run_suite_repeats_after_every_memo_is_evicted():
+    """No state kept between two runs in one process changes a report."""
+
+    def run():
+        reports = suites.run_suite("core", qs=[F(2)], bounds={"dual": 6})
+        return [report.to_json() for report in reports]
+
+    first = run()
+    _evict_every_sequence()
+    memos = _sequence_memos()
+    assert len(memos) == 7
+    assert all(memo.cache_info().currsize == 64 for memo in memos)
+    assert run() == first
