@@ -7,7 +7,7 @@ from fractions import Fraction
 from . import families
 from .polyring import Mat2, ONE, S, X, XsPoly, ZERO
 from .qkernel import ParamPoint, as_rational, binom2, q_poch
-from .report import check_range, failing, passing
+from .report import check_range
 
 
 def fib_factor(j: int, point: ParamPoint) -> Mat2:
@@ -42,8 +42,8 @@ def fib_matrix_expected(n: int, point: ParamPoint) -> Mat2:
     return Mat2(a11, families.fib_qb(n, point), a21, families.fib_qb(n + 1, point))
 
 
-def cassini_check(n: int, point: ParamPoint):
-    """(q,b)-Cassini:
+def cassini_sides(n: int, point: ParamPoint):
+    """Both sides of the (q,b)-Cassini identity:
     F_(n-1)(x,qb,qs) F_(n+1)(x,b,s) - F_n(x,b,s) F_n(x,qb,qs)
       = (-1)^n q^C(n,2) s^(n-1) / ((qb;q)_(n-1) (q^2 b;q)_(n-1)); valid on all of Z."""
     q = point.q
@@ -60,14 +60,12 @@ def cassini_check(n: int, point: ParamPoint):
         * q ** binom2(n)
         / (q_poch(q * point.b, q, n - 1) * q_poch(q**2 * point.b, q, n - 1))
     )
-    rhs = XsPoly.monomial(scalar, 0, n - 1)
-    if lhs == rhs:
-        return passing("eq-2.31", point, (n, n))
-    return failing("eq-2.31", point, (n, n), n, lhs, rhs)
+    return lhs, XsPoly.monomial(scalar, 0, n - 1)
 
 
-def cassini_euler_check(n: int, k: int, point: ParamPoint):
-    """(q,b)-Cassini-Euler: d(n,k,b,s) built from family values equals
+def cassini_euler_sides(n: int, k: int, point: ParamPoint):
+    """Both sides of the (q,b)-Cassini-Euler identity: d(n,k,b,s) built from
+    family values equals
     q^C(n,2) (-s)^n / ((b;q)_n (qb;q)_n) F_k(x, q^n b, q^n s)."""
     q, b = point.q, point.b
     shifted = point.shift_b(1)
@@ -82,17 +80,14 @@ def cassini_euler_check(n: int, k: int, point: ParamPoint):
     )
     scalar = q ** binom2(n) / (q_poch(b, q, n) * q_poch(q * b, q, n))
     inner = families.fib_qb_ext(k, point.shift_b(n)).dilate(q, 0, n)
-    rhs = (inner * scalar * Fraction(-1) ** n).shift_s(n)
-    if d == rhs:
-        return passing("eq-2.33", point, (n, n))
-    return failing("eq-2.33", point, (n, n), (n, k), d, rhs)
+    return d, (inner * scalar * Fraction(-1) ** n).shift_s(n)
 
 
 def trace_lucas_check(n: int, point: ParamPoint):
     """tr(C(x,q^(n-1)b,q^(n-1)s) ... C(x,b,s)) = l_n(x,b,s,q) for n >= 1."""
 
     def sides(m):
-        return fib_matrix_product(m, point).trace(), families.lucas_trace(m, point)
+        yield fib_matrix_product(m, point).trace(), families.lucas_trace(m, point)
 
     return check_range("eq-3.1", point, range(1, n + 1), sides)
 
@@ -140,8 +135,7 @@ def det_identity_check(n: int, q):
         lhs = t * t.dilate(q, 0, 1) - (X * X + S.scale(q)) * u.dilate(q, 0, 1) * u.dilate(
             q, 0, 2
         )
-        rhs = XsPoly.monomial(q ** binom2(m + 1) * Fraction(-1) ** m, 0, m)
-        return lhs, rhs
+        yield lhs, XsPoly.monomial(q ** binom2(m + 1) * Fraction(-1) ** m, 0, m)
 
     return check_range("eq-5.16", None, range(1, n + 1), sides)
 
@@ -159,8 +153,7 @@ def det_identity_sqrt_check(n: int, r):
         lhs = t.dilate(r, 2, 0) * t.dilate(r, 1, 0) - r ** (2 * m - 1) * (
             X.scale(q) * X + S
         ) * u * u.dilate(r, 1, 0)
-        rhs = XsPoly.monomial(r ** (m * m) * Fraction(-1) ** m, 0, m)
-        return lhs, rhs
+        yield lhs, XsPoly.monomial(r ** (m * m) * Fraction(-1) ** m, 0, m)
 
     return check_range("eq-5.17", None, range(1, n + 1), sides)
 
@@ -168,26 +161,30 @@ def det_identity_sqrt_check(n: int, r):
 # -- tridiagonal determinants -----------------------------------------
 
 
+def _tridiag_det(diagonal, q) -> XsPoly:
+    """Determinant of the tridiagonal matrix with the given diagonal
+    a_1..a_n, superdiagonal q^j s (rows j, j+1) and subdiagonal -1, by
+    first-row expansion over the trailing minors E_j (rows and columns j..n):
+    E_j = a_j E_(j+1) + q^j s E_(j+2), E_(n+1) = 1, E_(n+2) = 0, det = E_1."""
+    below, minor = ZERO, ONE  # E_(j+2), E_(j+1)
+    for j in range(len(diagonal), 0, -1):
+        below, minor = minor, diagonal[j - 1] * minor + S.scale(q**j) * below
+    return minor
+
+
 def tridiag_u(n: int, q) -> XsPoly:
     """Determinant of the n x n tridiagonal matrix with diagonal (1+q^k)x,
-    superdiagonal q^k s and subdiagonal -1, via the three-term recursion."""
+    superdiagonal q^k s and subdiagonal -1; equals U_n."""
     q = as_rational(q)
     if n < 1:
         raise ValueError("n >= 1 required")
-    prev2, prev1 = ONE, X.scale(1 + q)  # d_0, d_1
-    for k in range(2, n + 1):
-        prev2, prev1 = prev1, X.scale(1 + q**k) * prev1 + S.scale(q ** (k - 1)) * prev2
-    return prev1
+    return _tridiag_det([X.scale(1 + q**k) for k in range(1, n + 1)], q)
 
 
 def tridiag_t(n: int, q) -> XsPoly:
-    """Tridiagonal determinant representation of T_n."""
+    """The same determinant with diagonal x, (1+q)x, ..., (1+q^(n-1))x;
+    equals T_n."""
     q = as_rational(q)
     if n < 1:
         raise ValueError("n >= 1 required")
-    prev2, prev1 = ONE, X  # d_0, d_1
-    for k in range(2, n + 1):
-        prev2, prev1 = prev1, X.scale(1 + q ** (k - 1)) * prev1 + S.scale(
-            q ** (k - 1)
-        ) * prev2
-    return prev1
+    return _tridiag_det([X] + [X.scale(1 + q**k) for k in range(1, n)], q)

@@ -161,15 +161,22 @@ def q_poch(a, q, n: int) -> Fraction:
 
 
 def q_catalan(n: int, q) -> Fraction:
-    """Carlitz q-Catalan number via C_n = sum_k q^k C_k C_(n-1-k), C_0 = 1."""
+    """Carlitz q-Catalan number via C_n = sum_k q^k C_k C_(n-1-k), C_0 = 1.
+
+    At q = a/b the sequence holds the integers c_n = C_n b^C(n,2), which obey
+    c_n = sum_k a^k b^((n-1-k)(k+1)) c_k c_(n-1-k), so the only division is
+    the final one."""
     if n < 0:
         raise ValueError("q_catalan needs n >= 0")
-    return _q_catalan(n, as_rational(q))
+    q = as_rational(q)
+    return Fraction(_q_catalan(n, q.numerator, q.denominator), q.denominator ** binom2(n))
 
 
 _q_catalan = sequence(
-    lambda q: [Fraction(1)],
-    lambda n, c, q: sum(q**k * c[k] * c[n - 1 - k] for k in range(n)),
+    lambda a, b: [1],
+    lambda n, c, a, b: sum(
+        a**k * b ** ((n - 1 - k) * (k + 1)) * c[k] * c[n - 1 - k] for k in range(n)
+    ),
 )
 
 

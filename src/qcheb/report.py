@@ -70,11 +70,15 @@ def skipped(identity_id, point, index_range) -> IdentityReport:
 
 
 def check_range(identity_id, point, indices, both_sides) -> IdentityReport:
-    """Evaluate both_sides(n) -> (lhs, rhs) over indices; stop at first mismatch."""
+    """Compare the (lhs, rhs) pairs that both_sides(n) yields, n over indices.
+
+    This is the one place that picks a witness: the first unequal pair, at
+    its index n.  The pairs are drawn one at a time, so no pair after it (at
+    n or at a later index) is evaluated."""
     indices = list(indices)
     lo, hi = (min(indices), max(indices)) if indices else (0, 0)
     for n in indices:
-        lhs, rhs = both_sides(n)
-        if lhs != rhs:
-            return failing(identity_id, point, (lo, hi), n, lhs, rhs)
+        for lhs, rhs in both_sides(n):
+            if lhs != rhs:
+                return failing(identity_id, point, (lo, hi), n, lhs, rhs)
     return passing(identity_id, point, (lo, hi))

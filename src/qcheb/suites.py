@@ -81,7 +81,7 @@ def dual_route_check(family, point, n_max, fault=None):
 
     def sides(n):
         primary = families.family_poly(family, n, point)
-        return (primary + ONE if family is fault else primary), spec.oracle(n, point)
+        yield (primary + ONE if family is fault else primary), spec.oracle(n, point)
 
     return check_range(
         f"dual-{family.value}", point, range(spec.lowest_n, n_max + 1), sides
@@ -93,13 +93,11 @@ def third_route_check(n_max, point):
     f = families
 
     def sides(n):
-        if f.fib_qb(n, point) != f.fib_qb_dilated(n, point):
-            return f.fib_qb(n, point), f.fib_qb_dilated(n, point)
-        if f.lucas_qb(n, point) != f.lucas_qb_dilated(n, point):
-            return f.lucas_qb(n, point), f.lucas_qb_dilated(n, point)
+        yield f.fib_qb(n, point), f.fib_qb_dilated(n, point)
+        lucas = f.lucas_qb(n, point)
+        yield lucas, f.lucas_qb_dilated(n, point)
         if n >= 1:
-            return f.lucas_qb(n, point), f.lucas_qb_relation(n, point)
-        return f.lucas_qb(n, point), f.lucas_qb(n, point)
+            yield lucas, f.lucas_qb_relation(n, point)
 
     return check_range("eq-2.8-3.6", point, range(n_max + 1), sides)
 
@@ -110,15 +108,11 @@ def negative_index_check(n_max, point):
     q = point.q
 
     def sides(m):
-        if f.fib_qb_ext(-m, point) != f.fib_qb_backward(-m, point):
-            return f.fib_qb_ext(-m, point), f.fib_qb_backward(-m, point)
+        yield f.fib_qb_ext(-m, point), f.fib_qb_backward(-m, point)
         if m >= 1:
-            neg = f.lucas_trace_neg_closed(m, point)
-            if neg != f.lucas_trace(-m, point):
-                return neg, f.lucas_trace(-m, point)
-        if f.cheb_u_ext(-m, q) != f.cheb_u_backward(-m, q):
-            return f.cheb_u_ext(-m, q), f.cheb_u_backward(-m, q)
-        return f.cheb_t_ext(-m, q), f.cheb_t_backward(-m, q)
+            yield f.lucas_trace_neg_closed(m, point), f.lucas_trace(-m, point)
+        yield f.cheb_u_ext(-m, q), f.cheb_u_backward(-m, q)
+        yield f.cheb_t_ext(-m, q), f.cheb_t_backward(-m, q)
 
     return check_range("negative-index", point, range(n_max + 1), sides)
 
@@ -129,7 +123,7 @@ def gen_lucas_negative_check(n_max, q):
         "eq-4.6",
         None,
         range(1, n_max + 1),
-        lambda m: (f.gen_lucas_neg_closed(m, q), f.gen_lucas_backward(-m, q)),
+        lambda m: [(f.gen_lucas_neg_closed(m, q), f.gen_lucas_backward(-m, q))],
     )
 
 
@@ -141,15 +135,11 @@ def binet_sum_check(n_max, q):
     product iteration."""
 
     def sides(n):
-        if operators.binet_t(n, q) != families.cheb_t(n, q):
-            return operators.binet_t(n, q), families.cheb_t(n, q)
-        if operators.binet_u(n, q) != families.cheb_u(n, q):
-            return operators.binet_u(n, q), families.cheb_u(n, q)
+        yield operators.binet_t(n, q), families.cheb_t(n, q)
+        yield operators.binet_u(n, q), families.cheb_u(n, q)
         t_part, u_part = operators.binet_product_parts(n, q)
-        if t_part != families.cheb_t(n, q):
-            return t_part, families.cheb_t(n, q)
-        expected_u = families.cheb_u(n - 1, q) if n >= 1 else XsPoly.zero()
-        return u_part, expected_u
+        yield t_part, families.cheb_t(n, q)
+        yield u_part, families.cheb_u(n - 1, q) if n >= 1 else XsPoly.zero()
 
     return check_range("eq-5.12-5.14", None, range(n_max + 1), sides)
 
@@ -162,10 +152,10 @@ def fib_matrix_check(n_max, point):
         "eq-2.30",
         point,
         range(1, n_max + 1),
-        lambda n: (
+        lambda n: [(
             matrixids.fib_matrix_product(n, point).entries(),
             matrixids.fib_matrix_expected(n, point).entries(),
-        ),
+        )],
     )
 
 
@@ -174,10 +164,10 @@ def cheb_matrix_check(n_max, q):
         "eq-5.15",
         None,
         range(1, n_max + 1),
-        lambda n: (
+        lambda n: [(
             matrixids.cheb_matrix_product(n, q).entries(),
             matrixids.cheb_matrix_expected(n, q).entries(),
-        ),
+        )],
     )
 
 
@@ -186,32 +176,24 @@ def tridiag_check(n_max, q):
         "eq-5.39-5.40",
         None,
         range(1, n_max + 1),
-        lambda n: (
+        lambda n: [(
             (matrixids.tridiag_u(n, q), matrixids.tridiag_t(n, q)),
             (families.cheb_u(n, q), families.cheb_t(n, q)),
-        ),
+        )],
     )
 
 
 def cassini_range_check(point, lo, hi):
-    for n in range(lo, hi + 1):
-        r = matrixids.cassini_check(n, point)
-        if not r.passed:
-            return failing(
-                "eq-2.31", point, (lo, hi), n, r.witness["lhs"], r.witness["rhs"]
-            )
-    return passing("eq-2.31", point, (lo, hi))
+    sides = lambda n: [matrixids.cassini_sides(n, point)]
+    return check_range("eq-2.31", point, range(lo, hi + 1), sides)
 
 
 def cassini_euler_grid_check(point, n_max, k_max):
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
-            r = matrixids.cassini_euler_check(n, k, point)
-            if not r.passed:
-                return failing(
-                    "eq-2.33", point, (1, n_max), (n, k),
-                    r.witness["lhs"], r.witness["rhs"],
-                )
+            lhs, rhs = matrixids.cassini_euler_sides(n, k, point)
+            if lhs != rhs:
+                return failing("eq-2.33", point, (1, n_max), (n, k), lhs, rhs)
     return passing("eq-2.33", point, (1, n_max))
 
 
@@ -220,9 +202,8 @@ def reconstruction_check(n_max, q):
 
     def sides(n):
         power = XsPoly.monomial(1, n, 0)
-        if moments.reconstruct_x_fib(n, q) != power:
-            return moments.reconstruct_x_fib(n, q), power
-        return moments.reconstruct_x_lucas(n, q), power
+        yield moments.reconstruct_x_fib(n, q), power
+        yield moments.reconstruct_x_lucas(n, q), power
 
     return check_range("eq-4.9-4.13", None, range(n_max + 1), sides)
 
@@ -263,25 +244,21 @@ def classical_families_check(n_max):
 
     def sides(n):
         fib = families.fib_carlitz(n, one)
-        if fib != _classical_fib(n):
-            return fib, _classical_fib(n)
+        yield fib, _classical_fib(n)
         closed = XsPoly.zero()
-        for k in range((n - 1) // 2 + 1) if n >= 1 else []:
+        for k in range((n - 1) // 2 + 1):
             closed = closed + XsPoly.monomial(math.comb(n - 1 - k, k), n - 1 - 2 * k, k)
-        if fib != closed:
-            return fib, closed
+        yield fib, closed
         if n < 1:
-            return fib, closed
+            return
         lucas = families.lucas_trace(n, point).as_poly()
-        if lucas != _classical_lucas(n):
-            return lucas, _classical_lucas(n)
+        yield lucas, _classical_lucas(n)
         lucas_closed = XsPoly.zero()
         for k in range(n // 2 + 1):
             c = Fraction(n, n - k) * math.comb(n - k, k)
             lucas_closed = lucas_closed + XsPoly.monomial(c, n - 2 * k, k)
-        if lucas != lucas_closed:
-            return lucas, lucas_closed
-        return lucas, _classical_fib(n + 1) + S * _classical_fib(n - 1)
+        yield lucas, lucas_closed
+        yield lucas, _classical_fib(n + 1) + S * _classical_fib(n - 1)
 
     return check_range("classical-fib-lucas", point, range(n_max + 1), sides)
 
@@ -303,16 +280,12 @@ def classical_cheb_check(n_max):
 
     def sides(n):
         t = families.cheb_t(n, one)
-        if t != classical_cheb(n, True):
-            return t, classical_cheb(n, True)
+        yield t, classical_cheb(n, True)
         u = families.cheb_u(n, one)
-        if u != classical_cheb(n, False):
-            return u, classical_cheb(n, False)
+        yield u, classical_cheb(n, False)
         if n >= 1:
-            scaled = _classical_lucas(n).dilate(quarter, 0, 1).scale(2 ** (n - 1))
-            if t != scaled:
-                return t, scaled
-        return u, _classical_fib(n + 1).dilate(quarter, 0, 1).scale(2**n)
+            yield t, _classical_lucas(n).dilate(quarter, 0, 1).scale(2 ** (n - 1))
+        yield u, _classical_fib(n + 1).dilate(quarter, 0, 1).scale(2**n)
 
     return check_range("classical-cheb", _label(one), range(n_max + 1), sides)
 
@@ -324,7 +297,7 @@ def classical_pell_check(n_max):
     def sides(n):
         t = families.cheb_t(n, one).subs_s(Fraction(-1))
         u = families.cheb_u(n - 1, one).subs_s(Fraction(-1)) if n >= 1 else XsPoly.zero()
-        return t * t - (X * X - ONE) * u * u, ONE
+        yield t * t - (X * X - ONE) * u * u, ONE
 
     return check_range("classical-pell", _label(one), range(n_max + 1), sides)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qcheb import families, matrixids
-from qcheb.polyring import S, X
+from qcheb.polyring import ONE, S, X, ZERO
 from qcheb.qkernel import ParamPoint, sample_points
 
 F = Fraction
@@ -32,14 +32,16 @@ def test_fib_matrix_product_needs_positive_n():
 @pytest.mark.parametrize("point", NEG_POINTS, ids=str)
 def test_cassini_all_integers(point):
     for n in range(-5, 12):
-        assert matrixids.cassini_check(n, point).passed
+        lhs, rhs = matrixids.cassini_sides(n, point)
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize("point", POINTS, ids=str)
 def test_cassini_euler(point):
     for n in range(1, 7):
         for k in range(1, 5):
-            assert matrixids.cassini_euler_check(n, k, point).passed
+            lhs, rhs = matrixids.cassini_euler_sides(n, k, point)
+            assert lhs == rhs
 
 
 @pytest.mark.parametrize("point", POINTS, ids=str)
@@ -70,6 +72,43 @@ def test_tridiagonal_determinants(q):
     for n in range(1, 12):
         assert matrixids.tridiag_u(n, q) == families.cheb_u(n, q)
         assert matrixids.tridiag_t(n, q) == families.cheb_t(n, q)
+
+
+def _det(rows):
+    """Determinant by expansion along the first row (small matrices only)."""
+    if not rows:
+        return ONE
+    total = ZERO
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero():
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            total = total + entry * _det(minor) * (-1) ** j
+    return total
+
+
+def _tridiagonal(diagonal, q):
+    """The matrix of the tridiag_* docstrings: superdiagonal q^j s (rows j,
+    j+1, counted from 1) and subdiagonal -1."""
+    n = len(diagonal)
+    return [
+        [
+            diagonal[r] if c == r
+            else S.scale(q ** (r + 1)) if c == r + 1
+            else -ONE if c == r - 1
+            else ZERO
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+
+
+@pytest.mark.parametrize("q", QS)
+def test_tridiagonal_determinants_of_the_written_matrix(q):
+    for n in range(1, 6):
+        u_diag = [X.scale(1 + q**k) for k in range(1, n + 1)]
+        t_diag = [X] + u_diag[:-1]
+        assert matrixids.tridiag_u(n, q) == _det(_tridiagonal(u_diag, q))
+        assert matrixids.tridiag_t(n, q) == _det(_tridiagonal(t_diag, q))
 
 
 def test_cheb_factor_shape():

@@ -99,3 +99,13 @@ def test_word_sum_matches_closed_form_small():
             assert operators.word_sum_ck(n, k, point) == operators.ck_closed(
                 n, k, point
             )
+
+
+@pytest.mark.parametrize("start", [(0, 0, 0), (1, 2, 1), (2, 0, 3)])
+def test_apply_word_from_a_monomial(start):
+    """X x^i s^j b^m = q^(j+m) b^m x^(i+1) s^j: eta dilates s and b, fixes x."""
+    point = ParamPoint(F(2), F(3, 7))
+    q, b = point.q, point.b
+    i, j, m = start
+    expect = XsPoly.monomial(q ** (j + m) * b**m, i + 1, j)
+    assert operators.apply_word(("X",), point, start) == expect

@@ -84,6 +84,21 @@ def test_q_catalan_sequence():
         assert q_catalan(n, q) == total
 
 
+def _q_catalan_reference(n_max, q):
+    """C_0..C_n_max by the Fraction recurrence C_n = sum_k q^k C_k C_(n-1-k)."""
+    c = [F(1)]
+    for n in range(1, n_max + 1):
+        c.append(sum(q**k * c[k] * c[n - 1 - k] for k in range(n)))
+    return c
+
+
+@pytest.mark.parametrize("q", [F(2, 3), F(-3, 5), F(7), F(1)], ids=str)
+def test_q_catalan_integer_numerators_match_fraction_recurrence(q):
+    got = [q_catalan(n, q) for n in range(61)]
+    assert got == _q_catalan_reference(60, q)
+    assert all(isinstance(value, F) for value in got)
+
+
 def test_param_point_guards():
     with pytest.raises(PoleError):
         ParamPoint(F(0), F(0))
