@@ -3,7 +3,9 @@ compute moments and q-Catalan numbers, and emit JSON/CSV/text reports.
 
 Exit codes: 0 = success / all identities pass, 1 = at least one identity
 failure, 2 = usage or parameter error.  Rationals are always serialized as
-lowest-terms "num/den" strings.
+lowest-terms "num/den" strings.  Every command renders its whole output
+before writing any of it, so an error such as a number past Python's
+int-to-str digit limit exits 2 with nothing written to stdout.
 """
 
 import argparse
@@ -108,12 +110,9 @@ def cmd_gen(args, out) -> int:
         json.dump(payload, out, indent=2)
         out.write("\n")
     elif args.format == "csv":
-        out.write("n,poly\n")
-        for n, poly in rows:
-            out.write(f'{n},"{poly}"\n')
+        out.write("n,poly\n" + "".join(f'{n},"{poly}"\n' for n, poly in rows))
     else:
-        for n, poly in rows:
-            out.write(f"{family.value}_{n} = {poly}\n")
+        out.write("".join(f"{family.value}_{n} = {poly}\n" for n, poly in rows))
     return 0
 
 
@@ -127,26 +126,29 @@ def _emit_reports(reports, fmt, out):
         json.dump(payload, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
-        out.write("identity_id,q,b,n_lo,n_hi,status\n")
+        lines = ["identity_id,q,b,n_lo,n_hi,status\n"]
         for r in reports:
             q = format_rational(r.point.q) if r.point else ""
             b = format_rational(r.point.b) if r.point else ""
             lo, hi = r.index_range
-            out.write(f"{r.identity_id},{q},{b},{lo},{hi},{r.status}\n")
+            lines.append(f"{r.identity_id},{q},{b},{lo},{hi},{r.status}\n")
+        out.write("".join(lines))
     else:
+        lines = []
         for r in reports:
             where = ""
             if r.point is not None:
                 where = f" @ q={format_rational(r.point.q)}, b={format_rational(r.point.b)}"
-            out.write(f"{r.status:7s} {r.identity_id}{where}  n in {r.index_range}\n")
+            lines.append(f"{r.status:7s} {r.identity_id}{where}  n in {r.index_range}\n")
             if r.witness is not None:
-                out.write(f"        witness n={r.witness['n']}:\n")
-                out.write(f"          lhs = {r.witness['lhs']}\n")
-                out.write(f"          rhs = {r.witness['rhs']}\n")
-        out.write(
+                lines.append(f"        witness n={r.witness['n']}:\n")
+                lines.append(f"          lhs = {r.witness['lhs']}\n")
+                lines.append(f"          rhs = {r.witness['rhs']}\n")
+        lines.append(
             f"summary: {counts['pass']} pass, {counts['fail']} fail, "
             f"{counts['skipped']} skipped\n"
         )
+        out.write("".join(lines))
 
 
 def cmd_verify(args, out) -> int:
@@ -200,12 +202,9 @@ def cmd_moments(args, out) -> int:
         json.dump(payload, out, indent=2)
         out.write("\n")
     elif args.format == "csv":
-        out.write("m,moment\n")
-        for m, v in enumerate(values):
-            out.write(f'{m},"{v}"\n')
+        out.write("m,moment\n" + "".join(f'{m},"{v}"\n' for m, v in enumerate(values)))
     else:
-        for m, v in enumerate(values):
-            out.write(f"moment(x^{m}) = {v}\n")
+        out.write("".join(f"moment(x^{m}) = {v}\n" for m, v in enumerate(values)))
     return 0
 
 
@@ -227,9 +226,10 @@ def cmd_catalan(args, out) -> int:
         json.dump(payload, out, indent=2)
         out.write("\n")
     elif args.format == "csv":
-        out.write("n,catalan\n")
-        for n, v in enumerate(values):
-            out.write(f"{n},{format_rational(v)}\n")
+        out.write(
+            "n,catalan\n"
+            + "".join(f"{n},{format_rational(v)}\n" for n, v in enumerate(values))
+        )
     else:
         out.write(", ".join(format_rational(v) for v in values) + "\n")
     return 0

@@ -3,6 +3,7 @@ q-dilation substitution, q-derivative, 2x2 matrices and truncated power series.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .qkernel import as_rational, q_int
 
@@ -15,27 +16,67 @@ def _coerce_coeff(c) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c)}")
 
 
+def _power_weights(q: Fraction, exponents):
+    """Integer weights {e: w_e} and one integer d with q^e = w_e / d for every
+    e in exponents (non-empty): for q = a/b, w_e = a^(e-lo) b^(hi-e) and
+    d = a^(-lo) b^hi, where lo = min(0, min e) and hi = max(0, max e)."""
+    exponents = set(exponents)
+    lo, hi = min(0, min(exponents)), max(0, max(exponents))
+    a, b = q.numerator, q.denominator
+    if lo < 0 and not a:
+        raise ZeroDivisionError("Fraction(1, 0)")  # as Fraction(0) ** -k raises
+    return {e: a ** (e - lo) * b ** (hi - e) for e in exponents}, a**-lo * b**hi
+
+
 class XsPoly:
-    """Polynomial in x, Laurent in s, stored as {(deg_x, deg_s): coefficient}.
+    """Polynomial in x, Laurent in s: integer numerators {(deg_x, deg_s): n}
+    over one shared denominator den, the layout of FLINT's fmpq_poly.
 
     deg_x >= 0; deg_s may be negative, as in the negative-index family
-    members, whose denominators are pure powers of s.  Zero coefficients are
-    never stored; the zero polynomial is the empty map.  Instances are
-    treated as immutable.
+    members, whose denominators are pure powers of s.  Every instance is kept
+    in one canonical form: no zero numerator is stored, den > 0 and
+    gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the
+    empty map).  So == compares the two fields, and each operation reduces its
+    result with one gcd pass instead of one gcd per coefficient product.
+    Instances are treated as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        clean = {}
+        coeffs = {}
         if terms:
             for (dx, ds), c in terms.items():
                 c = _coerce_coeff(c)
                 if c != 0:
                     if dx < 0:
                         raise ValueError("negative x exponents are not representable")
-                    clean[(dx, ds)] = c
-        self.terms = clean
+                    coeffs[(dx, ds)] = c
+        # the lcm of lowest-terms denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        self.den = den
+
+    @staticmethod
+    def _of(num, den):
+        """The XsPoly num/den, already in canonical form."""
+        out = XsPoly.__new__(XsPoly)
+        out.num = num
+        out.den = den
+        return out
+
+    @staticmethod
+    def _reduced(num, den):
+        """The XsPoly num/den brought to canonical form; num holds no zeros."""
+        if not num:
+            return XsPoly._of(num, 1)
+        g = gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+        return XsPoly._of(num, den)
 
     # -- constructors -------------------------------------------------
 
@@ -53,33 +94,40 @@ class XsPoly:
 
     @staticmethod
     def x(power: int = 1):
-        return XsPoly({(power, 0): Fraction(1)})
+        return XsPoly({(power, 0): 1})
 
     @staticmethod
     def s(power: int = 1):
-        return XsPoly({(0, power): Fraction(1)})
+        return XsPoly({(0, power): 1})
 
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            new = terms.get(key, Fraction(0)) + c
-            if new == 0:
-                terms.pop(key, None)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        den, fb = self.den, 1
+        if den == other.den:
+            num = dict(self.num)
+        else:
+            g = gcd(den, other.den)
+            fa, fb = other.den // g, den // g
+            num = {k: c * fa for k, c in self.num.items()}
+            den *= fa
+        for key, c in other.num.items():
+            new = num.get(key, 0) + c * fb
+            if new:
+                num[key] = new
             else:
-                terms[key] = new
-        out = XsPoly.__new__(XsPoly)
-        out.terms = terms
-        return out
+                del num[key]
+        return XsPoly._reduced(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = XsPoly.__new__(XsPoly)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return XsPoly._of({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -90,18 +138,13 @@ class XsPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        terms = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        num = {}
+        get = num.get
+        for (i1, j1), c1 in self.num.items():
+            for (i2, j2), c2 in other.num.items():
                 key = (i1 + i2, j1 + j2)
-                new = terms.get(key, Fraction(0)) + c1 * c2
-                if new == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = new
-        out = XsPoly.__new__(XsPoly)
-        out.terms = terms
-        return out
+                num[key] = get(key, 0) + c1 * c2
+        return XsPoly._reduced({k: c for k, c in num.items() if c}, self.den * other.den)
 
     def __rmul__(self, other):
         return self * other
@@ -110,9 +153,8 @@ class XsPoly:
         c = as_rational(c)
         if c == 0:
             return XsPoly.zero()
-        out = XsPoly.__new__(XsPoly)
-        out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
+        p = c.numerator
+        return XsPoly._reduced({k: v * p for k, v in self.num.items()}, self.den * c.denominator)
 
     @staticmethod
     def _coerce(v):
@@ -127,36 +169,43 @@ class XsPoly:
             other = XsPoly.const(other)
         if not isinstance(other, XsPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant hashes as its Fraction, since it compares equal to it
+        if self.num.keys() <= {(0, 0)}:
+            return hash(self.constant())
+        return hash((frozenset(self.num.items()), self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def terms(self):
+        """{(deg_x, deg_s): Fraction coefficient}, built on each read."""
+        den = self.den
+        return {k: Fraction(c, den) for k, c in self.num.items()}
+
     def coeff(self, dx: int, ds: int) -> Fraction:
-        return self.terms.get((dx, ds), Fraction(0))
+        return Fraction(self.num.get((dx, ds), 0), self.den)
 
     def x_degree(self) -> int:
         """Degree in x; -1 for the zero polynomial."""
-        return max((dx for dx, _ in self.terms), default=-1)
+        return max((dx for dx, _ in self.num), default=-1)
 
     def x_coeffs(self):
         """Map deg_x -> XsPoly in s only (the coefficient of x^deg_x)."""
         out = {}
-        for (dx, ds), c in self.terms.items():
+        for (dx, ds), c in self.num.items():
             out.setdefault(dx, {})[(0, ds)] = c
-        return {dx: XsPoly(t) for dx, t in out.items()}
+        return {dx: XsPoly._reduced(t, self.den) for dx, t in out.items()}
 
     def constant(self) -> Fraction:
         """The value when the polynomial is constant; error otherwise."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {(0, 0)}:
-            return self.terms[(0, 0)]
+        if self.num.keys() <= {(0, 0)}:
+            return Fraction(self.num.get((0, 0), 0), self.den)
         raise ValueError("polynomial is not constant")
 
     # -- substitutions and derivatives --------------------------------
@@ -164,10 +213,15 @@ class XsPoly:
     def dilate(self, q, m_x: int, m_s: int):
         """Substitute x -> q^m_x x and s -> q^m_s s."""
         q = as_rational(q)
-        terms = {}
-        for (dx, ds), c in self.terms.items():
-            terms[(dx, ds)] = c * q ** (m_x * dx + m_s * ds)
-        return XsPoly(terms)
+        if not self.num:
+            return self
+        exps = [m_x * dx + m_s * ds for dx, ds in self.num]
+        weights, d = _power_weights(q, exps)
+        num = {}
+        for (key, c), e in zip(self.num.items(), exps):
+            if weights[e]:
+                num[key] = c * weights[e]
+        return XsPoly._reduced(num, self.den * d)
 
     def q_deriv(self, q):
         """Jackson q-derivative in x, acting as x^k -> [k] x^(k-1).
@@ -175,50 +229,67 @@ class XsPoly:
         Regular at q = 1, where it is the classical derivative.
         """
         q = as_rational(q)
-        terms = {}
-        for (dx, ds), c in self.terms.items():
-            if dx >= 1:
-                terms[(dx - 1, ds)] = terms.get((dx - 1, ds), Fraction(0)) + c * q_int(dx, q)
-        return XsPoly(terms)
+        top = self.x_degree()
+        if top < 1:
+            return XsPoly.zero()
+        # [k] = (w_0 + ... + w_(k-1)) / d with q^i = w_i / d
+        weights, d = _power_weights(q, range(top))
+        q_ints = [0]
+        for i in range(top):
+            q_ints.append(q_ints[-1] + weights[i])
+        return self._lower_x(q_ints, d)
 
     def deriv(self):
         """Ordinary derivative in x."""
-        terms = {}
-        for (dx, ds), c in self.terms.items():
-            if dx >= 1:
-                terms[(dx - 1, ds)] = terms.get((dx - 1, ds), Fraction(0)) + c * dx
-        return XsPoly(terms)
+        return self._lower_x(range(self.x_degree() + 1), 1)
+
+    def _lower_x(self, factors, d):
+        """sum of factors[k] / d * c x^(k-1) s^j over the terms c x^k s^j, k >= 1."""
+        num = {}
+        for (dx, ds), c in self.num.items():
+            if dx and factors[dx]:
+                num[(dx - 1, ds)] = c * factors[dx]
+        return XsPoly._reduced(num, self.den * d)
 
     def subs_s(self, s_val):
         """Substitute a rational value for s; the result is univariate in x."""
         s_val = as_rational(s_val)
-        terms = {}
-        for (dx, ds), c in self.terms.items():
+        if not self.num:
+            return self
+        weights, d = _power_weights(s_val, [ds for _, ds in self.num])
+        num = {}
+        for (dx, ds), c in self.num.items():
             key = (dx, 0)
-            terms[key] = terms.get(key, Fraction(0)) + c * s_val**ds
-        return XsPoly(terms)
+            num[key] = num.get(key, 0) + c * weights[ds]
+        return XsPoly._reduced({k: c for k, c in num.items() if c}, self.den * d)
 
     def shift_s(self, k: int):
         """Multiply by s^k for any integer k."""
         if k == 0:
             return self
-        return XsPoly({(dx, ds + k): c for (dx, ds), c in self.terms.items()})
+        return XsPoly._of({(dx, ds + k): c for (dx, ds), c in self.num.items()}, self.den)
 
     def as_poly(self):
         """self, checked to be a polynomial in s: no negative s exponent."""
-        low = min((ds for _, ds in self.terms), default=0)
+        low = min((ds for _, ds in self.num), default=0)
         if low < 0:
             raise ValueError(f"value has a residual s^{-low} denominator")
         return self
 
     def evalf(self, x_val: float, s_val: float) -> float:
-        return sum(float(c) * x_val**dx * s_val**ds for (dx, ds), c in self.terms.items())
+        den = self.den
+        return sum(c / den * x_val**dx * s_val**ds for (dx, ds), c in self.num.items())
 
     # -- serialization ------------------------------------------------
 
     def sorted_terms(self):
-        """Canonical order: descending deg_x, then ascending deg_s."""
-        return sorted(self.terms.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+        """(key, Fraction) pairs in canonical order: descending deg_x, then
+        ascending deg_s."""
+        den = self.den
+        return [
+            ((dx, ds), Fraction(self.num[(dx, ds)], den))
+            for dx, ds in sorted(self.num, key=lambda k: (-k[0], k[1]))
+        ]
 
     def to_json(self):
         return {
@@ -236,7 +307,7 @@ class XsPoly:
         return XsPoly(terms)
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for (dx, ds), c in self.sorted_terms():

@@ -3,6 +3,7 @@ suite runner's determinism and skip behavior."""
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -216,3 +217,29 @@ def test_b_minus_1_families_at_classical_q(b_minus_1, family):
     assert code == 0
     _, expected = run_cli(["gen", "--family", family, "--b", "-1", *args])
     assert json.loads(text)["rows"] == json.loads(expected)["rows"]
+
+
+# q = 1/10^70 gives coefficients past Python's int-to-str digit limit within a
+# dozen terms, while the arithmetic stays well under a second.
+TINY_Q = "--q=1/1" + "0" * 70
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "T", "--n", "12", TINY_Q],
+        ["moments", "--family", "GEN_FIB", "--n", "20", TINY_Q],
+        ["catalan", "--n", "12", TINY_Q],
+    ],
+    ids=["gen", "moments", "catalan"],
+)
+def test_digit_limit_exits_2_before_any_output(argv, fmt, capsys):
+    code, text = run_cli([*argv, "--format", fmt])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"({sys.get_int_max_str_digits()} digits)" in err

@@ -2,12 +2,13 @@
 serialization, negative powers of s, 2x2 matrices and truncated series."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcheb.polyring import ONE, S, TruncSeries, X, XsPoly, ZERO, Mat2
+from qcheb.polyring import ONE, S, TruncSeries, X, XsPoly, ZERO, Mat2, format_rational
 from qcheb.qkernel import q_int
 
 F = Fraction
@@ -22,11 +23,170 @@ polys = st.dictionaries(
     max_size=6,
 ).map(XsPoly)
 
-laurent = st.dictionaries(
+laurent_dicts = st.dictionaries(
     st.tuples(st.integers(0, 5), st.integers(-4, 4)),
     rationals,
     max_size=6,
-).map(XsPoly)
+)
+laurent = laurent_dicts.map(XsPoly)
+
+
+# -- reference: one Fraction per term, {(deg_x, deg_s): Fraction} -----------
+#
+# The arithmetic XsPoly used before it stored integer numerators over one
+# denominator, kept as the oracle for the kernel.
+
+
+def ref_clean(terms):
+    return {k: F(c) for k, c in terms.items() if c != 0}
+
+
+def ref_add(a, b):
+    terms = dict(a)
+    for key, c in b.items():
+        terms[key] = terms.get(key, F(0)) + c
+    return ref_clean(terms)
+
+
+def ref_mul(a, b):
+    terms = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            terms[key] = terms.get(key, F(0)) + c1 * c2
+    return ref_clean(terms)
+
+
+def ref_scale(a, c):
+    return ref_clean({k: v * c for k, v in a.items()})
+
+
+def ref_dilate(a, q, m_x, m_s):
+    return ref_clean({(dx, ds): c * q ** (m_x * dx + m_s * ds) for (dx, ds), c in a.items()})
+
+
+def ref_lower_x(a, factor):
+    return ref_clean({(dx - 1, ds): c * factor(dx) for (dx, ds), c in a.items() if dx >= 1})
+
+
+def ref_subs_s(a, s_val):
+    terms = {}
+    for (dx, ds), c in a.items():
+        terms[(dx, 0)] = terms.get((dx, 0), F(0)) + c * s_val**ds
+    return ref_clean(terms)
+
+
+def ref_sorted(a):
+    return sorted(a.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+
+
+def ref_json(a):
+    terms = [{"dx": dx, "ds": ds, "c": format_rational(c)} for (dx, ds), c in ref_sorted(a)]
+    return {"terms": terms}
+
+
+def ref_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for (dx, ds), c in ref_sorted(a):
+        factors = []
+        if abs(c) != 1 or (dx == 0 and ds == 0):
+            factors.append(format_rational(c))
+        if dx:
+            factors.append("x" if dx == 1 else f"x^{dx}")
+        if ds:
+            factors.append("s" if ds == 1 else f"s^{ds}")
+        sign = "-" if c == -1 and (dx or ds) else ""
+        parts.append(sign + "*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def assert_matches(poly, ref):
+    """poly is in canonical form and has the reference's value and output."""
+    assert poly.den > 0 and 0 not in poly.num.values()
+    assert gcd(poly.den, *poly.num.values()) == 1
+    assert poly.terms == ref
+    assert poly.to_json() == ref_json(ref) and str(poly) == ref_str(ref)
+
+
+def matches_or_both_raise(op, ref_op):
+    try:
+        expected = ref_op()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op()
+        return
+    assert_matches(op(), expected)
+
+
+# few small coefficients on a small grid, so that sums often cancel
+small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(-2, 2)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=5,
+)
+laurent_terms = st.one_of(small_terms, laurent_dicts)
+scalars = st.fractions(min_value=-3, max_value=3, max_denominator=5)  # 0 and +-1 too
+multipliers = st.integers(-2, 2)
+
+
+@settings(max_examples=150)
+@given(laurent_terms, laurent_terms, scalars, multipliers, multipliers, st.integers(-3, 3))
+def test_kernel_matches_fraction_reference(a, b, q, m_x, m_s, k):
+    p, r = XsPoly(a), XsPoly(b)
+    a, b = ref_clean(a), ref_clean(b)
+    assert_matches(p, a)
+    assert_matches(p + r, ref_add(a, b))
+    assert_matches(p - r, ref_add(a, ref_scale(b, F(-1))))
+    assert_matches(p + r - r, a)
+    assert_matches(p - p, {})
+    assert_matches(-p, ref_scale(a, F(-1)))
+    assert_matches(p * r, ref_mul(a, b))
+    assert_matches(p * r - r * p, {})
+    assert_matches(p.scale(q), ref_scale(a, q))
+    assert_matches(p.deriv(), ref_lower_x(a, lambda dx: dx))
+    assert_matches(p.q_deriv(q), ref_lower_x(a, lambda dx: q_int(dx, q)))
+    assert_matches(p.shift_s(k), {(dx, ds + k): c for (dx, ds), c in a.items()})
+    matches_or_both_raise(lambda: p.dilate(q, m_x, m_s), lambda: ref_dilate(a, q, m_x, m_s))
+    matches_or_both_raise(lambda: p.subs_s(q), lambda: ref_subs_s(a, q))
+    assert XsPoly.from_json(p.to_json()) == p
+    for x_deg, coeff in p.x_coeffs().items():
+        assert_matches(coeff, {(0, ds): c for (dx, ds), c in a.items() if dx == x_deg})
+
+
+@settings(max_examples=60)
+@given(laurent_terms, laurent_terms)
+def test_equal_values_hash_equal(a, b):
+    p, r = XsPoly(a), XsPoly(b)
+    same = p + r - r
+    assert same == p and hash(same) == hash(p)
+    if set(p.num) <= {(0, 0)}:
+        assert hash(p) == hash(p.constant())
+
+
+def test_hash_agrees_with_eq():
+    for value in (2, F(-3, 4), 0, F(0)):
+        poly = XsPoly.const(value)
+        assert poly == value and hash(poly) == hash(value)
+        assert len({poly, value}) == 1
+    assert hash(ZERO) == hash(0) and len({ZERO, 0, F(0)}) == 1
+    p = X.scale(F(1, 2)) + S
+    same = S + X.scale(F(2, 4))
+    assert p == same and hash(p) == hash(same) and len({p, same}) == 1
+    assert p != F(1, 2) and len({p, F(1, 2)}) == 2
+
+
+def test_dilate_at_zero_keeps_its_poles():
+    # q = 0 sends every positive power of q to 0 and leaves q^0 = 1 ...
+    assert (X + ONE + S).dilate(F(0), 1, 1) == ONE
+    # ... but a negative power of q is a pole, as with Fraction(0) ** -k
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+        X.shift_s(-1).dilate(F(0), 0, 1)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+        X.dilate(0, -1, 0)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+        S.shift_s(-2).subs_s(0)
 
 
 def test_basic_arithmetic():
