@@ -98,7 +98,7 @@ def cmd_gen(args, out) -> int:
     b = _parse_rational(args.b)
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    point = ParamPoint(q, b, allow_classical=(q == 1))
+    point = ParamPoint(q, b)
     rows = [(n, families.family_poly(family, n, point)) for n in range(args.n + 1)]
     if args.format == "json":
         payload = {
@@ -140,6 +140,8 @@ def _emit_reports(reports, fmt, out):
             if r.point is not None:
                 where = f" @ q={format_rational(r.point.q)}, b={format_rational(r.point.b)}"
             lines.append(f"{r.status:7s} {r.identity_id}{where}  n in {r.index_range}\n")
+            if r.reason is not None:
+                lines.append(f"        reason: {r.reason}\n")
             if r.witness is not None:
                 lines.append(f"        witness n={r.witness['n']}:\n")
                 lines.append(f"          lhs = {r.witness['lhs']}\n")
@@ -253,9 +255,10 @@ def main(argv=None, out=None) -> int:
     except (UsageError, PoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ZeroDivisionError as exc:
-        # a denominator vanishes at these parameters; no output was written yet
-        print(f"error: division by zero at these parameters ({exc})", file=sys.stderr)
+    except ZeroDivisionError:
+        # a denominator vanishes at these parameters; no output was written yet.
+        # The interpreter's own text differs between Python versions.
+        print("error: division by zero at these parameters", file=sys.stderr)
         return 2
 
 

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 from .polyring import ONE, S, X, XsPoly, ZERO
 from .qkernel import (
     ParamPoint,
+    PoleError,
     as_rational,
     binom2,
     q_binom,
@@ -101,7 +102,7 @@ def fib_qb_closed(n: int, point: ParamPoint) -> XsPoly:
         if k:
             den *= (1 - q**k * b) * (1 - q ** (n - k) * b)
         if den == 0:
-            raise ValueError("pole in closed-form denominator")
+            raise PoleError("pole in closed-form denominator")
         terms[(n - 1 - 2 * k, k)] = q ** (k * k) * q_binom(n - 1 - k, k, q) / den
     return XsPoly(terms)
 
@@ -457,15 +458,13 @@ def cheb_t_backward(n: int, q) -> XsPoly:
 
 
 def gen_fib(n: int, q) -> XsPoly:
-    """F_n(x, -1, s, q); q = 1 is the classical limit, as in `gen`."""
-    q = as_rational(q)
-    return fib_qb(n, ParamPoint(q, Fraction(-1), allow_classical=(q == 1)))
+    """F_n(x, -1, s, q)."""
+    return fib_qb(n, ParamPoint(q, Fraction(-1)))
 
 
 def gen_lucas(n: int, q) -> XsPoly:
-    """L_n(x, -1, s, q); q = 1 is the classical limit, as in `gen`."""
-    q = as_rational(q)
-    return lucas_qb(n, ParamPoint(q, Fraction(-1), allow_classical=(q == 1)))
+    """L_n(x, -1, s, q)."""
+    return lucas_qb(n, ParamPoint(q, Fraction(-1)))
 
 
 def hypergeom_gen_fib(n: int, q) -> XsPoly:
@@ -473,7 +472,7 @@ def hypergeom_gen_fib(n: int, q) -> XsPoly:
     sum of (q^-n;q^2)_k (q^(1-n);q^2)_k / ((q^-2n;q^2)_k (q^2;q^2)_k) (-s)^k x^(n-2k)."""
     q = as_rational(q)
     if q == 0:
-        raise ValueError("q must be nonzero")
+        raise PoleError("q must be nonzero")
     return _hypergeom_sum(n, q, q ** (-2 * n), Fraction(-1))
 
 

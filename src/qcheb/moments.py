@@ -257,7 +257,7 @@ def nonorthogonality_witness(q):
     l_1 l_3 = l_4 - q^3 s l_2 - q^2 (1-q) s^2, so any functional annihilating
     l_n (n > 0) has Lambda(l_1 l_3) = -q^2 (1-q) s^2, nonzero for q != 1."""
     q = as_rational(q)
-    point = ParamPoint(q, Fraction(0), allow_classical=(q == 1))
+    point = ParamPoint(q, Fraction(0))
     l = lambda n: families.lucas_trace(n, point).as_poly()
     defect = XsPoly.monomial(-(q**2) * (1 - q), 0, 2)
     identity = l(1) * l(3) - l(4) + S.scale(q**3) * l(2) + (-defect)

@@ -10,8 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-class PoleError(ArithmeticError):
-    """A parameter choice makes one of the scalar denominators vanish."""
+class PoleError(ZeroDivisionError):
+    """A parameter choice makes one of the scalar denominators vanish; being
+    a ZeroDivisionError, it is caught with every unguarded division by zero."""
 
 
 def as_rational(v) -> Fraction:
@@ -26,26 +27,20 @@ def as_rational(v) -> Fraction:
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """A concrete rational substitution (q, b); x and s stay formal.
-
-    `allow_classical=True` admits q = 1 for classical-limit checks.
-    """
+    """A concrete rational substitution (q, b), q != 0; x and s stay formal."""
 
     q: Fraction
     b: Fraction
-    allow_classical: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "q", as_rational(self.q))
         object.__setattr__(self, "b", as_rational(self.b))
         if self.q == 0:
             raise PoleError("q = 0 is not a valid parameter")
-        if self.q == 1 and not self.allow_classical:
-            raise PoleError("q = 1 requires an explicit classical-limit point")
 
     def shift_b(self, j: int) -> "ParamPoint":
         """The point with b replaced by q^j * b."""
-        return ParamPoint(self.q, self.q**j * self.b, self.allow_classical)
+        return ParamPoint(self.q, self.q**j * self.b)
 
     def require_pole_free(self, levels) -> None:
         """Raise PoleError unless q^j * b != 1 and q^j != -1 for all j in levels."""

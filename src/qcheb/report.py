@@ -12,7 +12,8 @@ class IdentityReport:
     """Outcome of one identity at one parameter point over an index range.
 
     A fail report always carries a witness (the first offending index with
-    both sides serialized).
+    both sides serialized); a skipped report carries the reason, such as the
+    pole that stopped the check.
     """
 
     identity_id: str
@@ -20,6 +21,7 @@ class IdentityReport:
     index_range: tuple
     status: str  # "pass" | "fail" | "skipped"
     witness: Optional[dict] = None
+    reason: Optional[str] = None
 
     def __post_init__(self):
         if self.status == "fail" and self.witness is None:
@@ -46,6 +48,8 @@ class IdentityReport:
             "index_range": list(self.index_range),
             "status": self.status,
         }
+        if self.reason is not None:
+            data["reason"] = self.reason
         if self.witness is not None:
             data["witness"] = {k: str(v) for k, v in self.witness.items()}
         return data
@@ -65,8 +69,8 @@ def failing(identity_id, point, index_range, n, lhs, rhs) -> IdentityReport:
     )
 
 
-def skipped(identity_id, point, index_range) -> IdentityReport:
-    return IdentityReport(identity_id, point, index_range, "skipped")
+def skipped(identity_id, point, index_range, reason) -> IdentityReport:
+    return IdentityReport(identity_id, point, index_range, "skipped", reason=reason)
 
 
 def check_range(identity_id, point, indices, both_sides) -> IdentityReport:

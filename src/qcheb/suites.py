@@ -13,8 +13,8 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import analysis, families, matrixids, moments, operators
-from .polyring import ONE, S, X, XsPoly, format_rational
-from .qkernel import DEFAULT_BS, DEFAULT_QS, ParamPoint, PoleError, sample_points
+from .polyring import ONE, S, X, XsPoly
+from .qkernel import DEFAULT_QS, ParamPoint, PoleError, sample_points
 from .report import IdentityReport, check_range, failing, passing, skipped
 
 # Index bounds per key: (default, value under `verify --max-n m`).  The
@@ -63,7 +63,7 @@ WEIGHT_CONTEXTS = ((Fraction(2), Fraction(1)), (Fraction(3, 5), Fraction(-2)))
 
 def _label(q):
     """A b-free point used purely to tag reports of q-only identities."""
-    return ParamPoint(q, Fraction(0), allow_classical=True)
+    return ParamPoint(q, Fraction(0))
 
 
 def _word_point(q):
@@ -240,7 +240,7 @@ def classical_families_check(n_max):
     recurrences, the binomial closed forms, and the trace identity
     L_n = F_(n+1) + s F_(n-1)."""
     one = Fraction(1)
-    point = ParamPoint(one, Fraction(0), allow_classical=True)
+    point = _label(one)
 
     def sides(n):
         fib = families.fib_carlitz(n, one)
@@ -327,14 +327,18 @@ class Check(NamedTuple):
     """One identity check, run as fn(bound, *sample) at every sample of its
     scope (fn(*sample) when bound is None):
 
-    q          q for each q sample; skipped at q = 1
-    point      each pole-free (q, b) sample point with q != 1
-    neg_point  those points that are also pole-free at b-levels -12..-1
-    word       (q, 3/7) for each q sample other than 1
+    q          q for each q sample
+    point      each (q, b) sample point (of the default b grid, those
+               pole-free at b-levels 0..39)
+    neg_point  the same (of the default grid, also pole-free at -12..-1)
+    word       (q, 3/7) for each q sample
     sqrt       each r of SQRT_SAMPLES, reported at q = r^2
     weight     each (q, s) of WEIGHT_CONTEXTS
     rodrigues  (q, s) of WEIGHT_CONTEXTS and n for 0 <= n <= the rodrigues bound
     fixed      once, with no sample
+
+    A row is skipped at a sample exactly where one of its denominators
+    vanishes (it raises ZeroDivisionError, PoleError included).
     """
 
     id: str
@@ -436,35 +440,22 @@ def checks(fault=None):
 # -- the runner --------------------------------------------------------
 
 
-def _skip(check_id, label):
-    return lambda: skipped(check_id, label, (0, 0))
-
-
 def _run(row, args, label):
     """Run one row at one sample; a report without a point is tagged with the
-    sample's.  A pole is re-raised as a PoleError naming the row and sample."""
+    sample's.  At a pole the row is skipped, with the PoleError's message as
+    the reason (a bare ZeroDivisionError's text differs between versions)."""
 
     def item():
         try:
             report = row.fn(*args)
-        except (PoleError, ZeroDivisionError) as exc:
-            detail = exc if isinstance(exc, PoleError) else f"division by zero ({exc})"
-            raise PoleError(f"{row.id}{_at(label, row.scope)}: {detail}") from exc
+        except ZeroDivisionError as exc:
+            reason = str(exc) if isinstance(exc, PoleError) else "division by zero"
+            return skipped(row.id, label, (0, 0), reason)
         if report.point is None:
             report.point = label
         return report
 
     return item
-
-
-def _at(label, scope):
-    """Where a work item runs: " at q=..." (with b for the point scopes)."""
-    if label is None:
-        return ""
-    at = f" at q={format_rational(label.q)}"
-    if scope in ("point", "neg_point", "word"):
-        at += f", b={format_rational(label.b)}"
-    return at
 
 
 def build_work_items(suite="core", qs=None, bs=None, bounds=None, fault=None):
@@ -477,14 +468,18 @@ def build_work_items(suite="core", qs=None, bs=None, bounds=None, fault=None):
         raise ValueError(f"unknown suite {suite!r}")
     bounds = dict(bounds_for(), **(bounds or {}))
     qs = tuple(qs) if qs is not None else DEFAULT_QS
-    bs = tuple(bs) if bs is not None else DEFAULT_BS
-    points = sample_points(levels=range(0, 40), qs=[q for q in qs if q != 1], bs=bs)
-    # scope -> (report label, fn arguments) per sample; None arguments skip
+    if bs is None:
+        points = sample_points(levels=range(0, 40), qs=qs)
+        neg_points = [p for p in points if p.is_pole_free(range(-12, 0))]
+    else:
+        # every point the caller names runs, and meets its poles row by row
+        points = neg_points = [ParamPoint(q, b) for q in qs for b in bs]
+    # scope -> (report label, fn arguments) per sample
     samples = {
-        "q": [(_label(q), None if q == 1 else (q,)) for q in qs],
+        "q": [(_label(q), (q,)) for q in qs],
         "point": [(p, (p,)) for p in points],
-        "neg_point": [(p, (p,)) for p in points if p.is_pole_free(range(-12, 0))],
-        "word": [(p, (p,)) for p in [_word_point(q) for q in qs if q != 1]],
+        "neg_point": [(p, (p,)) for p in neg_points],
+        "word": [(p, (p,)) for p in map(_word_point, qs)],
         "sqrt": [(_label(r * r), (r,)) for r in SQRT_SAMPLES],
         "weight": [(_label(w[0]), (w,)) for w in WEIGHT_CONTEXTS],
         "rodrigues": [
@@ -497,11 +492,7 @@ def build_work_items(suite="core", qs=None, bs=None, bounds=None, fault=None):
     items = []
     for row in rows:
         bound = () if row.bound is None else (bounds[row.bound],)
-        for label, args in samples[row.scope]:
-            if args is None:
-                items.append(_skip(row.id, label))
-            else:
-                items.append(_run(row, bound + args, label))
+        items += [_run(row, bound + args, label) for label, args in samples[row.scope]]
     return items
 
 

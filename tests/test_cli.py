@@ -192,13 +192,12 @@ def test_unknown_suite_raises():
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (
-            ["verify", "--suite", "core", "--q", "-1", "--format", "json"],
-            "error: dual-F_CARLITZ at q=-1: ",
-        ),
-        (["moments", "--family", "GEN_FIB", "--q", "-1", "--n", "4"], "error: "),
+        (["gen", "--family", "F_QB", "--n", "4", "--q=-1", "--b", "3"],
+         "error: 1 + q^1 vanishes at q=-1\n"),
+        (["moments", "--family", "GEN_FIB", "--q", "-1", "--n", "4"],
+         "error: division by zero at these parameters\n"),
     ],
-    ids=["verify", "moments"],
+    ids=["gen", "moments"],
 )
 def test_pole_at_q_minus_1_is_a_clean_usage_error(argv, names, capsys):
     code, text = run_cli(argv)
@@ -207,6 +206,28 @@ def test_pole_at_q_minus_1_is_a_clean_usage_error(argv, names, capsys):
     err = capsys.readouterr().err
     assert err.startswith(names) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_verify_at_q_minus_1_skips_the_rows_that_meet_a_pole(capsys):
+    """A pole once checks have started is a skipped report, not exit 2."""
+    code, text = run_cli(["verify", "--suite", "all", "--q=-1", "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads(text)
+    assert payload["summary"] == {"pass": 61, "fail": 0, "skipped": 21}
+    skipped = [r for r in payload["reports"] if r["status"] == "skipped"]
+    assert skipped and all(r["reason"] for r in skipped)
+    assert all("reason" not in r for r in payload["reports"] if r["status"] != "skipped")
+
+
+def test_verify_text_names_the_reason_of_each_skip():
+    code, text = run_cli(["verify", "--suite", "core", "--q", "2", "--b", "4"])
+    assert code == 0
+    lines = text.splitlines()
+    at = lines.index("skipped negative-index @ q=2, b=4  n in (0, 0)")
+    assert lines[at + 1] == "        reason: 1 - q^0 b vanishes at q=2, b=1"
+    assert sum(line.startswith("        reason: ") for line in lines) == 2
+    assert lines[-1] == "summary: 58 pass, 0 fail, 2 skipped"
 
 
 @pytest.mark.parametrize("b_minus_1, family", [("GEN_FIB", "F_QB"), ("GEN_LUCAS", "L_QB")])

@@ -102,9 +102,7 @@ def test_q_catalan_integer_numerators_match_fraction_recurrence(q):
 def test_param_point_guards():
     with pytest.raises(PoleError):
         ParamPoint(F(0), F(0))
-    with pytest.raises(PoleError):
-        ParamPoint(F(1), F(0))
-    assert ParamPoint(F(1), F(0), allow_classical=True).q == 1
+    assert ParamPoint(F(1), F(0)).q == 1  # q = 1 is an ordinary point
     p = ParamPoint(F(2), F(1, 2))
     with pytest.raises(PoleError):
         p.require_pole_free([1])  # q^1 * b = 1

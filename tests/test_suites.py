@@ -30,10 +30,11 @@ def test_max_n_rules():
 
 
 # sha256 of the JSON report of each command, as produced before the table of
-# checks replaced the hand-written work list
+# checks replaced the hand-written work list; `--q 1` as recorded once q = 1
+# became an ordinary sample, the same on CPython 3.11, 3.12 and 3.13
 PINNED = {
     "verify --suite all --q 1":
-        "3235af8f64e07b6b43e32766f1d35293cab13fedede6b3e391117ea674024a3d",
+        "bb6c11211eb0a6d3106a49dd0f7f7fc3c350bee472f0763bb171ae5cfde158e2",
     "verify --suite extended":
         "9d00d32972e764457921f6d7557ad2b90b16ff56e4b682bffcf5a85bfee88efa",
     "verify --suite all --q 2 --b 3/7 --max-n 6":
@@ -47,6 +48,46 @@ def test_json_report_is_pinned(command):
     code = cli.main(command.split() + ["--format", "json"], out=out)
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED[command]
+
+
+def _verify_json(command):
+    out = io.StringIO()
+    code = cli.main(command.split() + ["--format", "json"], out=out)
+    return code, json.loads(out.getvalue())
+
+
+def test_q_1_is_an_ordinary_sample():
+    """At q = 1 every row runs; only the hypergeometric forms, whose
+    (q^(2-2n);q^2)_k vanishes there, meet a pole."""
+    code, payload = _verify_json("verify --suite all --q 1")
+    assert code == 0
+    assert payload["summary"] == {"pass": 115, "fail": 0, "skipped": 3}
+    skipped = [r for r in payload["reports"] if r["status"] == "skipped"]
+    assert [r["identity_id"] for r in skipped] == ["dual-GEN_LUCAS", "eq-2.28", "eq-4.3"]
+    assert all(r["reason"] == "division by zero" for r in skipped)
+
+
+@pytest.mark.parametrize(
+    "b, summary, poles",
+    [
+        ("1/4", {"pass": 52, "fail": 0, "skipped": 8}, {"1 - q^2 b vanishes at q=2, b=1/4"}),
+        ("4", {"pass": 58, "fail": 0, "skipped": 2},
+         {"1 - q^3 b vanishes at q=2, b=1/8", "1 - q^0 b vanishes at q=2, b=1"}),
+    ],
+)
+def test_a_named_point_runs_every_point_row(b, summary, poles):
+    """A (q, b) named with --b is never dropped: every point and neg_point
+    row reports there, and a row that meets a pole is skipped with it."""
+    code, payload = _verify_json(f"verify --suite core --q 2 --b {b}")
+    assert code == 0 and payload["summary"] == summary
+    core, _ = suites.checks()
+    point_rows = {row.id for row in core if row.scope in ("point", "neg_point")}
+    at_point = {
+        r["identity_id"] for r in payload["reports"] if r["point"] == {"q": "2", "b": b}
+    }
+    assert point_rows <= at_point
+    skipped = [r for r in payload["reports"] if r["status"] == "skipped"]
+    assert {r["reason"] for r in skipped} == poles
 
 
 def _sequence_memos():
