@@ -181,7 +181,7 @@ def cmd_moments(args, out) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     name = args.family.upper()
-    if name == "CLASSICAL" or (name == "CARLITZ" and q == 1):
+    if name == "CLASSICAL":
         spec = moments.classical_spec()
     elif name == "GEN_FIB":
         spec = moments.gen_fib_spec(q)

@@ -78,9 +78,7 @@ def fib_qb(n: int, point: ParamPoint) -> XsPoly:
 
 def _qb_coeff(m: int, point: ParamPoint, e: int) -> Fraction:
     """q^e / ((1 - q^(m-2) b)(1 - q^(m-1) b)): step m of F_n (e = m-2) and L_n (e = m-1)."""
-    point.require_pole_free((m - 2, m - 1))
-    q, b = point.q, point.b
-    return q**e / ((1 - q ** (m - 2) * b) * (1 - q ** (m - 1) * b))
+    return point.q**e / (point.level(m - 2) * point.level(m - 1))
 
 
 _fib_qb = sequence(
@@ -95,14 +93,12 @@ def fib_qb_closed(n: int, point: ParamPoint) -> XsPoly:
 
     The denominator is carried from k-1 to k by its two new factors
     (1 - q^k b)(1 - q^(n-k) b)."""
-    q, b = point.q, point.b
+    q = point.q
     terms = {}
     den = Fraction(1)
     for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
         if k:
-            den *= (1 - q**k * b) * (1 - q ** (n - k) * b)
-        if den == 0:
-            raise PoleError("pole in closed-form denominator")
+            den *= point.level(k) * point.level(n - k)
         terms[(n - 1 - 2 * k, k)] = q ** (k * k) * q_binom(n - 1 - k, k, q) / den
     return XsPoly(terms)
 
@@ -121,20 +117,16 @@ def _dilated_bottom_up(n: int, point: ParamPoint, seed0: XsPoly, seed1: XsPoly) 
     b_(n-m) = q^(n-m) b, so G_m = P_m(x, b_(n-m), s) is built for m = 0, 1, ..., n
     from the seeds G_0 = P_0 at level n and G_1 = P_1 at level n-1:
     G_m = x G_(m-1)(x,qs) + qs/((1-q b_(n-m))(1-q^2 b_(n-m))) G_(m-2)(x,q^2 s).
-    That is n-1 steps of two dilations each.  The pole checks run first, at
-    levels 0..n-2 in the order the depth-first recursion meets them, so the
-    same PoleError is raised."""
+    That is n-1 steps of two dilations each; step m divides by the levels
+    n-m+1 and n-m+2 of the point."""
     if n < 0:
         raise ValueError("the dilated route holds for n >= 0")
     if n == 0:
         return seed0
-    q, b = point.q, point.b
-    for j in range(n - 1):
-        point.shift_b(j).require_pole_free((1, 2))
+    q = point.q
     prev, cur = seed0, seed1
     for m in range(2, n + 1):
-        level_b = q ** (n - m) * b
-        coeff = q / ((1 - q * level_b) * (1 - q**2 * level_b))
+        coeff = q / (point.level(n - m + 1) * point.level(n - m + 2))
         prev, cur = cur, X * cur.dilate(q, 0, 1) + S.scale(coeff) * prev.dilate(q, 0, 2)
     return cur
 
@@ -162,15 +154,15 @@ def fib_qb_ext(n: int, point: ParamPoint) -> XsPoly:
 def fib_qb_backward(n: int, point: ParamPoint) -> XsPoly:
     """Backward-run recurrence oracle for negative indices, from
     F_(n-2) = (F_n - x F_(n-1)) (1-q^(n-2)b)(1-q^(n-1)b) / (q^(n-2) s),
-    walked in one loop from (F_1, F_0) down to F_n; the pole check at
-    levels (m, m+1) precedes step m."""
+    walked in one loop from (F_1, F_0) down to F_n.  Step m multiplies by
+    the levels m and m+1, denominators of the forward recurrence, so it
+    raises where they vanish."""
     if n >= 0:
         return fib_qb(n, point)
-    q, b = point.q, point.b
+    q = point.q
     hi, mid = fib_qb(1, point), fib_qb(0, point)
     for m in range(-1, n - 1, -1):
-        point.require_pole_free((m, m + 1))
-        scalar = (1 - q**m * b) * (1 - q ** (m + 1) * b) / q**m
+        scalar = point.level(m) * point.level(m + 1) / q**m
         hi, mid = mid, (hi - X * mid).scale(scalar).shift_s(-1)
     return mid
 
@@ -180,12 +172,10 @@ def fib_qb_backward(n: int, point: ParamPoint) -> XsPoly:
 
 def lucas_trace(n: int, point: ParamPoint) -> XsPoly:
     """l_n = F_(n+1)(x,b,s) + s/((1-b)(1-qb)) F_(n-1)(x,qb,qs), any integer n."""
-    q, b = point.q, point.b
-    point.require_pole_free((0, 1))
+    q = point.q
+    scalar = 1 / (point.level(0) * point.level(1))
     shifted = fib_qb_ext(n - 1, point.shift_b(1)).dilate(q, 0, 1)
-    return fib_qb_ext(n + 1, point) + shifted.shift_s(1).scale(
-        1 / ((1 - b) * (1 - q * b))
-    )
+    return fib_qb_ext(n + 1, point) + shifted.shift_s(1).scale(scalar)
 
 
 def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
@@ -196,13 +186,13 @@ def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
     (1 - q^(k-1) b)(1 - q^(n-k+1) b)."""
     if n <= 0:
         raise ValueError("closed form holds for n > 0")
-    q, b = point.q, point.b
+    q = point.q
     qn = q_int(n, q)
     terms = {}
     den = Fraction(1)
     for k in range(n // 2 + 1):
         if k:
-            den *= (1 - q ** (k - 1) * b) * (1 - q ** (n - k + 1) * b)
+            den *= point.level(k - 1) * point.level(n - k + 1)
         terms[(n - 2 * k, k)] = (
             q ** (k * k - k) * qn / q_int(n - k, q) * q_binom(n - k, k, q) / den
         )
@@ -256,7 +246,7 @@ def lucas_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     den = Fraction(1)
     for k in range(n // 2 + 1):
         if k:
-            den *= (1 - q**k * b) * (1 - q ** (n - k) * b)
+            den *= point.level(k) * point.level(n - k)
         num = q_binom(n - k, k, q) - q ** (n - k) * b * q_binom(n - 1 - k, k - 1, q)
         terms[(n - 2 * k, k)] = q ** (k * k) * num / den
     return XsPoly(terms)
@@ -273,9 +263,7 @@ def lucas_qb_relation(n: int, point: ParamPoint) -> XsPoly:
     """Third route: L_n = F_(n+1) - q^(2n-1) s b / ((1-q^(n-1)b)(1-q^n b)) F_(n-1)."""
     if n < 1:
         raise ValueError("relation holds for n >= 1")
-    q, b = point.q, point.b
-    point.require_pole_free((n - 1, n))
-    coeff = q ** (2 * n - 1) * b / ((1 - q ** (n - 1) * b) * (1 - q**n * b))
+    coeff = point.q ** (2 * n - 1) * point.b / (point.level(n - 1) * point.level(n))
     return fib_qb(n + 1, point) - S.scale(coeff) * fib_qb(n - 1, point)
 
 
@@ -302,11 +290,12 @@ def gen_lucas_backward(n: int, q) -> XsPoly:
     point = ParamPoint(q, Fraction(-1))
     if n >= 0:
         return lucas_qb(n, point)
-    # At b = -1 level j is a pole exactly when level -j is, so the walk first
-    # checks the levels of the forward recurrence to L_(-n), in its order, and
-    # raises the PoleError that gen_lucas_neg_closed raises.
-    for m in range(2, -n + 1):
-        point.require_pole_free((m - 2, m - 1))
+    # The walk multiplies by the levels j < 0, 1+q^j at b = -1, and level j
+    # vanishes exactly where level -j does.  So the levels 0..-n-1 of the
+    # forward recurrence to L_(-n) are taken first, in its order, to raise the
+    # PoleError that gen_lucas_neg_closed raises.
+    for j in range(-n):
+        point.level(j)
     hi, mid = lucas_qb(1, point), lucas_qb(0, point)
     for m in range(1, n + 1, -1):
         scalar = (1 + q ** (m - 2)) * (1 + q ** (m - 1)) / q ** (m - 1)
@@ -319,7 +308,7 @@ def gen_lucas_backward(n: int, q) -> XsPoly:
 
 def alsalam_ismail(n: int, a, beta, q) -> XsPoly:
     """u_n(x; a, beta): u_0 = 1, u_1 = (1+a)x,
-    u_n = x (1 + q^(n-1) a) u_(n-1) - q^(n-2) beta u_(n-2).
+    u_n = x (1+q^(n-1) a) u_(n-1) - q^(n-2) beta u_(n-2).
 
     beta may be a rational or an XsPoly (e.g. -q*s for the Chebyshev case)."""
     return _alsalam_ismail(n, as_rational(a), XsPoly._coerce(beta), as_rational(q))
@@ -336,7 +325,7 @@ _alsalam_ismail = sequence(
 
 
 def cheb_u(n: int, q) -> XsPoly:
-    """U_n = (1 + q^n) x U_(n-1) + q^(n-1) s U_(n-2); U_0 = 1, U_1 = (1+q)x."""
+    """U_n = (1+q^n) x U_(n-1) + q^(n-1) s U_(n-2); U_0 = 1, U_1 = (1+q)x."""
     if n < 0:
         raise ValueError("use cheb_u_ext for negative indices")
     return _cheb_u(n, as_rational(q))
@@ -394,7 +383,7 @@ def cheb_u_backward(n: int, q) -> XsPoly:
 
 
 def cheb_t(n: int, q) -> XsPoly:
-    """T_n = (1 + q^(n-1)) x T_(n-1) + q^(n-1) s T_(n-2); T_0 = 1, T_1 = x."""
+    """T_n = (1+q^(n-1)) x T_(n-1) + q^(n-1) s T_(n-2); T_0 = 1, T_1 = x."""
     if n < 0:
         raise ValueError("use cheb_t_ext for negative indices")
     return _cheb_t(n, as_rational(q))

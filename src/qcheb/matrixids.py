@@ -12,9 +12,7 @@ from .report import check_range
 
 def fib_factor(j: int, point: ParamPoint) -> Mat2:
     """The transfer matrix C(x, q^j b, q^j s, q) with the s-dilation applied."""
-    q, b = point.q, point.b
-    point.require_pole_free((j, j + 1))
-    lower = S.scale(q**j / ((1 - q**j * b) * (1 - q ** (j + 1) * b)))
+    lower = S.scale(point.q**j / (point.level(j) * point.level(j + 1)))
     return Mat2(ZERO, ONE, lower, X)
 
 
@@ -30,9 +28,9 @@ def fib_matrix_product(n: int, point: ParamPoint) -> Mat2:
 
 def fib_matrix_expected(n: int, point: ParamPoint) -> Mat2:
     """Entrywise family expressions for the product of n Fibonacci factors."""
-    q, b = point.q, point.b
+    q = point.q
     shifted = point.shift_b(1)
-    scalar = 1 / ((1 - b) * (1 - q * b))
+    scalar = 1 / (point.level(0) * point.level(1))
 
     def upshift(m):
         return families.fib_qb_ext(m, shifted).dilate(q, 0, 1)
@@ -74,10 +72,8 @@ def cassini_euler_sides(n: int, k: int, point: ParamPoint):
         return families.fib_qb_ext(m, shifted).dilate(q, 0, 1)
 
     f = lambda m: families.fib_qb_ext(m, point)
-    point.require_pole_free((0, 1))
-    d = (up(n - 1) * f(n + k) - up(n + k - 1) * f(n)).shift_s(1) * (
-        1 / ((1 - b) * (1 - q * b))
-    )
+    inverse = 1 / (point.level(0) * point.level(1))
+    d = (up(n - 1) * f(n + k) - up(n + k - 1) * f(n)).shift_s(1) * inverse
     scalar = q ** binom2(n) / (q_poch(b, q, n) * q_poch(q * b, q, n))
     inner = families.fib_qb_ext(k, point.shift_b(n)).dilate(q, 0, n)
     return d, (inner * scalar * Fraction(-1) ** n).shift_s(n)

@@ -27,7 +27,10 @@ def as_rational(v) -> Fraction:
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """A concrete rational substitution (q, b), q != 0; x and s stay formal."""
+    """A concrete rational substitution (q, b), q != 0; x and s stay formal.
+
+    Every division of the (q,b) families by a factor 1 - q^j b goes through
+    level(j), the one place that raises the PoleError of a vanishing one."""
 
     q: Fraction
     b: Fraction
@@ -42,20 +45,15 @@ class ParamPoint:
         """The point with b replaced by q^j * b."""
         return ParamPoint(self.q, self.q**j * self.b)
 
-    def require_pole_free(self, levels) -> None:
-        """Raise PoleError unless q^j * b != 1 and q^j != -1 for all j in levels."""
-        for j in levels:
-            if self.q**j * self.b == 1:
-                raise PoleError(f"1 - q^{j} b vanishes at q={self.q}, b={self.b}")
-            if self.q**j == -1:
-                raise PoleError(f"1 + q^{j} vanishes at q={self.q}")
+    def level(self, j: int) -> Fraction:
+        """1 - q^j b, the factor the (q,b) families divide by; PoleError where it is 0."""
+        factor = 1 - self.q**j * self.b
+        if factor == 0:
+            raise PoleError(f"1 - q^{j} b vanishes at q={self.q}, b={self.b}")
+        return factor
 
     def is_pole_free(self, levels) -> bool:
-        try:
-            self.require_pole_free(levels)
-        except PoleError:
-            return False
-        return True
+        return all(self.q**j * self.b != 1 for j in levels)
 
 
 # Default sample set used by every identity suite; combinations producing a

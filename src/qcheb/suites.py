@@ -425,10 +425,7 @@ def checks(fault=None):
         Check("classical-binet", "fixed", classical_binet_check, "binet_float"),
     ]
     extended = [
-        Check(
-            "eq-2.13..15", "q",
-            lambda q: operators.commutation_check(_word_point(q)), None,
-        ),
+        Check("eq-2.13..15", "word", operators.commutation_check, None),
         Check("eq-2.16..21", "word", operators.schlosser_binomial_check, "schlosser"),
         Check("eq-2.24", "word", operators.fib_word_check, "fib_words"),
         Check("eq-5.25", "rodrigues", _rodrigues(analysis.rodrigues_t), "rodrigues"),

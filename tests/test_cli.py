@@ -9,6 +9,7 @@ import pytest
 
 from qcheb import cli, families, suites
 from qcheb.polyring import XsPoly
+from qcheb.qkernel import ParamPoint
 
 
 def run_cli(argv):
@@ -95,6 +96,19 @@ def test_moments_classical():
     code, text = run_cli(["moments", "--family", "CARLITZ", "--n", "4", "--q", "1"])
     assert code == 0
     assert "moment(x^4) = 2*s^2" in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_carlitz_moments_at_q_1_are_the_classical_rows(fmt):
+    """carlitz_spec(1) is the classical recurrence t(k) = s."""
+    args = ["--n", "10", "--q", "1", "--format", fmt]
+    code, carlitz = run_cli(["moments", "--family", "CARLITZ", *args])
+    assert code == 0
+    code, classical = run_cli(["moments", "--family", "CLASSICAL", *args])
+    assert code == 0
+    if fmt == "json":
+        carlitz, classical = json.loads(carlitz)["rows"], json.loads(classical)["rows"]
+    assert carlitz == classical
 
 
 def test_catalan():
@@ -192,8 +206,8 @@ def test_unknown_suite_raises():
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (["gen", "--family", "F_QB", "--n", "4", "--q=-1", "--b", "3"],
-         "error: 1 + q^1 vanishes at q=-1\n"),
+        (["gen", "--family", "F_QB", "--n", "4", "--q=-1", "--b=-1"],
+         "error: 1 - q^1 b vanishes at q=-1, b=-1\n"),
         (["moments", "--family", "GEN_FIB", "--q", "-1", "--n", "4"],
          "error: division by zero at these parameters\n"),
     ],
@@ -208,16 +222,35 @@ def test_pole_at_q_minus_1_is_a_clean_usage_error(argv, names, capsys):
     assert "Traceback" not in err
 
 
+def test_gen_at_q_minus_1_off_its_poles_prints_the_closed_form():
+    """1 + q^j = 0 is no pole: F_QB at (-1, 3) divides by nothing that vanishes."""
+    code, text = run_cli(["gen", "--family", "F_QB", "--n", "4", "--q=-1", "--b", "3"])
+    assert code == 0
+    point = ParamPoint(-1, 3)
+    assert text == "".join(
+        f"F_QB_{n} = {families.fib_qb_closed(n, point)}\n" for n in range(5)
+    )
+
+
 def test_verify_at_q_minus_1_skips_the_rows_that_meet_a_pole(capsys):
-    """A pole once checks have started is a skipped report, not exit 2."""
+    """A pole once checks have started is a skipped report, not exit 2.  Every
+    point row reports at the three points of the default b grid that are
+    pole-free at q = -1; (-1, -1) has 1 - qb = 0."""
     code, text = run_cli(["verify", "--suite", "all", "--q=-1", "--format", "json"])
     assert code == 0
     assert capsys.readouterr().err == ""
     payload = json.loads(text)
-    assert payload["summary"] == {"pass": 61, "fail": 0, "skipped": 21}
+    assert payload["summary"] == {"pass": 82, "fail": 0, "skipped": 27}
     skipped = [r for r in payload["reports"] if r["status"] == "skipped"]
     assert skipped and all(r["reason"] for r in skipped)
     assert all("reason" not in r for r in payload["reports"] if r["status"] != "skipped")
+    core, _ = suites.checks()
+    point_rows = {row.id for row in core if row.scope in ("point", "neg_point")}
+    for b in ("0", "2", "3/7"):
+        at_point = {
+            r["identity_id"] for r in payload["reports"] if r["point"] == {"q": "-1", "b": b}
+        }
+        assert point_rows <= at_point, b
 
 
 def test_verify_text_names_the_reason_of_each_skip():

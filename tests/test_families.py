@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcheb import families, qkernel, suites
+from qcheb import families, matrixids, qkernel, suites
 from qcheb.polyring import ONE, S, X, XsPoly, ZERO
 from qcheb.qkernel import (
     DEFAULT_QS,
@@ -184,24 +184,19 @@ def _bare(numerator):
         return str(exc)
 
 
+POLE_AT_LEVEL_5 = "1 - q^5 b vanishes at q=2, b=1/32"
 POLE_CASES = [
-    (families.fib_qb_dilated, (8, ParamPoint(2, F(1, 32))),
-     PoleError, "1 - q^2 b vanishes at q=2, b=1/4"),
-    (families.lucas_qb_dilated, (8, ParamPoint(2, F(1, 32))),
-     PoleError, "1 - q^2 b vanishes at q=2, b=1/4"),
-    (families.fib_qb_dilated, (6, ParamPoint(-1, 3)),
-     PoleError, "1 + q^1 vanishes at q=-1"),
+    (families.fib_qb_dilated, (8, ParamPoint(2, F(1, 32))), PoleError, POLE_AT_LEVEL_5),
+    (families.lucas_qb_dilated, (8, ParamPoint(2, F(1, 32))), PoleError, POLE_AT_LEVEL_5),
     (families.fib_qb_backward, (-8, ParamPoint(2, 32)),
      PoleError, "1 - q^-5 b vanishes at q=2, b=32"),
     (families.gen_lucas_backward, (-5, 0), PoleError, "q = 0 is not a valid parameter"),
     (families.cheb_u_backward, (-4, 0), ZeroDivisionError, _bare(1)),
     (families.cheb_t_backward, (-4, 0), ZeroDivisionError, _bare(1)),
-    (families.fib_qb_closed, (8, ParamPoint(2, F(1, 32))),
-     PoleError, "pole in closed-form denominator"),
+    (families.fib_qb_closed, (8, ParamPoint(2, F(1, 32))), PoleError, POLE_AT_LEVEL_5),
     (families.fib_qb_closed, (8, ParamPoint(-1, 3)), ZeroDivisionError, _bare(0)),
-    (families.lucas_qb_closed, (8, ParamPoint(2, F(1, 32))), ZeroDivisionError, _bare(1)),
-    (families.lucas_trace_closed, (8, ParamPoint(2, F(1, 32))),
-     ZeroDivisionError, _bare(1)),
+    (families.lucas_qb_closed, (8, ParamPoint(2, F(1, 32))), PoleError, POLE_AT_LEVEL_5),
+    (families.lucas_trace_closed, (8, ParamPoint(2, F(1, 32))), PoleError, POLE_AT_LEVEL_5),
     (families.lucas_trace_closed, (8, ParamPoint(-1, 3)), ZeroDivisionError, _bare(0)),
     (families.cheb_t_closed, (7, -1), ZeroDivisionError, _bare(-1)),
     (families.cheb_t_closed, (8, -1), ZeroDivisionError, _bare(0)),
@@ -227,6 +222,40 @@ def test_oracle_pole_errors(fn, args, exc, message):
         fn(*args)
     assert info.type is exc
     assert str(info.value) == message
+
+
+def test_dilated_route_at_q_minus_1_off_its_poles_equals_the_closed_form():
+    """1 + q^j = 0 is no pole: at (-1, 3) no level 1 - q^j b vanishes."""
+    point = ParamPoint(-1, 3)
+    assert families.fib_qb_dilated(6, point) == families.fib_qb_closed(6, point)
+
+
+# Each route with the b-levels it divides by at index n.
+LEVEL_ROUTES = (
+    (families.fib_qb, 0, lambda n: range(n) if n >= 2 else ()),
+    (families.lucas_qb, 0, lambda n: range(n) if n >= 2 else ()),
+    (families.fib_qb_dilated, 0, lambda n: range(1, n + 1) if n >= 2 else ()),
+    (families.lucas_qb_dilated, 0, lambda n: range(1, n + 1) if n >= 2 else ()),
+    (matrixids.fib_matrix_product, 1, lambda n: range(n + 1)),
+)
+
+
+@pytest.mark.parametrize("q", [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3, 5)], ids=str)
+def test_routes_raise_exactly_where_a_level_vanishes(q):
+    """A route raises PoleError if and only if q^j b = 1 at one of its
+    levels, and returns otherwise; b runs over q^-j for -2 <= j <= 10."""
+    bs = {F(0), F(3), F(-1), F(3, 7)} | {q**-j for j in range(-2, 11)}
+    for b in sorted(bs):
+        point = ParamPoint(q, b)
+        for route, lowest, levels in LEVEL_ROUTES:
+            for n in range(lowest, 11):
+                pole = any(q**j * b == 1 for j in levels(n))
+                try:
+                    route(n, point)
+                except PoleError:
+                    assert pole, (route.__name__, n, point)
+                else:
+                    assert not pole, (route.__name__, n, point)
 
 
 def test_gen_lucas_negative_routes_agree_at_q_1():
@@ -359,7 +388,7 @@ def test_sequence_memo_is_bounded():
 @pytest.mark.parametrize(
     "point, n, message",
     [
-        (ParamPoint(F(-1), F(3)), 6, "1 + q^1 vanishes at q=-1"),
+        (ParamPoint(F(-1), F(-1)), 6, "1 - q^1 b vanishes at q=-1, b=-1"),
         (ParamPoint(F(2), F(1, 8)), 6, "1 - q^3 b vanishes at q=2, b=1/8"),
     ],
 )
@@ -452,13 +481,21 @@ def test_threads_filling_one_sequence_agree_with_the_closed_form():
 # summed one monomial at a time.
 
 
+def _raise_pole(point, *levels):
+    """Where a from-scratch denominator is 0, raise the PoleError of the first
+    of the levels new at this term that vanishes."""
+    for j in levels:
+        point.level(j)
+    raise AssertionError(f"no level of {levels} vanishes at {point}")
+
+
 def ref_fib_qb_closed(n, point):
     q, b = point.q, point.b
     terms = ZERO
     for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
         den = q_poch(q * b, q, k) * q_poch(q ** (n - k) * b, q, k)
         if den == 0:
-            raise PoleError("pole in closed-form denominator")
+            _raise_pole(point, k, n - k)
         c = q ** (k * k) * q_binom(n - 1 - k, k, q) / den
         terms = terms + XsPoly.monomial(c, n - 1 - 2 * k, k)
     return terms
@@ -471,6 +508,8 @@ def ref_lucas_trace_closed(n, point):
     out = ZERO
     for k in range(n // 2 + 1):
         den = q_poch(b, q, k) * q_poch(q ** (n - k + 1) * b, q, k)
+        if den == 0:
+            _raise_pole(point, k - 1, n - k + 1)
         c = q ** (k * k - k) * q_int(n, q) / q_int(n - k, q) * q_binom(n - k, k, q) / den
         out = out + XsPoly.monomial(c, n - 2 * k, k)
     return out
@@ -483,6 +522,8 @@ def ref_lucas_qb_closed(n, point):
     out = ZERO
     for k in range(n // 2 + 1):
         den = q_poch(q * b, q, k) * q_poch(q ** (n - k) * b, q, k)
+        if den == 0:
+            _raise_pole(point, k, n - k)
         num = q_binom(n - k, k, q) - q ** (n - k) * b * q_binom(n - 1 - k, k - 1, q)
         out = out + XsPoly.monomial(q ** (k * k) * num / den, n - 2 * k, k)
     return out

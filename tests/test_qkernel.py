@@ -104,9 +104,11 @@ def test_param_point_guards():
         ParamPoint(F(0), F(0))
     assert ParamPoint(F(1), F(0)).q == 1  # q = 1 is an ordinary point
     p = ParamPoint(F(2), F(1, 2))
-    with pytest.raises(PoleError):
-        p.require_pole_free([1])  # q^1 * b = 1
-    assert p.is_pole_free([0, 2, 3])
+    assert p.level(0) == F(1, 2) and p.level(2) == -1 and p.level(-1) == F(3, 4)
+    with pytest.raises(PoleError, match=r"^1 - q\^1 b vanishes at q=2, b=1/2$"):
+        p.level(1)  # q^1 * b = 1
+    assert p.is_pole_free([0, 2, 3]) and not p.is_pole_free([0, 1])
+    assert ParamPoint(-1, 3).level(1) == 4  # 1 + q^j = 0 is no pole
 
 
 def test_shift_b():

@@ -183,3 +183,13 @@ def test_failing_reports_are_pinned(monkeypatch, target):
     assert failing
     digest = hashlib.sha256(json.dumps(failing).encode()).hexdigest()
     assert digest == PERTURBED[target]
+
+
+def test_a_word_row_is_reported_at_its_word_point():
+    """eq-2.13..15 runs at (q, 3/7), so its skip there names that point."""
+    out = io.StringIO()
+    code = cli.main(["verify", "--suite", "extended", "--q", "7/3"], out=out)
+    assert code == 0
+    lines = out.getvalue().splitlines()
+    at = lines.index("skipped eq-2.13..15 @ q=7/3, b=3/7  n in (0, 0)")
+    assert lines[at + 1] == "        reason: 1 - q^1 b vanishes at q=7/3, b=3/7"
