@@ -78,7 +78,7 @@ def fib_qb(n: int, point: ParamPoint) -> XsPoly:
 
 def _qb_coeff(m: int, point: ParamPoint, e: int) -> Fraction:
     """q^e / ((1 - q^(m-2) b)(1 - q^(m-1) b)): step m of F_n (e = m-2) and L_n (e = m-1)."""
-    return point.q**e / (point.level(m - 2) * point.level(m - 1))
+    return point.power(e) / (point.level(m - 2) * point.level(m - 1))
 
 
 _fib_qb = sequence(
@@ -140,12 +140,9 @@ def fib_qb_ext(n: int, point: ParamPoint) -> XsPoly:
     if n >= 0:
         return fib_qb(n, point)
     m = -n
-    q, b = point.q, point.b
+    q = point.q
     scalar = (
-        Fraction(-1) ** (m - 1)
-        * q ** binom2(m + 1)
-        * q_poch(b * q ** (1 - m), q, m)
-        * q_poch(b * q**-m, q, m)
+        Fraction(-1) ** (m - 1) * q ** binom2(m + 1) * point.poch(1 - m, m) * point.poch(-m, m)
     )
     inner = fib_qb(m, point.shift_b(-m)).dilate(q, 0, -m)
     return inner.scale(scalar).shift_s(-m)
@@ -204,13 +201,8 @@ def lucas_trace_neg_closed(n: int, point: ParamPoint) -> XsPoly:
     l_(-n) = (-1)^n q^C(n+1,2) / s^n (b/q^n;q)_n (b/q^(n-1);q)_n l_n(x, b/q^n, s/q^n)."""
     if n <= 0:
         raise ValueError("pass the positive n of l_(-n)")
-    q, b = point.q, point.b
-    scalar = (
-        Fraction(-1) ** n
-        * q ** binom2(n + 1)
-        * q_poch(b * q**-n, q, n)
-        * q_poch(b * q ** (1 - n), q, n)
-    )
+    q = point.q
+    scalar = Fraction(-1) ** n * q ** binom2(n + 1) * point.poch(-n, n) * point.poch(1 - n, n)
     inner = lucas_trace(n, point.shift_b(-n)).dilate(q, 0, -n)
     return inner.scale(scalar).shift_s(-n)
 

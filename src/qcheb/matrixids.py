@@ -6,13 +6,13 @@ from fractions import Fraction
 
 from . import families
 from .polyring import Mat2, ONE, S, X, XsPoly, ZERO
-from .qkernel import ParamPoint, as_rational, binom2, q_poch
+from .qkernel import ParamPoint, as_rational, binom2
 from .report import check_range
 
 
 def fib_factor(j: int, point: ParamPoint) -> Mat2:
     """The transfer matrix C(x, q^j b, q^j s, q) with the s-dilation applied."""
-    lower = S.scale(point.q**j / (point.level(j) * point.level(j + 1)))
+    lower = S.scale(point.power(j) / (point.level(j) * point.level(j + 1)))
     return Mat2(ZERO, ONE, lower, X)
 
 
@@ -53,11 +53,7 @@ def cassini_sides(n: int, point: ParamPoint):
     lhs = up(n - 1) * families.fib_qb_ext(n + 1, point) - families.fib_qb_ext(
         n, point
     ) * up(n)
-    scalar = (
-        Fraction(-1) ** n
-        * q ** binom2(n)
-        / (q_poch(q * point.b, q, n - 1) * q_poch(q**2 * point.b, q, n - 1))
-    )
+    scalar = Fraction(-1) ** n * q ** binom2(n) / (point.poch(1, n - 1) * point.poch(2, n - 1))
     return lhs, XsPoly.monomial(scalar, 0, n - 1)
 
 
@@ -65,7 +61,7 @@ def cassini_euler_sides(n: int, k: int, point: ParamPoint):
     """Both sides of the (q,b)-Cassini-Euler identity: d(n,k,b,s) built from
     family values equals
     q^C(n,2) (-s)^n / ((b;q)_n (qb;q)_n) F_k(x, q^n b, q^n s)."""
-    q, b = point.q, point.b
+    q = point.q
     shifted = point.shift_b(1)
 
     def up(m):
@@ -74,7 +70,7 @@ def cassini_euler_sides(n: int, k: int, point: ParamPoint):
     f = lambda m: families.fib_qb_ext(m, point)
     inverse = 1 / (point.level(0) * point.level(1))
     d = (up(n - 1) * f(n + k) - up(n + k - 1) * f(n)).shift_s(1) * inverse
-    scalar = q ** binom2(n) / (q_poch(b, q, n) * q_poch(q * b, q, n))
+    scalar = q ** binom2(n) / (point.poch(0, n) * point.poch(1, n))
     inner = families.fib_qb_ext(k, point.shift_b(n)).dilate(q, 0, n)
     return d, (inner * scalar * Fraction(-1) ** n).shift_s(n)
 

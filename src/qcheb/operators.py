@@ -9,18 +9,12 @@ single final evaluation, so dilation is just an exponent shift.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from . import families
 from .polyring import ONE, S, X as POLY_X, XsPoly, ZERO
 from .qkernel import ParamPoint, as_rational, binom2, q_binom
 from .report import check_range, failing, passing
-
-
-@lru_cache(maxsize=1024)
-def _inv_factor(point: ParamPoint, e: int) -> Fraction:
-    return 1 / point.level(e)
 
 
 def apply_word(word, point: ParamPoint, start=(0, 0, 0)) -> XsPoly:
@@ -53,7 +47,7 @@ def apply_word(word, point: ParamPoint, start=(0, 0, 0)) -> XsPoly:
             raise ValueError(f"unknown letter {letter!r}")
     value = q**exp_q * b**m
     for base, s0 in denoms:
-        value *= _inv_factor(point, base + shift - s0)
+        value /= point.level(base + shift - s0)
     return XsPoly.monomial(value, i, j)
 
 
@@ -82,14 +76,14 @@ def ck_closed(n: int, k: int, point: ParamPoint) -> XsPoly:
 
 
 def schlosser_coefficient(n: int, k: int, point: ParamPoint, shift: int = 0) -> Fraction:
-    """c(n, k, q^shift b) = [n over k] (q^(k+1+shift) b;q)_k / (q^(n+1+shift) b;q)_k."""
-    q, b = point.q, point.b
-    num = Fraction(1)
+    """c(n, k, q^shift b) = [n over k] (q^(k+1+shift) b;q)_k / (q^(n+1+shift) b;q)_k,
+    and 0 for k < 0."""
+    if k < 0:
+        return Fraction(0)
     den = Fraction(1)
     for j in range(shift, shift + k):
-        num *= 1 - q ** (k + 1 + j) * b
         den *= point.level(n + 1 + j)
-    return q_binom(n, k, q) * num / den
+    return q_binom(n, k, point.q) * point.poch(k + 1 + shift, k) / den
 
 
 def fib_words(n: int):

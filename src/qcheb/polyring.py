@@ -2,6 +2,7 @@
 q-dilation substitution, q-derivative, 2x2 matrices and truncated power series.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -301,9 +302,19 @@ class XsPoly:
 
     @staticmethod
     def from_json(data):
+        """The polynomial to_json wrote.  A coefficient with a numerator or
+        denominator longer than Python's int-to-str digit limit is rejected
+        with a ValueError naming its term."""
+        limit = sys.get_int_max_str_digits()
         terms = {}
         for t in data["terms"]:
-            terms[(int(t["dx"]), int(t["ds"]))] = Fraction(t["c"])
+            key = (int(t["dx"]), int(t["ds"]))
+            if limit and max(map(len, t["c"].lstrip("-").split("/"))) > limit:
+                raise ValueError(
+                    f"coefficient of term (dx, ds) = {key} has more than {limit} digits;"
+                    " such coefficients are rejected"
+                )
+            terms[key] = Fraction(t["c"])
         return XsPoly(terms)
 
     def __str__(self):

@@ -1,5 +1,11 @@
 """Exact scalar building blocks: q-integers, Gaussian binomials, q-Pochhammer
-symbols, Carlitz q-Catalan numbers and the bounded memo of every recurrence.
+symbols, Carlitz q-Catalan numbers, parameter points and the bounded memo of
+every recurrence.
+
+A ParamPoint (q, b) owns its b-ladder: the powers q^j, the factors
+1 - q^j b and the Pochhammer symbols (q^s b;q)_m that the (q,b) families
+multiply and divide by, each computed once per ladder.  q_poch is the
+general, uncached Pochhammer symbol for every other base.
 
 All arithmetic is over `fractions.Fraction`; nothing here ever rounds.
 """
@@ -8,6 +14,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 
 class PoleError(ZeroDivisionError):
@@ -29,31 +36,81 @@ def as_rational(v) -> Fraction:
 class ParamPoint:
     """A concrete rational substitution (q, b), q != 0; x and s stay formal.
 
-    Every division of the (q,b) families by a factor 1 - q^j b goes through
-    level(j), the one place that raises the PoleError of a vanishing one."""
+    A point owns its b-ladder: the powers q^j, the factors 1 - q^j b and the
+    Pochhammer symbols (q^s b;q)_m, each computed on first use and kept in
+    tables indexed from the point's b.  shift_b(j) builds the point at
+    q^j b once and gives it the same tables, indexed j further on, so the
+    points one point shifts to share one ladder, which lives as long as the
+    last of them.  The hash is computed once.  Every division of the (q,b)
+    families by a factor 1 - q^j b goes through level(j), the one place that
+    raises the PoleError of a vanishing one.  Two threads filling the same
+    entry store equal values."""
 
     q: Fraction
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "q", as_rational(self.q))
-        object.__setattr__(self, "b", as_rational(self.b))
-        if self.q == 0:
+        q, b = as_rational(self.q), as_rational(self.b)
+        if q == 0:
             raise PoleError("q = 0 is not a valid parameter")
+        self.__dict__.update(q=q, b=b, _hash=hash((q, b)), _shifts={}, _offset=0,
+                             _powers={}, _factors={}, _pochs={})
 
-    def shift_b(self, j: int) -> "ParamPoint":
-        """The point with b replaced by q^j * b."""
-        return ParamPoint(self.q, self.q**j * self.b)
+    def __hash__(self):
+        return self._hash
+
+    def power(self, j: int) -> Fraction:
+        """q^j."""
+        value = self._powers.get(j)
+        if value is None:
+            value = self._powers[j] = self.q**j
+        return value
+
+    def _factor(self, j: int) -> Fraction:
+        """1 - q^j b, zero or not."""
+        key = j + self._offset
+        value = self._factors.get(key)
+        if value is None:
+            value = self._factors[key] = 1 - self.q**j * self.b
+        return value
 
     def level(self, j: int) -> Fraction:
         """1 - q^j b, the factor the (q,b) families divide by; PoleError where it is 0."""
-        factor = 1 - self.q**j * self.b
-        if factor == 0:
+        factor = self._factor(j)
+        if not factor:
             raise PoleError(f"1 - q^{j} b vanishes at q={self.q}, b={self.b}")
         return factor
 
+    def poch(self, s: int, m: int) -> Fraction:
+        """(q^s b;q)_m, a product of factors 1 - q^j b that may be 0.  Each
+        product is kept once asked for, and extends a kept (s, m-1) by one
+        factor; m < 0 is q_poch's reciprocal, which is not kept."""
+        if m < 0:
+            return q_poch(self.power(s) * self.b, self.q, m)
+        start = s + self._offset
+        value = self._pochs.get((start, m))
+        if value is None:
+            shorter = self._pochs.get((start, m - 1))
+            if shorter is None:
+                value = prod(map(self._factor, range(s, s + m)), start=Fraction(1))
+            else:
+                value = shorter * self._factor(s + m - 1)
+            self._pochs[start, m] = value
+        return value
+
+    def shift_b(self, j: int) -> "ParamPoint":
+        """The point with b replaced by q^j * b, built once per j, on this
+        point's ladder."""
+        point = self._shifts.get(j)
+        if point is None:
+            point = ParamPoint(self.q, self.power(j) * self.b)
+            point.__dict__.update(_offset=self._offset + j, _powers=self._powers,
+                                  _factors=self._factors, _pochs=self._pochs)
+            self._shifts[j] = point
+        return point
+
     def is_pole_free(self, levels) -> bool:
-        return all(self.q**j * self.b != 1 for j in levels)
+        return all(self._factor(j) for j in levels)
 
 
 # Default sample set used by every identity suite; combinations producing a

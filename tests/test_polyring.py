@@ -251,6 +251,12 @@ def test_json_round_trip_negative_s_power():
     assert XsPoly.from_json(p.to_json()) == p
 
 
+def test_from_json_rejects_a_coefficient_past_the_digit_limit():
+    data = {"terms": [{"dx": 0, "ds": 0, "c": "1"}, {"dx": 1, "ds": 2, "c": "7" * 5000 + "/3"}]}
+    with pytest.raises(ValueError, match=r"^coefficient of term \(dx, ds\) = \(1, 2\) .* rejected$"):
+        XsPoly.from_json(data)
+
+
 def test_subs_and_eval():
     p = X * X + S.scale(2)
     assert p.subs_s(F(3)) == X * X + XsPoly.const(6)

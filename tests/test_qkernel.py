@@ -4,6 +4,8 @@ q-Catalan numbers and parameter points."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcheb.qkernel import (
     DEFAULT_QS,
@@ -115,6 +117,56 @@ def test_shift_b():
     p = ParamPoint(F(2), F(3))
     assert p.shift_b(2).b == 12
     assert p.shift_b(-1).b == F(3, 2)
+
+
+LADDER_QS = (F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3, 5))
+
+
+@st.composite
+def ladder_points(draw):
+    """(q, b) with b = q^-j for -2 <= j <= 10, where level j vanishes, or a
+    b of no such kind."""
+    q = draw(st.sampled_from(LADDER_QS))
+    others = st.sampled_from([F(0), F(3), F(-1), F(3, 7)])
+    return q, draw(st.one_of(others, st.integers(-2, 10).map(lambda j: q**-j)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+def _level_reference(q, b, j):
+    if q**j * b == 1:
+        raise PoleError(f"1 - q^{j} b vanishes at q={q}, b={b}")
+    return 1 - q**j * b
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ladder_points(),
+    st.lists(
+        st.tuples(*[st.integers(-3, 3)] * 2, *[st.integers(-6, 8)] * 3), min_size=1, max_size=8
+    ),
+)
+def test_ladder_matches_its_definition(qb, queries):
+    """Asked in any order, at a point or at the points its shifts made (which
+    share its ladder), every entry equals its uncached definition, and a pole
+    raises the same error on every call."""
+    q, b = qb
+    root = ParamPoint(q, b)
+    for t1, t2, s, m, j in queries:
+        p = root.shift_b(t1).shift_b(t2)
+        assert p == ParamPoint(q, q ** (t1 + t2) * b)
+        for k in (m - 1, m):  # (s, m) extends (s, m - 1)
+            assert _outcome(p.poch, s, k) == _outcome(q_poch, q**s * p.b, q, k)
+        level = _outcome(_level_reference, q, p.b, j)
+        assert _outcome(p.level, j) == level and _outcome(p.level, j) == level
+        assert p.power(j) == q**j
+        assert hash(p) == hash(ParamPoint(p.q, p.b))
+        assert p.shift_b(j) == ParamPoint(q, q**j * p.b) and p.shift_b(j) is p.shift_b(j)
 
 
 def test_sample_points_filter_poles():

@@ -2,6 +2,7 @@
 for commands that exercise the skip path, the extended suite and the --max-n
 rules, and the failing reports of perturbed generators."""
 
+import gc
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qcheb import cli, families, moments, qkernel, suites
+from qcheb import cli, families, matrixids, moments, qkernel, suites
 from qcheb.polyring import ONE
 from qcheb.qkernel import ParamPoint
 
@@ -39,6 +40,13 @@ PINNED = {
         "9d00d32972e764457921f6d7557ad2b90b16ff56e4b682bffcf5a85bfee88efa",
     "verify --suite all --q 2 --b 3/7 --max-n 6":
         "26fe224e18e541ab2be5476ccbf6ba8ddad292ca271c71f49d12280ea41f41c5",
+    # zero factors and negative-order Pochhammer symbols are reached here
+    "verify --suite all --q=-1":
+        "a3f2bd57caa74616966bb19c53b2f681d17bdd9fe30ccfbcafd3f9d45ecad29f",
+    "verify --suite core --q 2 --b 4":
+        "6adf7d393353dba7cbd55f831e21497032b963503294957b4444dee16d296430",
+    "verify --suite core --q 2 --b 1/32":
+        "9ec0e97d5110f0d04de35bb2aa89a3ab6571f7cb27e5d66bc0859a6fdc20d3f0",
 }
 
 
@@ -127,6 +135,35 @@ def test_run_suite_repeats_after_every_memo_is_evicted():
     assert len(memos) == 7
     assert all(memo.cache_info().currsize == 64 for memo in memos)
     assert run() == first
+
+
+def _live_points():
+    gc.collect()
+    return sum(isinstance(obj, ParamPoint) for obj in gc.get_objects())
+
+
+def test_per_point_ladders_stay_bounded_and_change_no_later_run():
+    """The ladders live in their points, so the number of live points does
+    not grow with the number of points used; and a second run in the same
+    process, which finds the first run's points and their filled ladders in
+    the recurrence memos, gives the same reports."""
+
+    def use(points):
+        for i in points:
+            point = ParamPoint(F(3, 5), F(i, 1000037))
+            families.lucas_trace(-4, point)
+            matrixids.cassini_sides(-3, point)
+
+    use(range(1, 101))
+    live = _live_points()
+    use(range(101, 301))
+    assert _live_points() == live
+
+    def run():
+        reports = suites.run_suite("core", qs=[F(3, 5)], bs=[F(3, 7)])
+        return [report.to_json() for report in reports]
+
+    assert run() == run()
 
 
 # One generator made wrong by one at one index: the sha256 of the JSON of the
