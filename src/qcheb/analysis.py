@@ -8,8 +8,7 @@ from fractions import Fraction
 
 from . import families
 from .polyring import S, TruncSeries, X, XsPoly, ZERO
-from .qkernel import as_rational, binom2, q_int, q_poch
-from .report import check_range, failing, passing
+from .qkernel import as_rational, binom2, q_int
 
 
 def _xsq_plus(q):
@@ -29,7 +28,7 @@ def deriv_relation_t(n: int, q):
             families.cheb_u(m - 1, q).scale(q_int(m, q)),
         )
 
-    return check_range("eq-5.18", None, range(1, n + 1), sides)
+    return range(1, n + 1), sides
 
 
 def deriv_relation_u(n: int, q):
@@ -41,7 +40,7 @@ def deriv_relation_u(n: int, q):
         lhs = _xsq_plus(q) * u.dilate(q, 0, 2).q_deriv(q) + X.scale(q ** (m - 1)) * u
         yield lhs, families.cheb_t(m, q).scale(q_int(m, q))
 
-    return check_range("eq-5.19", None, range(1, n + 1), sides)
+    return range(1, n + 1), sides
 
 
 def qode_check_t(n: int, q):
@@ -60,7 +59,7 @@ def qode_check_t(n: int, q):
         ) + X * t.q_deriv(q)
         yield lhs2, t.dilate(q, 1, 0).scale(q_int(m, q) ** 2 / q**m)
 
-    return check_range("eq-5.20-5.22", None, range(n + 1), sides)
+    return range(n + 1), sides
 
 
 def qode_check_u(n: int, q):
@@ -82,7 +81,7 @@ def qode_check_u(n: int, q):
         ) + X.scale(three) * u.q_deriv(q)
         yield lhs2, u.dilate(q, 1, 0).scale(eig / q**m)
 
-    return check_range("eq-5.21-5.23", None, range(n + 1), sides)
+    return range(n + 1), sides
 
 
 # -- h-series, Pearson equation, Rodrigues formulae --------------------
@@ -106,36 +105,40 @@ class SeriesContext:
             raise ValueError("order must be at least 2")
 
 
-def h_coeff(k: int, q) -> Fraction:
-    """k-th coefficient of h: (q;q^2)_k / (q^2;q^2)_k."""
-    return q_poch(q, q * q, k) / q_poch(q * q, q * q, k)
+def h_coeffs(count: int, q) -> list:
+    """The first count coefficients of h, h_k = (q;q^2)_k / (q^2;q^2)_k, each
+    from the one before by the factor (1 - q^(2k-1)) / (1 - q^(2k))."""
+    coeffs = [Fraction(1)][:count]
+    for k in range(1, count):
+        coeffs.append(coeffs[-1] * (1 - q ** (2 * k - 1)) / (1 - q ** (2 * k)))
+    return coeffs
 
 
 def h_series(ctx: SeriesContext) -> TruncSeries:
     """h as a series in its own argument, to ctx.order."""
-    return TruncSeries([h_coeff(k, ctx.q) for k in range(ctx.order)], ctx.order)
+    return TruncSeries(h_coeffs(ctx.order, ctx.q), ctx.order)
 
 
 def h_functional_equation_check(ctx: SeriesContext):
     """h(t)(1 - t) = (1 - qt) h(q^2 t), the finite substitute for the
-    infinite-product form of h."""
-    h = h_series(ctx)
-    q = ctx.q
-    t = TruncSeries([Fraction(0), Fraction(1)], ctx.order)
-    lhs = h * (TruncSeries.one(ctx.order) - t)
-    rhs = (TruncSeries.one(ctx.order) - t * q) * h.dilate_var(q * q)
-    if lhs == rhs:
-        return passing("h-functional-eq", None, (0, ctx.order))
-    return failing("h-functional-eq", None, (0, ctx.order), ctx.order, lhs, rhs)
+    infinite-product form of h, compared once, at the series order."""
+
+    def sides(_):
+        h = h_series(ctx)
+        q = ctx.q
+        t = TruncSeries([Fraction(0), Fraction(1)], ctx.order)
+        lhs = h * (TruncSeries.one(ctx.order) - t)
+        yield lhs, (TruncSeries.one(ctx.order) - t * q) * h.dilate_var(q * q)
+
+    return [ctx.order], sides, (0, ctx.order)
 
 
 def h_of_x_squared(c: Fraction, ctx: SeriesContext) -> TruncSeries:
     """h(c * x^2) as a series in x."""
     coeffs = [Fraction(0)] * ctx.order
     power = Fraction(1)
-    for k in range(ctx.order // 2 + 1):
-        if 2 * k < ctx.order:
-            coeffs[2 * k] = h_coeff(k, ctx.q) * power
+    for k, h in enumerate(h_coeffs((ctx.order + 1) // 2, ctx.q)):
+        coeffs[2 * k] = h * power
         power *= c
     return TruncSeries(coeffs, ctx.order)
 
@@ -147,15 +150,16 @@ def weight_series(ctx: SeriesContext) -> TruncSeries:
 
 def pearson_check(ctx: SeriesContext):
     """Pearson operator equation D((x^2 + s) w(x)) = q x w(qx)."""
-    q = ctx.q
-    w = weight_series(ctx)
-    x_sq = TruncSeries([ctx.s_val, Fraction(0), Fraction(1)], ctx.order)
-    # the q-derivative loses the top coefficient, so compare one order lower
-    lhs = (x_sq * w).qderiv_in_var(q).truncate(ctx.order - 1)
-    rhs = (w.dilate_var(q) * q).shift(1).truncate(ctx.order - 1)
-    if lhs == rhs:
-        return passing("pearson", None, (0, ctx.order))
-    return failing("pearson", None, (0, ctx.order), ctx.order, lhs, rhs)
+
+    def sides(_):
+        q = ctx.q
+        w = weight_series(ctx)
+        x_sq = TruncSeries([ctx.s_val, Fraction(0), Fraction(1)], ctx.order)
+        # the q-derivative loses the top coefficient, so compare one order lower
+        lhs = (x_sq * w).qderiv_in_var(q).truncate(ctx.order - 1)
+        yield lhs, (w.dilate_var(q) * q).shift(1).truncate(ctx.order - 1)
+
+    return [ctx.order], sides, (0, ctx.order)
 
 
 def _poly_to_series(poly: XsPoly, ctx: SeriesContext) -> TruncSeries:
@@ -186,7 +190,7 @@ def rodrigues_t(n: int, ctx: SeriesContext):
     # n applications of the q-derivative lose the top n coefficients
     rhs = (weight_series(ctx).recip() * inner * pref).truncate(ctx.order - n)
     lhs = _poly_to_series(families.cheb_t(n, q), ctx).truncate(ctx.order - n)
-    return check_range("eq-5.25", None, [n], lambda _: [(rhs, lhs)])
+    return [n], lambda _: [(rhs, lhs)]
 
 
 def rodrigues_u(n: int, ctx: SeriesContext):
@@ -207,7 +211,7 @@ def rodrigues_u(n: int, ctx: SeriesContext):
     # n applications of the q-derivative lose the top n coefficients
     rhs = (h_of_x_squared(-q / s, ctx) * inner * pref).truncate(ctx.order - n)
     lhs = _poly_to_series(families.cheb_u(n, q), ctx).truncate(ctx.order - n)
-    return check_range("eq-5.26", None, [n], lambda _: [(rhs, lhs)])
+    return [n], lambda _: [(rhs, lhs)]
 
 
 # -- generating functions ----------------------------------------------
@@ -252,117 +256,147 @@ def genfun_check(order: int, q):
         yield u_series.coeffs[n], families.cheb_u(n, q)
         yield t_series.coeffs[n], families.cheb_t(n, q)
 
-    return check_range("eq-5.37-5.38", None, range(order), sides)
+    return range(order), sides
 
 
 # -- identity registry -------------------------------------------------
+
+
+REGISTRY = {}  # id -> check(max_n, q) of each registered identity
+
+
+def _registered(*names, halved=False):
+    """Register pairs(n, q), the (lhs, rhs) pairs at index n and rational q,
+    as the check of each named identity over 0 <= n <= max_n, or up to
+    max_n // 2 where it is halved: it consumes n as the free index of its
+    paired-index display."""
+
+    def register(pairs):
+        def check(max_n: int, q):
+            q = as_rational(q)
+            return range((max_n // 2 if halved else max_n) + 1), lambda n: pairs(n, q)
+
+        REGISTRY.update(dict.fromkeys(names, check))
+        return pairs
+
+    return register
 
 
 def _u(m, q):
     return families.cheb_u(m, q) if m >= 0 else ZERO
 
 
-def _registry_pairs(name, n, q):
-    """The (lhs, rhs) pairs of one registered identity at index n and rational q."""
-    t, u = families.cheb_t, families.cheb_u
-    if name == "eq-2.28":
-        yield families.hypergeom_gen_fib(n, q), families.gen_fib(n + 1, q)
-    elif name == "eq-4.3":
-        if n >= 1:
-            yield families.hypergeom_gen_lucas(n, q), families.gen_lucas(n, q)
-    elif name == "eq-4.4":
-        f = families.gen_fib
-        lhs = families.gen_lucas(n, q) if n >= 1 else XsPoly.const(2)
-        yield lhs, f(n + 1, q).scale(1 + q**n) - X.scale(q**n) * f(n, q)
-    elif name == "eq-4.5":
-        f = lambda m: families.gen_fib(m, q).dilate(q, 0, 2)
-        lhs = (families.gen_lucas(n, q) if n >= 1 else XsPoly.const(2)).scale(q**n)
-        yield lhs, f(n + 1).scale(1 + q**n) - X * f(n)
-    elif name in ("eq-5.9", "eq-5.27"):
-        yield t(n, q), u(n, q) - X.scale(q**n) * _u(n - 1, q)
-    elif name == "eq-5.10":
-        yield (
-            t(n + 1, q),
-            X.scale(q**n) * t(n, q) + _xsq_plus(q) * _u(n - 1, q).dilate(q, 0, 2),
-        )
-    elif name == "eq-5.11":
-        gl = lambda m: families.gen_lucas(m, q) if m >= 1 else XsPoly.const(2)
-        lhs = gl(n + 1).scale(1 + q**n) - X.scale(q**n) * gl(n)
-        yield lhs, _xsq_plus(q) * families.gen_fib(n, q).dilate(q, 0, 2)
-    elif name == "eq-5.28":
-        # exponent resolved by brute-force match: kn - C(k,2), not the
-        # printed C(kn,2)
-        total = ZERO
-        for k in range(n + 1):
-            c = q ** (k * n - binom2(k))
-            total = total + XsPoly.monomial(c, k, 0) * t(n - k, q)
-        yield u(n, q), total
-    elif name == "eq-5.29":
-        first = u(n + 1, q) - X.scale(q ** (n + 1)) * u(n, q)
-        second = X * u(n, q) + S.scale(q**n) * _u(n - 1, q)
-        yield first, second
-        yield t(n + 1, q), second
-    elif name == "eq-5.30":
-        if n >= 1:
-            rhs = u(n, q) + S.scale(q ** (2 * n - 1)) * _u(n - 2, q)
-            yield t(n, q).scale(1 + q**n), rhs
-    elif name == "eq-5.31":
-        total = ZERO
-        for k in range(n + 1):
-            c = Fraction(-1) ** k * q ** (4 * k * n + 3 * k - 2 * k * k)
-            total = total + XsPoly.monomial(c * (1 + q ** (2 * n + 1 - 2 * k)), 0, k) * t(
-                2 * n + 1 - 2 * k, q
-            )
-        yield u(2 * n + 1, q), total
-    elif name == "eq-5.32":
-        total = XsPoly.monomial(Fraction(-1) ** n * q ** (2 * n * n + n), 0, n)
-        for k in range(n):
-            c = Fraction(-1) ** k * q ** (4 * k * n + k - 2 * k * k)
-            total = total + XsPoly.monomial(c * (1 + q ** (2 * n - 2 * k)), 0, k) * t(
-                2 * n - 2 * k, q
-            )
-        yield u(2 * n, q), total
-    elif name == "eq-5.33":
-        lhs = t(n, q).dilate(q, 0, 2) - t(n, q)
-        yield lhs, S.scale((q**n - 1) * q) * _u(n - 2, q).dilate(q, 0, 2)
-    elif name == "eq-5.34":
-        if n >= 1:
-            rhs = u(n, q).dilate(q, 0, 2) + S.scale(q) * _u(n - 2, q).dilate(q, 0, 2)
-            yield t(n, q).scale(1 + q**n), rhs
-    elif name == "eq-5.35":
-        yield t(n + 1, q) - X * t(n, q), (X * X + S).scale(q**n) * _u(n - 1, q)
-    elif name == "eq-5.36":
-        yield t(n + 1, q), X * t(n, q) + (X * X + S).scale(q**n) * _u(n - 1, q)
-        yield u(n, q), t(n, q) + X.scale(q**n) * _u(n - 1, q)
-    else:
-        raise ValueError(f"unknown identity {name}")
+def _gen_lucas(m, q):
+    return families.gen_lucas(m, q) if m >= 1 else XsPoly.const(2)
 
 
-REGISTRY_IDS = (
-    "eq-2.28",
-    "eq-4.3",
-    "eq-4.4",
-    "eq-4.5",
-    "eq-5.9",
-    "eq-5.10",
-    "eq-5.11",
-    "eq-5.27",
-    "eq-5.28",
-    "eq-5.29",
-    "eq-5.30",
-    "eq-5.31",
-    "eq-5.32",
-    "eq-5.33",
-    "eq-5.34",
-    "eq-5.35",
-    "eq-5.36",
-)
+@_registered("eq-2.28")
+def _hypergeom_fib(n, q):
+    yield families.hypergeom_gen_fib(n, q), families.gen_fib(n + 1, q)
 
 
-def registry_check(name: str, max_n: int, q):
-    """One registered identity for 0 <= n <= max_n at one q sample."""
-    q = as_rational(q)
-    # the paired-index identities consume n as the free index of their display
-    limit = max_n // 2 if name in ("eq-5.31", "eq-5.32") else max_n
-    return check_range(name, None, range(limit + 1), lambda n: _registry_pairs(name, n, q))
+@_registered("eq-4.3")
+def _hypergeom_lucas(n, q):
+    if n >= 1:
+        yield families.hypergeom_gen_lucas(n, q), families.gen_lucas(n, q)
 
+
+@_registered("eq-4.4")
+def _lucas_from_fib(n, q):
+    f = families.gen_fib
+    yield _gen_lucas(n, q), f(n + 1, q).scale(1 + q**n) - X.scale(q**n) * f(n, q)
+
+
+@_registered("eq-4.5")
+def _lucas_from_dilated_fib(n, q):
+    f = lambda m: families.gen_fib(m, q).dilate(q, 0, 2)
+    yield _gen_lucas(n, q).scale(q**n), f(n + 1).scale(1 + q**n) - X * f(n)
+
+
+@_registered("eq-5.9", "eq-5.27")
+def _t_from_u(n, q):
+    yield families.cheb_t(n, q), families.cheb_u(n, q) - X.scale(q**n) * _u(n - 1, q)
+
+
+@_registered("eq-5.10")
+def _t_step(n, q):
+    t = families.cheb_t
+    yield t(n + 1, q), X.scale(q**n) * t(n, q) + _xsq_plus(q) * _u(n - 1, q).dilate(q, 0, 2)
+
+
+@_registered("eq-5.11")
+def _lucas_step(n, q):
+    lhs = _gen_lucas(n + 1, q).scale(1 + q**n) - X.scale(q**n) * _gen_lucas(n, q)
+    yield lhs, _xsq_plus(q) * families.gen_fib(n, q).dilate(q, 0, 2)
+
+
+@_registered("eq-5.28")
+def _u_as_t_sum(n, q):
+    # exponent resolved by brute-force match: kn - C(k,2), not the printed C(kn,2)
+    total = ZERO
+    for k in range(n + 1):
+        c = q ** (k * n - binom2(k))
+        total = total + XsPoly.monomial(c, k, 0) * families.cheb_t(n - k, q)
+    yield families.cheb_u(n, q), total
+
+
+@_registered("eq-5.29")
+def _u_step(n, q):
+    u = families.cheb_u
+    first = u(n + 1, q) - X.scale(q ** (n + 1)) * u(n, q)
+    second = X * u(n, q) + S.scale(q**n) * _u(n - 1, q)
+    yield first, second
+    yield families.cheb_t(n + 1, q), second
+
+
+@_registered("eq-5.30")
+def _t_from_u_pair(n, q):
+    if n >= 1:
+        rhs = families.cheb_u(n, q) + S.scale(q ** (2 * n - 1)) * _u(n - 2, q)
+        yield families.cheb_t(n, q).scale(1 + q**n), rhs
+
+
+@_registered("eq-5.31", halved=True)
+def _odd_u_as_t_sum(n, q):
+    total = ZERO
+    for k in range(n + 1):
+        c = Fraction(-1) ** k * q ** (4 * k * n + 3 * k - 2 * k * k)
+        m = 2 * n + 1 - 2 * k
+        total = total + XsPoly.monomial(c * (1 + q**m), 0, k) * families.cheb_t(m, q)
+    yield families.cheb_u(2 * n + 1, q), total
+
+
+@_registered("eq-5.32", halved=True)
+def _even_u_as_t_sum(n, q):
+    total = XsPoly.monomial(Fraction(-1) ** n * q ** (2 * n * n + n), 0, n)
+    for k in range(n):
+        c = Fraction(-1) ** k * q ** (4 * k * n + k - 2 * k * k)
+        m = 2 * n - 2 * k
+        total = total + XsPoly.monomial(c * (1 + q**m), 0, k) * families.cheb_t(m, q)
+    yield families.cheb_u(2 * n, q), total
+
+
+@_registered("eq-5.33")
+def _t_s_difference(n, q):
+    t = families.cheb_t(n, q)
+    yield t.dilate(q, 0, 2) - t, S.scale((q**n - 1) * q) * _u(n - 2, q).dilate(q, 0, 2)
+
+
+@_registered("eq-5.34")
+def _t_from_dilated_u(n, q):
+    if n >= 1:
+        rhs = families.cheb_u(n, q).dilate(q, 0, 2) + S.scale(q) * _u(n - 2, q).dilate(q, 0, 2)
+        yield families.cheb_t(n, q).scale(1 + q**n), rhs
+
+
+@_registered("eq-5.35")
+def _t_x_difference(n, q):
+    t = families.cheb_t
+    yield t(n + 1, q) - X * t(n, q), (X * X + S).scale(q**n) * _u(n - 1, q)
+
+
+@_registered("eq-5.36")
+def _t_and_u_steps(n, q):
+    t = families.cheb_t
+    yield t(n + 1, q), X * t(n, q) + (X * X + S).scale(q**n) * _u(n - 1, q)
+    yield families.cheb_u(n, q), t(n, q) + X.scale(q**n) * _u(n - 1, q)

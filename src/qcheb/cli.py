@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--q", default=None,
         help="run the checks of the q, point, neg_point and word scopes at this q "
-        "only (negative: --q=-1/2); weight, sqrt, rodrigues and fixed keep their samples",
+        "only (negative: --q=-1/2); the other scopes keep their samples",
     )
     verify.add_argument(
         "--b", default=None,
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; checks always run serially",
     )
     verify.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    verify.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
 
     mom = sub.add_parser("moments", help="print moment values for x^0 .. x^N")
     mom.add_argument(
@@ -160,14 +159,12 @@ def cmd_verify(args, out) -> int:
         raise UsageError("--parallelism must be >= 1")
     if args.max_n is not None and args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
-    fault = _parse_family(args.inject_fault) if args.inject_fault is not None else None
     reports = run_suite(
         args.suite,
         qs=qs,
         bs=bs,
         parallelism=args.parallelism,
         bounds=bounds_for(args.max_n),
-        fault=fault,
     )
     _emit_reports(reports, args.format, out)
     return 0 if summarize(reports)["fail"] == 0 else 1

@@ -10,7 +10,6 @@ from typing import Callable
 from . import families
 from .polyring import ONE, S, X, XsPoly, ZERO
 from .qkernel import ParamPoint, as_rational, q_binom, q_catalan, q_int, q_poch
-from .report import check_range, failing, passing
 
 
 @dataclass(frozen=True)
@@ -178,23 +177,16 @@ def moments_lucas_closed(n: int, q) -> XsPoly:
 # -- consistency checks ------------------------------------------------
 
 
-def moment_consistency_check(which: str, n_max: int, q):
-    """DP moments against the closed forms, including zero odd moments."""
+def moment_consistency_check(spec_of, closed, n_max: int, q):
+    """DP moments of the functional of spec_of(q) against the closed form
+    closed(n, q) of its even moments, and zero odd moments."""
     q = as_rational(q)
-    if which == "fib":
-        spec, closed = gen_fib_spec(q), moments_fib_closed
-        ident = "eq-4.10"
-    elif which == "lucas":
-        spec, closed = gen_lucas_spec(q), moments_lucas_closed
-        ident = "eq-4.14"
-    else:
-        raise ValueError(which)
-    dp = moments_from_recurrence(spec, 2 * n_max + 1)
+    dp = moments_from_recurrence(spec_of(q), 2 * n_max + 1)
 
     def sides(m):
         yield dp[m], closed(m // 2, q) if m % 2 == 0 else ZERO
 
-    return check_range(ident, None, range(2 * n_max + 1), sides)
+    return range(2 * n_max + 1), sides
 
 
 def carlitz_moment_check(n_max: int, q):
@@ -209,7 +201,7 @@ def carlitz_moment_check(n_max: int, q):
             n = m // 2
             yield dp[m], XsPoly.monomial((-q) ** n * q_catalan(n, q), 0, n)
 
-    return check_range("carlitz-moments", None, range(2 * n_max + 1), sides)
+    return range(2 * n_max + 1), sides
 
 
 def classical_moment_check(n_max: int):
@@ -233,23 +225,24 @@ def classical_moment_check(n_max: int):
             total = total + c * basis[k]
         yield total, power
 
-    return check_range("eq-4.7-4.8", None, range(2 * n_max + 1), sides)
+    return range(2 * n_max + 1), sides
 
 
-def orthogonality_check(spec: RecurrenceSpec, total_degree: int):
-    """Smoke test: Lambda(p_m p_n) = 0 for m != n with m + n <= total_degree."""
-    basis = spec.basis(total_degree + 2)
-    for m in range(total_degree + 1):
-        for n in range(m + 1, total_degree + 1 - m):
-            # Lambda(p_0) = 1 and Lambda(p_k) = 0 for k >= 1, so the value
-            # of the functional is the degree-0 coefficient of the expansion
-            value = expand_in_basis(basis[m] * basis[n], basis)[0]
-            if not value.is_zero():
-                return failing(
-                    f"orthogonality-{spec.name}", None, (0, total_degree),
-                    (m, n), value, ZERO,
-                )
-    return passing(f"orthogonality-{spec.name}", None, (0, total_degree))
+def orthogonality_check(total_degree: int, q):
+    """Smoke test of the generalized Fibonacci and Lucas functionals:
+    Lambda(p_m p_n) = 0 for m != n with m + n <= total_degree, indexed by
+    the spec's name and (m, n)."""
+    bases = {s.name: s.basis(total_degree + 2) for s in (gen_fib_spec(q), gen_lucas_spec(q))}
+
+    def sides(index):
+        name, (m, n) = index
+        basis = bases[name]
+        # Lambda(p_0) = 1 and Lambda(p_k) = 0 for k >= 1, so the value of the
+        # functional is the degree-0 coefficient of the expansion
+        yield expand_in_basis(basis[m] * basis[n], basis)[0], ZERO
+
+    pairs = [(m, n) for m in range(total_degree + 1) for n in range(m + 1, total_degree + 1 - m)]
+    return [(name, mn) for name in bases for mn in pairs], sides, (0, total_degree)
 
 
 def nonorthogonality_witness(q):
@@ -260,13 +253,14 @@ def nonorthogonality_witness(q):
     point = ParamPoint(q, Fraction(0))
     l = lambda n: families.lucas_trace(n, point).as_poly()
     defect = XsPoly.monomial(-(q**2) * (1 - q), 0, 2)
-    identity = l(1) * l(3) - l(4) + S.scale(q**3) * l(2) + (-defect)
-    if not identity.is_zero():
-        return failing("nonorthogonality", point, (0, 4), "identity", identity, ZERO)
-    # expansion route: reduce l_1 l_3 against the monic l-basis (l_0 = 2
-    # normalized to the constant 1) and read off the functional value
-    basis = [ONE] + [l(n) for n in range(1, 5)]
-    value = expand_in_basis(l(1) * l(3), basis)[0]
-    if value != defect:
-        return failing("nonorthogonality", point, (0, 4), "functional", value, defect)
-    return passing("nonorthogonality", point, (0, 4))
+
+    def sides(route):
+        if route == "identity":
+            yield l(1) * l(3) - l(4) + S.scale(q**3) * l(2) + (-defect), ZERO
+        else:
+            # expansion route: reduce l_1 l_3 against the monic l-basis (l_0 = 2
+            # normalized to the constant 1) and read off the functional value
+            basis = [ONE] + [l(n) for n in range(1, 5)]
+            yield expand_in_basis(l(1) * l(3), basis)[0], defect
+
+    return ["identity", "functional"], sides, (0, 4)

@@ -14,7 +14,6 @@ from itertools import combinations
 from . import families
 from .polyring import ONE, S, X as POLY_X, XsPoly, ZERO
 from .qkernel import ParamPoint, as_rational, binom2, q_binom
-from .report import check_range, failing, passing
 
 
 def apply_word(word, point: ParamPoint, start=(0, 0, 0)) -> XsPoly:
@@ -125,48 +124,49 @@ def fib_word_sum_right(n: int, point: ParamPoint) -> XsPoly:
 TEST_MONOMIALS = [(i, j, m) for i in range(3) for j in range(3) for m in range(3)]
 
 
-def commutation_check(point: ParamPoint, exponents=TEST_MONOMIALS):
+def commutation_check(point: ParamPoint):
     """Verify X Y = (1-qb)/(1-q^3 b) q Y X,  X b = q b X  and  Y b = q^2 b Y
-    on the monomials x^i s^j b^m."""
+    on the test monomials x^i s^j b^m, indexed by the monomial's (i, j, m)
+    and the relation."""
     q, b = point.q, point.b
-    for i, j, m in exponents:
-        f, fb = (i, j, m), (i, j, m + 1)
-        # XY = (1-qb)/(1-q^3 b) q YX
-        lhs = apply_word(("X", "Y"), point, f)
-        rhs = apply_word(("Y", "X"), point, f).scale(q * (1 - q * b) / point.level(3))
-        if lhs != rhs:
-            return failing("eq-2.13", point, (0, 0), (i, j, m), lhs, rhs)
-        # Xb = qbX
-        lhs = apply_word(("X",), point, fb)
-        rhs = apply_word(("X",), point, f).scale(q * b)
-        if lhs != rhs:
-            return failing("eq-2.14", point, (0, 0), (i, j, m), lhs, rhs)
-        # Yb = q^2 bY
-        lhs = apply_word(("Y",), point, fb)
-        rhs = apply_word(("Y",), point, f).scale(q**2 * b)
-        if lhs != rhs:
-            return failing("eq-2.15", point, (0, 0), (i, j, m), lhs, rhs)
-    return passing("eq-2.13..15", point, (0, 0))
+    word = lambda letters, f: apply_word(letters, point, f)
+    relations = {
+        "eq-2.13": lambda f, fb: (
+            word(("X", "Y"), f),
+            word(("Y", "X"), f).scale(q * (1 - q * b) / point.level(3)),
+        ),
+        "eq-2.14": lambda f, fb: (word(("X",), fb), word(("X",), f).scale(q * b)),
+        "eq-2.15": lambda f, fb: (word(("Y",), fb), word(("Y",), f).scale(q**2 * b)),
+    }
+
+    def sides(index):
+        (i, j, m), relation = index
+        yield relations[relation]((i, j, m), (i, j, m + 1))
+
+    return [(f, relation) for f in TEST_MONOMIALS for relation in relations], sides, (0, 0)
 
 
 def schlosser_binomial_check(n: int, point: ParamPoint):
     """(X+Y)^n 1 expands as the sum of C_k^n with each C_k^n matching the
     closed form, and the scalar coefficients obey the level recursion
-    c(n,k,b) = c(n-1,k-1,q^2 b) + q^k (1-qb)/(1-q^(2k+1)b) c(n-1,k,qb)."""
+    c(n,k,b) = c(n-1,k-1,q^2 b) + q^k (1-qb)/(1-q^(2k+1)b) c(n-1,k,qb).
+    The index is (m, k) and the relation: eq-2.21 for C_k^m, eq-2.18 for
+    the recursion."""
     q, b = point.q, point.b
-    for m in range(n + 1):
-        for k in range(m + 1):
-            brute, closed = word_sum_ck(m, k, point), ck_closed(m, k, point)
-            if brute != closed:
-                return failing("eq-2.21", point, (0, n), (m, k), brute, closed)
-            if m >= 1:
-                lhs = schlosser_coefficient(m, k, point)
-                rhs = schlosser_coefficient(m - 1, k - 1, point, 2) + q**k * (
-                    1 - q * b
-                ) / point.level(2 * k + 1) * schlosser_coefficient(m - 1, k, point, 1)
-                if lhs != rhs:
-                    return failing("eq-2.18", point, (0, n), (m, k), lhs, rhs)
-    return passing("eq-2.16..21", point, (0, n))
+
+    def sides(index):
+        (m, k), relation = index
+        if relation == "eq-2.21":
+            yield word_sum_ck(m, k, point), ck_closed(m, k, point)
+        elif m >= 1:
+            lhs = schlosser_coefficient(m, k, point)
+            rhs = schlosser_coefficient(m - 1, k - 1, point, 2) + q**k * (
+                1 - q * b
+            ) / point.level(2 * k + 1) * schlosser_coefficient(m - 1, k, point, 1)
+            yield lhs, rhs
+
+    grid = [(m, k) for m in range(n + 1) for k in range(m + 1)]
+    return [(mk, relation) for mk in grid for relation in ("eq-2.21", "eq-2.18")], sides, (0, n)
 
 
 def fib_word_check(n: int, point: ParamPoint):
@@ -177,7 +177,7 @@ def fib_word_check(n: int, point: ParamPoint):
         yield brute, fib_word_sum_right(m, point)
         yield brute, families.fib_qb(m, point)
 
-    return check_range("eq-2.24", point, range(n + 1), sides)
+    return range(n + 1), sides
 
 
 # -- Binet-like even/odd sums (first/second kind) ----------------------

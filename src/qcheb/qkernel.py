@@ -43,8 +43,10 @@ class ParamPoint:
     points one point shifts to share one ladder, which lives as long as the
     last of them.  The hash is computed once.  Every division of the (q,b)
     families by a factor 1 - q^j b goes through level(j), the one place that
-    raises the PoleError of a vanishing one.  Two threads filling the same
-    entry store equal values."""
+    raises the PoleError of a vanishing one; it names the factor and b of the
+    point the ladder was built from, so a pole met at a shifted point reads
+    against the sample's b.  Two threads filling the same entry store equal
+    values."""
 
     q: Fraction
     b: Fraction
@@ -54,7 +56,7 @@ class ParamPoint:
         if q == 0:
             raise PoleError("q = 0 is not a valid parameter")
         self.__dict__.update(q=q, b=b, _hash=hash((q, b)), _shifts={}, _offset=0,
-                             _powers={}, _factors={}, _pochs={})
+                             _root_b=b, _powers={}, _factors={}, _pochs={})
 
     def __hash__(self):
         return self._hash
@@ -78,7 +80,7 @@ class ParamPoint:
         """1 - q^j b, the factor the (q,b) families divide by; PoleError where it is 0."""
         factor = self._factor(j)
         if not factor:
-            raise PoleError(f"1 - q^{j} b vanishes at q={self.q}, b={self.b}")
+            raise PoleError(f"1 - q^{j + self._offset} b vanishes at q={self.q}, b={self._root_b}")
         return factor
 
     def poch(self, s: int, m: int) -> Fraction:
@@ -104,8 +106,9 @@ class ParamPoint:
         point = self._shifts.get(j)
         if point is None:
             point = ParamPoint(self.q, self.power(j) * self.b)
-            point.__dict__.update(_offset=self._offset + j, _powers=self._powers,
-                                  _factors=self._factors, _pochs=self._pochs)
+            point.__dict__.update(_offset=self._offset + j, _root_b=self._root_b,
+                                  _powers=self._powers, _factors=self._factors,
+                                  _pochs=self._pochs)
             self._shifts[j] = point
         return point
 

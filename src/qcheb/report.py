@@ -11,9 +11,9 @@ from .qkernel import ParamPoint
 class IdentityReport:
     """Outcome of one identity at one parameter point over an index range.
 
-    A fail report always carries a witness (the first offending index with
-    both sides serialized); a skipped report carries the reason, such as the
-    pole that stopped the check.
+    A fail report, made only by check_range, carries a witness (the first
+    offending index with both sides serialized); a skipped report carries the
+    reason, such as the pole that stopped the check.
     """
 
     identity_id: str
@@ -22,10 +22,6 @@ class IdentityReport:
     status: str  # "pass" | "fail" | "skipped"
     witness: Optional[dict] = None
     reason: Optional[str] = None
-
-    def __post_init__(self):
-        if self.status == "fail" and self.witness is None:
-            raise ValueError("fail reports must carry a witness")
 
     @property
     def passed(self) -> bool:
@@ -55,34 +51,24 @@ class IdentityReport:
         return data
 
 
-def passing(identity_id, point, index_range) -> IdentityReport:
-    return IdentityReport(identity_id, point, index_range, "pass")
-
-
-def failing(identity_id, point, index_range, n, lhs, rhs) -> IdentityReport:
-    return IdentityReport(
-        identity_id,
-        point,
-        index_range,
-        "fail",
-        witness={"n": n, "lhs": lhs, "rhs": rhs},
-    )
-
-
 def skipped(identity_id, point, index_range, reason) -> IdentityReport:
     return IdentityReport(identity_id, point, index_range, "skipped", reason=reason)
 
 
-def check_range(identity_id, point, indices, both_sides) -> IdentityReport:
+def check_range(identity_id, point, indices, both_sides, index_range=None) -> IdentityReport:
     """Compare the (lhs, rhs) pairs that both_sides(n) yields, n over indices.
 
-    This is the one place that picks a witness: the first unequal pair, at
-    its index n.  The pairs are drawn one at a time, so no pair after it (at
-    n or at a later index) is evaluated."""
+    This is the one place that makes a pass or fail report, and the one place
+    that picks a witness: the first unequal pair, at its index n.  The pairs
+    are drawn one at a time, so no pair after it (at n or at a later index) is
+    evaluated.  The report's index range is index_range when given, else the
+    least and greatest index."""
     indices = list(indices)
-    lo, hi = (min(indices), max(indices)) if indices else (0, 0)
+    if index_range is None:
+        index_range = (min(indices), max(indices)) if indices else (0, 0)
     for n in indices:
         for lhs, rhs in both_sides(n):
             if lhs != rhs:
-                return failing(identity_id, point, (lo, hi), n, lhs, rhs)
-    return passing(identity_id, point, (lo, hi))
+                witness = {"n": n, "lhs": lhs, "rhs": rhs}
+                return IdentityReport(identity_id, point, index_range, "fail", witness)
+    return IdentityReport(identity_id, point, index_range, "pass")

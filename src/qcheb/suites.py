@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 from . import analysis, families, matrixids, moments, operators
 from .polyring import ONE, S, X, XsPoly
 from .qkernel import DEFAULT_QS, ParamPoint, PoleError, sample_points
-from .report import IdentityReport, check_range, failing, passing, skipped
+from .report import IdentityReport, check_range, skipped
 
 # Index bounds per key: (default, value under `verify --max-n m`).  The
 # defaults keep `verify --suite all` well under a minute while exercising
@@ -74,18 +74,14 @@ def _word_point(q):
 # -- dual-route checks through the dispatch surface --------------------
 
 
-def dual_route_check(family, point, n_max, fault=None):
-    """family_poly against the family's oracle.  When `fault` is this family,
-    the primary side is perturbed by one (a self-test of the harness)."""
+def dual_route_check(family, point, n_max):
+    """family_poly against the family's oracle."""
     spec = families.FAMILIES[family]
 
     def sides(n):
-        primary = families.family_poly(family, n, point)
-        yield (primary + ONE if family is fault else primary), spec.oracle(n, point)
+        yield families.family_poly(family, n, point), spec.oracle(n, point)
 
-    return check_range(
-        f"dual-{family.value}", point, range(spec.lowest_n, n_max + 1), sides
-    )
+    return range(spec.lowest_n, n_max + 1), sides
 
 
 def third_route_check(n_max, point):
@@ -99,7 +95,7 @@ def third_route_check(n_max, point):
         if n >= 1:
             yield lucas, f.lucas_qb_relation(n, point)
 
-    return check_range("eq-2.8-3.6", point, range(n_max + 1), sides)
+    return range(n_max + 1), sides
 
 
 def negative_index_check(n_max, point):
@@ -114,17 +110,14 @@ def negative_index_check(n_max, point):
         yield f.cheb_u_ext(-m, q), f.cheb_u_backward(-m, q)
         yield f.cheb_t_ext(-m, q), f.cheb_t_backward(-m, q)
 
-    return check_range("negative-index", point, range(n_max + 1), sides)
+    return range(n_max + 1), sides
 
 
 def gen_lucas_negative_check(n_max, q):
-    f = families
-    return check_range(
-        "eq-4.6",
-        None,
-        range(1, n_max + 1),
-        lambda m: [(f.gen_lucas_neg_closed(m, q), f.gen_lucas_backward(-m, q))],
-    )
+    def sides(m):
+        yield families.gen_lucas_neg_closed(m, q), families.gen_lucas_backward(-m, q)
+
+    return range(1, n_max + 1), sides
 
 
 # -- operator Binet-like sums ------------------------------------------
@@ -141,60 +134,42 @@ def binet_sum_check(n_max, q):
         yield t_part, families.cheb_t(n, q)
         yield u_part, families.cheb_u(n - 1, q) if n >= 1 else XsPoly.zero()
 
-    return check_range("eq-5.12-5.14", None, range(n_max + 1), sides)
+    return range(n_max + 1), sides
 
 
 # -- matrix checks wrapped as reports ----------------------------------
 
 
 def fib_matrix_check(n_max, point):
-    return check_range(
-        "eq-2.30",
-        point,
-        range(1, n_max + 1),
-        lambda n: [(
-            matrixids.fib_matrix_product(n, point).entries(),
-            matrixids.fib_matrix_expected(n, point).entries(),
-        )],
-    )
+    return range(1, n_max + 1), lambda n: [(
+        matrixids.fib_matrix_product(n, point).entries(),
+        matrixids.fib_matrix_expected(n, point).entries(),
+    )]
 
 
 def cheb_matrix_check(n_max, q):
-    return check_range(
-        "eq-5.15",
-        None,
-        range(1, n_max + 1),
-        lambda n: [(
-            matrixids.cheb_matrix_product(n, q).entries(),
-            matrixids.cheb_matrix_expected(n, q).entries(),
-        )],
-    )
+    return range(1, n_max + 1), lambda n: [(
+        matrixids.cheb_matrix_product(n, q).entries(),
+        matrixids.cheb_matrix_expected(n, q).entries(),
+    )]
 
 
 def tridiag_check(n_max, q):
-    return check_range(
-        "eq-5.39-5.40",
-        None,
-        range(1, n_max + 1),
-        lambda n: [(
-            (matrixids.tridiag_u(n, q), matrixids.tridiag_t(n, q)),
-            (families.cheb_u(n, q), families.cheb_t(n, q)),
-        )],
-    )
+    return range(1, n_max + 1), lambda n: [(
+        (matrixids.tridiag_u(n, q), matrixids.tridiag_t(n, q)),
+        (families.cheb_u(n, q), families.cheb_t(n, q)),
+    )]
 
 
 def cassini_range_check(point, lo, hi):
-    sides = lambda n: [matrixids.cassini_sides(n, point)]
-    return check_range("eq-2.31", point, range(lo, hi + 1), sides)
+    return range(lo, hi + 1), lambda n: [matrixids.cassini_sides(n, point)]
 
 
 def cassini_euler_grid_check(point, n_max, k_max):
-    for n in range(1, n_max + 1):
-        for k in range(1, k_max + 1):
-            lhs, rhs = matrixids.cassini_euler_sides(n, k, point)
-            if lhs != rhs:
-                return failing("eq-2.33", point, (1, n_max), (n, k), lhs, rhs)
-    return passing("eq-2.33", point, (1, n_max))
+    """Cassini-Euler over the grid 1 <= n <= n_max, 1 <= k <= k_max, indexed
+    by (n, k) and reported over n."""
+    grid = [(n, k) for n in range(1, n_max + 1) for k in range(1, k_max + 1)]
+    return grid, lambda nk: [matrixids.cassini_euler_sides(*nk, point)], (1, n_max)
 
 
 def reconstruction_check(n_max, q):
@@ -205,15 +180,7 @@ def reconstruction_check(n_max, q):
         yield moments.reconstruct_x_fib(n, q), power
         yield moments.reconstruct_x_lucas(n, q), power
 
-    return check_range("eq-4.9-4.13", None, range(n_max + 1), sides)
-
-
-def orthogonality_smoke_check(total_degree, q):
-    for spec in (moments.gen_fib_spec(q), moments.gen_lucas_spec(q)):
-        r = moments.orthogonality_check(spec, total_degree)
-        if not r.passed:
-            return r
-    return passing("orthogonality", None, (0, total_degree))
+    return range(n_max + 1), sides
 
 
 # -- classical (q = 1) reductions --------------------------------------
@@ -260,7 +227,7 @@ def classical_families_check(n_max):
         yield lucas, lucas_closed
         yield lucas, _classical_fib(n + 1) + S * _classical_fib(n - 1)
 
-    return check_range("classical-fib-lucas", point, range(n_max + 1), sides)
+    return range(n_max + 1), sides
 
 
 def classical_cheb_check(n_max):
@@ -287,7 +254,7 @@ def classical_cheb_check(n_max):
             yield t, _classical_lucas(n).dilate(quarter, 0, 1).scale(2 ** (n - 1))
         yield u, _classical_fib(n + 1).dilate(quarter, 0, 1).scale(2**n)
 
-    return check_range("classical-cheb", _label(one), range(n_max + 1), sides)
+    return range(n_max + 1), sides
 
 
 def classical_pell_check(n_max):
@@ -299,33 +266,43 @@ def classical_pell_check(n_max):
         u = families.cheb_u(n - 1, one).subs_s(Fraction(-1)) if n >= 1 else XsPoly.zero()
         yield t * t - (X * X - ONE) * u * u, ONE
 
-    return check_range("classical-pell", _label(one), range(n_max + 1), sides)
+    return range(n_max + 1), sides
 
 
-def classical_binet_check(n_max, x_val=3.0, s_val=1.0, tol=1e-6):
+BINET_X, BINET_S, BINET_TOL = 3.0, 1.0, 1e-6
+
+
+def _near(value, expect):
+    """value where it agrees with expect within the relative tolerance
+    BINET_TOL (the float Binet oracle is the only inexact comparison), else
+    expect: so (value, _near(value, expect)) is unequal only where they differ."""
+    return value if abs(value - expect) <= BINET_TOL * max(1.0, abs(expect)) else expect
+
+
+def classical_binet_check(n_max):
     """Float Binet values against the q = 1 polynomials at (x, s) = (3, 1)."""
-    one = Fraction(1)
-    disc = (x_val * x_val + 4 * s_val) ** 0.5
-    alpha = (x_val + disc) / 2
-    beta = (x_val - disc) / 2
-    for n in range(n_max + 1):
-        fib = families.fib_carlitz(n, one).evalf(x_val, s_val)
-        expect = families.binet_float_fib(n, x_val, s_val)
-        if abs(fib - expect) > tol * max(1.0, abs(expect)):
-            return failing("classical-binet", _label(one), (0, n_max), n, fib, expect)
-        lucas = _classical_lucas(n).evalf(x_val, s_val)
-        expect = alpha**n + beta**n
-        if abs(lucas - expect) > tol * max(1.0, abs(expect)):
-            return failing("classical-binet", _label(one), (0, n_max), n, lucas, expect)
-    return passing("classical-binet", _label(one), (0, n_max))
+    disc = (BINET_X * BINET_X + 4 * BINET_S) ** 0.5
+    alpha = (BINET_X + disc) / 2
+    beta = (BINET_X - disc) / 2
+
+    def sides(n):
+        fib = families.fib_carlitz(n, Fraction(1)).evalf(BINET_X, BINET_S)
+        yield fib, _near(fib, families.binet_float_fib(n, BINET_X, BINET_S))
+        lucas = _classical_lucas(n).evalf(BINET_X, BINET_S)
+        yield lucas, _near(lucas, alpha**n + beta**n)
+
+    return range(n_max + 1), sides
 
 
 # -- the table of checks ----------------------------------------------
 
 
 class Check(NamedTuple):
-    """One identity check, run as fn(bound, *sample) at every sample of its
-    scope (fn(*sample) when bound is None):
+    """One identity, named by id and checked at every sample of its scope.
+    fn(bound, *sample) (fn(*sample) when bound is None) returns what the
+    check compares: its indices, a sides(n) that yields the (lhs, rhs) pairs
+    at index n and, where the report's index range is not the least and
+    greatest index, that range.  The samples of each scope:
 
     q          q for each q sample
     point      each (q, b) sample point (of the default b grid, those
@@ -335,6 +312,7 @@ class Check(NamedTuple):
     sqrt       each r of SQRT_SAMPLES, reported at q = r^2
     weight     each (q, s) of WEIGHT_CONTEXTS
     rodrigues  (q, s) of WEIGHT_CONTEXTS and n for 0 <= n <= the rodrigues bound
+    classical  once, with no sample, reported at (1, 0)
     fixed      once, with no sample
 
     A row is skipped at a sample exactly where one of its denominators
@@ -347,15 +325,15 @@ class Check(NamedTuple):
     bound: Optional[str]
 
 
-def _dual_row(family, fault):
+def _dual_row(family):
     if families.FAMILIES[family].b_free:
         return Check(
             f"dual-{family.value}", "point",
-            lambda n, p: dual_route_check(family, p, n, fault), "dual",
+            lambda n, p: dual_route_check(family, p, n), "dual",
         )
     return Check(
         f"dual-{family.value}", "q",
-        lambda n, q: dual_route_check(family, _label(q), n, fault), "dual",
+        lambda n, q: dual_route_check(family, _label(q), n), "dual",
     )
 
 
@@ -369,11 +347,11 @@ def _rodrigues(check):
     return lambda n_max, w, n: check(n, analysis.SeriesContext(*w, 2 * n_max + 10))
 
 
-def checks(fault=None):
-    """The table of checks as (core rows, extended rows).  `fault` names a
-    family whose dual-route check perturbs its primary side."""
+def checks():
+    """The table of checks as (core rows, extended rows): the one place each
+    identity is named."""
     core = [
-        *(_dual_row(family, fault) for family in families.FamilyId),
+        *(_dual_row(family) for family in families.FamilyId),
         Check("eq-2.8-3.6", "point", third_route_check, "third_route"),
         Check("negative-index", "neg_point", negative_index_check, "negative"),
         Check("eq-4.6", "q", gen_lucas_negative_check, "negative"),
@@ -394,13 +372,21 @@ def checks(fault=None):
         Check("eq-5.39-5.40", "q", tridiag_check, "tridiag"),
         Check("eq-5.17", "sqrt", matrixids.det_identity_sqrt_check, "det_sqrt"),
         # moments
-        Check("eq-4.10", "q", partial(moments.moment_consistency_check, "fib"), "moments"),
         Check(
-            "eq-4.14", "q", partial(moments.moment_consistency_check, "lucas"), "moments"
+            "eq-4.10", "q",
+            partial(moments.moment_consistency_check, moments.gen_fib_spec,
+                    moments.moments_fib_closed),
+            "moments",
+        ),
+        Check(
+            "eq-4.14", "q",
+            partial(moments.moment_consistency_check, moments.gen_lucas_spec,
+                    moments.moments_lucas_closed),
+            "moments",
         ),
         Check("carlitz-moments", "q", moments.carlitz_moment_check, "moments"),
         Check("eq-4.9-4.13", "q", reconstruction_check, "reconstruct"),
-        Check("orthogonality", "q", orthogonality_smoke_check, "orthogonality"),
+        Check("orthogonality", "q", moments.orthogonality_check, "orthogonality"),
         Check("nonorthogonality", "q", moments.nonorthogonality_witness, None),
         Check("eq-4.7-4.8", "fixed", partial(moments.classical_moment_check, 8), None),
         # q-analysis
@@ -409,20 +395,17 @@ def checks(fault=None):
         Check("eq-5.20-5.22", "q", analysis.qode_check_t, "qode"),
         Check("eq-5.21-5.23", "q", analysis.qode_check_u, "qode"),
         Check("eq-5.37-5.38", "q", analysis.genfun_check, "genfun"),
-        *(
-            Check(name, "q", partial(analysis.registry_check, name), "registry")
-            for name in analysis.REGISTRY_IDS
-        ),
+        *(Check(name, "q", check, "registry") for name, check in analysis.REGISTRY.items()),
         Check(
             "h-functional-eq", "weight",
             _series(analysis.h_functional_equation_check), "series_order",
         ),
         Check("pearson", "weight", _series(analysis.pearson_check), "series_order"),
         # classical limit
-        Check("classical-fib-lucas", "fixed", classical_families_check, "classical"),
-        Check("classical-cheb", "fixed", classical_cheb_check, "classical"),
-        Check("classical-pell", "fixed", classical_pell_check, "classical"),
-        Check("classical-binet", "fixed", classical_binet_check, "binet_float"),
+        Check("classical-fib-lucas", "classical", classical_families_check, "classical"),
+        Check("classical-cheb", "classical", classical_cheb_check, "classical"),
+        Check("classical-pell", "classical", classical_pell_check, "classical"),
+        Check("classical-binet", "classical", classical_binet_check, "binet_float"),
     ]
     extended = [
         Check("eq-2.13..15", "word", operators.commutation_check, None),
@@ -438,28 +421,26 @@ def checks(fault=None):
 
 
 def _run(row, args, label):
-    """Run one row at one sample; a report without a point is tagged with the
-    sample's.  At a pole the row is skipped, with the PoleError's message as
-    the reason (a bare ZeroDivisionError's text differs between versions)."""
+    """Run one row at one sample: check_range compares what the row's check
+    returns and reports under the row's id at the sample's label.  At a pole
+    the row is skipped, with the PoleError's message as the reason (a bare
+    ZeroDivisionError's text differs between versions)."""
 
     def item():
         try:
-            report = row.fn(*args)
+            return check_range(row.id, label, *row.fn(*args))
         except ZeroDivisionError as exc:
             reason = str(exc) if isinstance(exc, PoleError) else "division by zero"
             return skipped(row.id, label, (0, 0), reason)
-        if report.point is None:
-            report.point = label
-        return report
 
     return item
 
 
-def build_work_items(suite="core", qs=None, bs=None, bounds=None, fault=None):
+def build_work_items(suite="core", qs=None, bs=None, bounds=None):
     """The zero-argument callables making up a suite run, one per row of the
     suite's checks and sample of the row's scope.  `bounds` overrides the
-    default value of any bound key; `fault` is passed to checks()."""
-    core, extended = checks(fault)
+    default value of any bound key."""
+    core, extended = checks()
     rows = {"core": core, "extended": extended, "all": core + extended}.get(suite)
     if rows is None:
         raise ValueError(f"unknown suite {suite!r}")
@@ -484,6 +465,7 @@ def build_work_items(suite="core", qs=None, bs=None, bounds=None, fault=None):
             for w in WEIGHT_CONTEXTS
             for n in range(bounds["rodrigues"] + 1)
         ],
+        "classical": [(_label(Fraction(1)), ())],
         "fixed": [(None, ())],
     }
     items = []
@@ -493,12 +475,12 @@ def build_work_items(suite="core", qs=None, bs=None, bounds=None, fault=None):
     return items
 
 
-def run_suite(suite="core", qs=None, bs=None, parallelism=1, bounds=None, fault=None):
+def run_suite(suite="core", qs=None, bs=None, parallelism=1, bounds=None):
     """Run a suite and return its reports sorted by (identity, point, range).
 
     The items run one after another in the calling thread; `parallelism` is
     accepted for callers that pass it and changes nothing."""
-    items = build_work_items(suite, qs=qs, bs=bs, bounds=bounds, fault=fault)
+    items = build_work_items(suite, qs=qs, bs=bs, bounds=bounds)
     return sorted((item() for item in items), key=IdentityReport.sort_key)
 
 

@@ -4,10 +4,13 @@ generating functions and the standalone identity registry."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcheb import analysis, families, suites
 from qcheb.polyring import TruncSeries
-from qcheb.qkernel import q_int
+from qcheb.qkernel import q_int, q_poch
+from qcheb.report import check_range
 
 F = Fraction
 
@@ -18,16 +21,21 @@ CONTEXTS = [
 ]
 
 
+def holds(check):
+    """Whether check_range finds every (lhs, rhs) pair of a check's sides equal."""
+    return check_range("", None, *check).passed
+
+
 @pytest.mark.parametrize("q", QS)
 def test_derivative_relations(q):
-    assert analysis.deriv_relation_t(12, q).passed
-    assert analysis.deriv_relation_u(12, q).passed
+    assert holds(analysis.deriv_relation_t(12, q))
+    assert holds(analysis.deriv_relation_u(12, q))
 
 
 @pytest.mark.parametrize("q", QS)
 def test_q_differential_equations(q):
-    assert analysis.qode_check_t(10, q).passed
-    assert analysis.qode_check_u(10, q).passed
+    assert holds(analysis.qode_check_t(10, q))
+    assert holds(analysis.qode_check_u(10, q))
 
 
 def test_series_context_guards():
@@ -39,30 +47,37 @@ def test_series_context_guards():
 
 def test_h_coefficients():
     q = F(2)
-    assert analysis.h_coeff(0, q) == 1
-    assert analysis.h_coeff(1, q) == 1 / (1 + q)
+    h = analysis.h_coeffs(8, q)
+    assert len(h) == 8 and analysis.h_coeffs(0, q) == []
+    assert h[0] == 1
+    assert h[1] == 1 / (1 + q)
     # ratio recursion h_k / h_(k-1) = (1 - q^(2k-1)) / (1 - q^(2k))
     for k in range(1, 8):
-        assert analysis.h_coeff(k, q) * (1 - q ** (2 * k)) == analysis.h_coeff(
-            k - 1, q
-        ) * (1 - q ** (2 * k - 1))
+        assert h[k] * (1 - q ** (2 * k)) == h[k - 1] * (1 - q ** (2 * k - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F(2), F(3, 5), F(-2, 3), F(7)]), st.integers(0, 29))
+def test_h_coefficients_match_the_pochhammer_ratio(q, k):
+    """h_k = (q;q^2)_k / (q^2;q^2)_k, each carried from the one before."""
+    assert analysis.h_coeffs(k + 1, q)[k] == q_poch(q, q * q, k) / q_poch(q * q, q * q, k)
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=str)
 def test_h_functional_equation(ctx):
-    assert analysis.h_functional_equation_check(ctx).passed
+    assert holds(analysis.h_functional_equation_check(ctx))
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=str)
 def test_pearson_equation(ctx):
-    assert analysis.pearson_check(ctx).passed
+    assert holds(analysis.pearson_check(ctx))
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=str)
 def test_rodrigues_formulae(ctx):
     for n in range(6):
-        assert analysis.rodrigues_t(n, ctx).passed
-        assert analysis.rodrigues_u(n, ctx).passed
+        assert holds(analysis.rodrigues_t(n, ctx))
+        assert holds(analysis.rodrigues_u(n, ctx))
 
 
 def test_rodrigues_needs_enough_order():
@@ -82,26 +97,21 @@ def test_genfun_low_coefficients():
 
 @pytest.mark.parametrize("q", (F(2), F(1, 2)))
 def test_generating_functions(q):
-    assert analysis.genfun_check(10, q).passed
+    assert holds(analysis.genfun_check(10, q))
 
 
-@pytest.mark.parametrize("name", analysis.REGISTRY_IDS)
+@pytest.mark.parametrize("name", sorted(analysis.REGISTRY))
 def test_registry_identities(name):
     for q in (F(2), F(1, 2)):
-        report = analysis.registry_check(name, 10, q)
+        report = check_range(name, None, *analysis.REGISTRY[name](10, q))
         assert report.passed, (name, q, report.witness)
 
 
 def test_registry_run_aggregates():
     bounds = dict(suites.bounds_for(2), registry=6)
     reports = suites.run_suite("core", qs=(F(2),), bounds=bounds)
-    registry = [r for r in reports if r.identity_id in analysis.REGISTRY_IDS]
-    assert len(registry) == len(analysis.REGISTRY_IDS)
+    registry = [r for r in reports if r.identity_id in analysis.REGISTRY]
+    assert len(registry) == len(analysis.REGISTRY)
     assert all(r.passed and r.index_range[1] in (3, 6) for r in registry)
     # each report is tagged with its q sample (b plays no role)
     assert {(r.point.q, r.point.b) for r in registry} == {(F(2), F(0))}
-
-
-def test_registry_rejects_unknown():
-    with pytest.raises(ValueError):
-        analysis.registry_check("eq-0.0", 4, F(2))

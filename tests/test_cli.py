@@ -149,10 +149,16 @@ def test_verify_q1_skips():
     assert "classical-fib-lucas" in ids
 
 
-def test_verify_fault_injection_exits_1():
+def test_verify_fault_injection_exits_1(monkeypatch):
     args = ["verify", "--suite", "core", "--q", "2", "--max-n", "4", "--format", "json"]
     for family in ("U", "F_QB"):
-        code, text = run_cli(args + ["--inject-fault", family])
+        fid = families.FamilyId(family)
+        spec = families.FAMILIES[fid]
+        with monkeypatch.context() as patch:
+            # the primary route made wrong by one
+            wrong = lambda n, p, route=spec.primary: route(n, p) + XsPoly.const(1)
+            patch.setitem(families.FAMILIES, fid, spec._replace(primary=wrong))
+            code, text = run_cli(args)
         assert code == 1
         payload = json.loads(text)
         assert payload["summary"]["fail"] >= 1
@@ -160,10 +166,12 @@ def test_verify_fault_injection_exits_1():
         assert all("witness" in r for r in fails)
         # only the injected family's dual-route rows fail
         assert {r["identity_id"] for r in fails} == {f"dual-{family}"}
-        # the fault belongs to that run alone: the next run passes
+        # the fault belongs to the patched run alone: the next run passes
         code, text = run_cli(args)
         assert code == 0
         assert json.loads(text)["summary"]["fail"] == 0
+    # a fault is injected only by patching the table of families
+    assert run_cli(args + ["--inject-fault", "U"])[0] == 2
 
 
 def test_verify_csv_columns():
@@ -258,7 +266,7 @@ def test_verify_text_names_the_reason_of_each_skip():
     assert code == 0
     lines = text.splitlines()
     at = lines.index("skipped negative-index @ q=2, b=4  n in (0, 0)")
-    assert lines[at + 1] == "        reason: 1 - q^0 b vanishes at q=2, b=1"
+    assert lines[at + 1] == "        reason: 1 - q^-2 b vanishes at q=2, b=4"
     assert sum(line.startswith("        reason: ") for line in lines) == 2
     assert lines[-1] == "summary: 58 pass, 0 fail, 2 skipped"
 

@@ -22,6 +22,7 @@ from qcheb.qkernel import (
     q_poch,
     sample_points,
 )
+from qcheb.report import check_range
 
 F = Fraction
 
@@ -149,20 +150,24 @@ def test_alsalam_ismail_recurrence():
         )
 
 
-def test_family_poly_dispatch_and_fault():
+def test_family_poly_dispatch_and_fault(monkeypatch):
     point = ParamPoint(F(2), F(0))
     t, u = families.FamilyId.CHEB_T, families.FamilyId.CHEB_U
     assert families.family_poly(t, 2, point) == families.cheb_t(2, F(2))
-    # the fault perturbs the primary side of that family's dual-route check
-    faulted = suites.dual_route_check(t, point, 2, fault=t)
-    assert faulted.status == "fail"
-    assert faulted.witness["lhs"] == families.cheb_t(0, F(2)) + ONE
-    assert faulted.witness["rhs"] == families.cheb_t_closed(0, F(2))
-    # other families unaffected
-    assert suites.dual_route_check(u, point, 2, fault=t).passed
-    # family_poly itself is pure, and a run without the fault passes
+    spec = families.FAMILIES[t]
+    with monkeypatch.context() as patch:
+        # a wrong primary route fails the family's dual-route check
+        wrong = lambda n, p: spec.primary(n, p) + ONE
+        patch.setitem(families.FAMILIES, t, spec._replace(primary=wrong))
+        faulted = check_range("dual-T", point, *suites.dual_route_check(t, point, 2))
+        assert faulted.status == "fail"
+        assert faulted.witness["lhs"] == families.cheb_t(0, F(2)) + ONE
+        assert faulted.witness["rhs"] == families.cheb_t_closed(0, F(2))
+        # other families unaffected
+        assert check_range("dual-U", point, *suites.dual_route_check(u, point, 2)).passed
+    # the fault belongs to the patch alone: family_poly and the check pass after it
     assert families.family_poly(t, 2, point) == families.cheb_t(2, F(2))
-    assert suites.dual_route_check(t, point, 2).passed
+    assert check_range("dual-T", point, *suites.dual_route_check(t, point, 2)).passed
 
 
 def test_binet_float():

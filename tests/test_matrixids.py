@@ -8,12 +8,18 @@ import pytest
 from qcheb import families, matrixids
 from qcheb.polyring import ONE, S, X, ZERO
 from qcheb.qkernel import ParamPoint, sample_points
+from qcheb.report import check_range
 
 F = Fraction
 
 POINTS = sample_points(levels=range(0, 30))
 NEG_POINTS = [p for p in POINTS if p.is_pole_free(range(-10, 0))]
 QS = (F(2), F(1, 2), F(3, 5), F(7))
+
+
+def holds(check):
+    """Whether check_range finds every (lhs, rhs) pair of a check's sides equal."""
+    return check_range("", None, *check).passed
 
 
 @pytest.mark.parametrize("point", POINTS, ids=str)
@@ -46,7 +52,7 @@ def test_cassini_euler(point):
 
 @pytest.mark.parametrize("point", POINTS, ids=str)
 def test_trace_is_lucas(point):
-    assert matrixids.trace_lucas_check(8, point).passed
+    assert holds(matrixids.trace_lucas_check(8, point))
 
 
 @pytest.mark.parametrize("q", QS)
@@ -59,12 +65,12 @@ def test_cheb_matrix_entries(q):
 
 @pytest.mark.parametrize("q", QS)
 def test_det_identity(q):
-    assert matrixids.det_identity_check(12, q).passed
+    assert holds(matrixids.det_identity_check(12, q))
 
 
 @pytest.mark.parametrize("r", (F(2), F(1, 2), F(3)))
 def test_det_identity_sqrt(r):
-    assert matrixids.det_identity_sqrt_check(9, r).passed
+    assert holds(matrixids.det_identity_sqrt_check(9, r))
 
 
 @pytest.mark.parametrize("q", QS)

@@ -8,10 +8,16 @@ import pytest
 from qcheb import families, moments
 from qcheb.polyring import ONE, S, X, XsPoly, ZERO
 from qcheb.qkernel import q_binom, q_catalan, q_int
+from qcheb.report import check_range
 
 F = Fraction
 
 QS = (F(2), F(1, 2), F(3, 5), F(7))
+
+
+def holds(check):
+    """Whether check_range finds every (lhs, rhs) pair of a check's sides equal."""
+    return check_range("", None, *check).passed
 
 
 def test_basis_matches_families():
@@ -43,8 +49,9 @@ def test_moments_small_values():
 
 @pytest.mark.parametrize("q", QS)
 def test_moment_closed_forms(q):
-    assert moments.moment_consistency_check("fib", 8, q).passed
-    assert moments.moment_consistency_check("lucas", 8, q).passed
+    check = moments.moment_consistency_check
+    assert holds(check(moments.gen_fib_spec, moments.moments_fib_closed, 8, q))
+    assert holds(check(moments.gen_lucas_spec, moments.moments_lucas_closed, 8, q))
     for n in range(6):
         assert moments.moments_fib_closed(n, q) == moments_fib_product_form(n, q)
 
@@ -66,11 +73,11 @@ def test_carlitz_moments_are_catalan(q):
     dp = moments.moments_from_recurrence(moments.carlitz_spec(q), 13)
     for n in range(7):
         assert dp[2 * n] == XsPoly.monomial((-q) ** n * q_catalan(n, q), 0, n)
-    assert moments.carlitz_moment_check(6, q).passed
+    assert holds(moments.carlitz_moment_check(6, q))
 
 
 def test_classical_moments():
-    assert moments.classical_moment_check(6).passed
+    assert holds(moments.classical_moment_check(6))
 
 
 @pytest.mark.parametrize("q", QS)
@@ -100,14 +107,15 @@ def test_expand_in_basis_short_basis():
 
 @pytest.mark.parametrize("q", QS)
 def test_orthogonality_smoke(q):
-    assert moments.orthogonality_check(moments.gen_fib_spec(q), 7).passed
-    assert moments.orthogonality_check(moments.gen_lucas_spec(q), 7).passed
+    indices, _, index_range = moments.orthogonality_check(7, q)
+    assert {name for name, _ in indices} == {"gen_fib", "gen_lucas"} and index_range == (0, 7)
+    assert holds(moments.orthogonality_check(7, q))
 
 
 @pytest.mark.parametrize("q", QS)
 def test_nonorthogonality_witness(q):
-    assert moments.nonorthogonality_witness(q).passed
+    assert holds(moments.nonorthogonality_witness(q))
 
 
 def test_nonorthogonality_defect_vanishes_classically():
-    assert moments.nonorthogonality_witness(F(1)).passed
+    assert holds(moments.nonorthogonality_witness(F(1)))

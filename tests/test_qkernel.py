@@ -154,7 +154,7 @@ def _level_reference(q, b, j):
 def test_ladder_matches_its_definition(qb, queries):
     """Asked in any order, at a point or at the points its shifts made (which
     share its ladder), every entry equals its uncached definition, and a pole
-    raises the same error on every call."""
+    raises the same error on every call, worded at the root's level and b."""
     q, b = qb
     root = ParamPoint(q, b)
     for t1, t2, s, m, j in queries:
@@ -162,8 +162,9 @@ def test_ladder_matches_its_definition(qb, queries):
         assert p == ParamPoint(q, q ** (t1 + t2) * b)
         for k in (m - 1, m):  # (s, m) extends (s, m - 1)
             assert _outcome(p.poch, s, k) == _outcome(q_poch, q**s * p.b, q, k)
-        level = _outcome(_level_reference, q, p.b, j)
+        level = _outcome(_level_reference, q, b, t1 + t2 + j)
         assert _outcome(p.level, j) == level and _outcome(p.level, j) == level
+        assert _outcome(p.shift_b(s).level, j) == _outcome(p.level, j + s)
         assert p.power(j) == q**j
         assert hash(p) == hash(ParamPoint(p.q, p.b))
         assert p.shift_b(j) == ParamPoint(q, q**j * p.b) and p.shift_b(j) is p.shift_b(j)

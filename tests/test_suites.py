@@ -10,8 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qcheb import cli, families, matrixids, moments, qkernel, suites
-from qcheb.polyring import ONE
+from qcheb import cli, families, matrixids, moments, operators, qkernel, suites
+from qcheb.polyring import ONE, XsPoly
 from qcheb.qkernel import ParamPoint
 
 
@@ -32,7 +32,8 @@ def test_max_n_rules():
 
 # sha256 of the JSON report of each command, as produced before the table of
 # checks replaced the hand-written work list; `--q 1` as recorded once q = 1
-# became an ordinary sample, the same on CPython 3.11, 3.12 and 3.13
+# became an ordinary sample, and `--q 2 --b 4` once a pole met at a shifted
+# point named the sample's b; the same on CPython 3.11, 3.12 and 3.13
 PINNED = {
     "verify --suite all --q 1":
         "bb6c11211eb0a6d3106a49dd0f7f7fc3c350bee472f0763bb171ae5cfde158e2",
@@ -44,7 +45,7 @@ PINNED = {
     "verify --suite all --q=-1":
         "a3f2bd57caa74616966bb19c53b2f681d17bdd9fe30ccfbcafd3f9d45ecad29f",
     "verify --suite core --q 2 --b 4":
-        "6adf7d393353dba7cbd55f831e21497032b963503294957b4444dee16d296430",
+        "fcf403d49a9d429b00cf7fa02d61515dc756f490c32446d2c5fedfe2d09610a5",
     "verify --suite core --q 2 --b 1/32":
         "9ec0e97d5110f0d04de35bb2aa89a3ab6571f7cb27e5d66bc0859a6fdc20d3f0",
 }
@@ -79,8 +80,7 @@ def test_q_1_is_an_ordinary_sample():
     "b, summary, poles",
     [
         ("1/4", {"pass": 52, "fail": 0, "skipped": 8}, {"1 - q^2 b vanishes at q=2, b=1/4"}),
-        ("4", {"pass": 58, "fail": 0, "skipped": 2},
-         {"1 - q^3 b vanishes at q=2, b=1/8", "1 - q^0 b vanishes at q=2, b=1"}),
+        ("4", {"pass": 58, "fail": 0, "skipped": 2}, {"1 - q^-2 b vanishes at q=2, b=4"}),
     ],
 )
 def test_a_named_point_runs_every_point_row(b, summary, poles):
@@ -197,6 +197,15 @@ PERTURBED = {
 }
 
 
+def _run_small_all():
+    return suites.run_suite("all", qs=[F(2)], bs=[F(3, 7)], bounds=suites.bounds_for(4))
+
+
+def _assert_every_report_carries_a_row_id(reports):
+    core, extended = suites.checks()
+    assert reports and {r.identity_id for r in reports} <= {row.id for row in core + extended}
+
+
 def _failing_reports(monkeypatch, target):
     name, at = target.split("@")
     module, attr = name.split(".")
@@ -210,7 +219,8 @@ def _failing_reports(monkeypatch, target):
         return value + (1 if isinstance(value, F) else ONE)
 
     monkeypatch.setattr(module, attr, perturbed)
-    reports = suites.run_suite("all", qs=[F(2)], bs=[F(3, 7)], bounds=suites.bounds_for(4))
+    reports = _run_small_all()
+    _assert_every_report_carries_a_row_id(reports)
     return [r.to_json() for r in reports if r.status == "fail"]
 
 
@@ -220,6 +230,56 @@ def test_failing_reports_are_pinned(monkeypatch, target):
     assert failing
     digest = hashlib.sha256(json.dumps(failing).encode()).hexdigest()
     assert digest == PERTURBED[target]
+
+
+def test_every_report_at_q_minus_1_carries_a_row_id():
+    reports = suites.run_suite("all", qs=[F(-1)], bs=[F(3, 7)], bounds=suites.bounds_for(4))
+    assert any(r.status == "skipped" for r in reports)
+    _assert_every_report_carries_a_row_id(reports)
+
+
+def _wrong_word(original):
+    """apply_word made wrong by one for the word Y at x s^2."""
+    return lambda word, point, start=(0, 0, 0): original(word, point, start) + (
+        ONE if (tuple(word), start) == (("Y",), (1, 2, 0)) else XsPoly.zero()
+    )
+
+
+def _wrong_ck(original):
+    """ck_closed made wrong by one at C_1^2."""
+    return lambda n, k, point: original(n, k, point) + (ONE if (n, k) == (2, 1) else XsPoly.zero())
+
+
+def _wrong_expansion(original):
+    """expand_in_basis made wrong by one for L*_1 L*_3 in the gen_lucas basis."""
+    lucas = moments.gen_lucas_spec(F(2)).basis(4)
+
+    def expand(poly, basis):
+        coeffs = original(poly, basis)
+        if basis[:4] == lucas and poly == lucas[1] * lucas[3]:
+            coeffs[0] = coeffs[0] + ONE
+        return coeffs
+
+    return expand
+
+
+@pytest.mark.parametrize(
+    "module, attr, wrong, row, index",
+    [
+        (operators, "apply_word", _wrong_word, "eq-2.13..15", "((1, 2, 0), 'eq-2.15')"),
+        (operators, "ck_closed", _wrong_ck, "eq-2.16..21", "((2, 1), 'eq-2.21')"),
+        (moments, "expand_in_basis", _wrong_expansion, "orthogonality", "('gen_lucas', (1, 3))"),
+    ],
+    ids=["apply_word", "ck_closed", "expand_in_basis"],
+)
+def test_a_failing_sub_identity_reports_under_its_row(monkeypatch, module, attr, wrong, row, index):
+    """A check that compares several relations or specs fails under its
+    row's id, and its witness index names the relation or spec that broke."""
+    monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
+    reports = _run_small_all()
+    _assert_every_report_carries_a_row_id(reports)
+    (report,) = [r.to_json() for r in reports if r.identity_id == row]
+    assert report["status"] == "fail" and report["witness"]["n"] == index
 
 
 def test_a_word_row_is_reported_at_its_word_point():
