@@ -3,7 +3,6 @@ Pearson equation, Rodrigues-type formulae, generating functions, and the
 registry of standalone identities.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families
@@ -87,18 +86,14 @@ def qode_check_u(n: int, q):
 # -- h-series, Pearson equation, Rodrigues formulae --------------------
 
 
-@dataclass(frozen=True)
 class SeriesContext:
     """Truncation context for the weight-series checks.  s_val substitutes s
     (the weight argument is -x^2/s); order is the exclusive x-power bound."""
 
-    q: Fraction
-    s_val: Fraction
-    order: int
+    __slots__ = ("q", "s_val", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_rational(self.q))
-        object.__setattr__(self, "s_val", as_rational(self.s_val))
+    def __init__(self, q, s_val, order: int):
+        self.q, self.s_val, self.order = as_rational(q), as_rational(s_val), order
         if self.s_val == 0:
             raise ValueError("s_val must be nonzero")
         if self.order < 2:
@@ -219,29 +214,26 @@ def rodrigues_u(n: int, ctx: SeriesContext):
 
 def genfun_u(order: int, q) -> TruncSeries:
     """Right side of the U generating function as a series in z:
-    sum_k q^C(k+1,2) z^k prod_{j<k} (x + q^j s z) / prod_{j<=k} (1 - q^j x z)."""
+    sum_k q^C(k+1,2) z^k prod_{j<k} (x + q^j s z) / prod_{j<=k} (1 - q^j x z).
+    Term k is term k-1 times q^k z (x + q^(k-1) s z) / (1 - q^k x z)."""
     q = as_rational(q)
-    total = TruncSeries.zero(order)
-    for k in range(order):
-        term = TruncSeries.one(order).shift(k) * XsPoly.const(q ** binom2(k + 1))
-        for j in range(k):
-            term = term * TruncSeries([X, S.scale(q**j)], order)
-        for j in range(k + 1):
-            term = term * TruncSeries.geom(X.scale(q**j), order)
+    term = total = TruncSeries.geom(X, order)
+    for k in range(1, order):
+        step = TruncSeries([Fraction(0), X.scale(q**k), S.scale(q ** (2 * k - 1))], order)
+        term = step * term * TruncSeries.geom(X.scale(q**k), order)
         total = total + term
     return total
 
 
 def genfun_t(order: int, q) -> TruncSeries:
     """Right side of the T generating function as a series in z:
-    sum_k q^C(k,2) z^k prod_{j<k} (x + q^(j+1) s z) / prod_{j<k} (1 - q^j x z)."""
+    sum_k q^C(k,2) z^k prod_{j<k} (x + q^(j+1) s z) / prod_{j<k} (1 - q^j x z).
+    Term k is term k-1 times q^(k-1) z (x + q^k s z) / (1 - q^(k-1) x z)."""
     q = as_rational(q)
-    total = TruncSeries.zero(order)
-    for k in range(order):
-        term = TruncSeries.one(order).shift(k) * XsPoly.const(q ** binom2(k))
-        for j in range(k):
-            term = term * TruncSeries([X, S.scale(q ** (j + 1))], order)
-            term = term * TruncSeries.geom(X.scale(q**j), order)
+    term = total = TruncSeries.one(order)
+    for k in range(1, order):
+        step = TruncSeries([Fraction(0), X.scale(q ** (k - 1)), S.scale(q ** (2 * k - 1))], order)
+        term = step * term * TruncSeries.geom(X.scale(q ** (k - 1)), order)
         total = total + term
     return total
 

@@ -6,6 +6,11 @@ failure, 2 = usage or parameter error.  Rationals are always serialized as
 lowest-terms "num/den" strings.  Every command renders its whole output
 before writing any of it, so an error such as a number past Python's
 int-to-str digit limit exits 2 with nothing written to stdout.
+
+Startup: each command loads only the modules it runs.  `gen` and `catalan`
+need nothing beyond what `import qcheb` loads; `moments` imports
+qcheb.moments inside its handler, and `verify` is the one command that loads
+the suites, inside its handler.
 """
 
 import argparse
@@ -13,10 +18,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import families, moments
+from . import families
 from .polyring import format_rational
 from .qkernel import ParamPoint, PoleError, q_catalan
-from .suites import bounds_for, run_suite, summarize
 
 
 class UsageError(Exception):
@@ -118,8 +122,7 @@ def cmd_gen(args, out) -> int:
 # -- verify -------------------------------------------------------------
 
 
-def _emit_reports(reports, fmt, out):
-    counts = summarize(reports)
+def _emit_reports(reports, counts, fmt, out):
     if fmt == "json":
         payload = {"summary": counts, "reports": [r.to_json() for r in reports]}
         json.dump(payload, out, indent=2)
@@ -153,6 +156,8 @@ def _emit_reports(reports, fmt, out):
 
 
 def cmd_verify(args, out) -> int:
+    from .suites import bounds_for, run_suite, summarize
+
     qs = [_parse_rational(args.q)] if args.q is not None else None
     bs = [_parse_rational(args.b)] if args.b is not None else None
     if args.parallelism < 1:
@@ -166,14 +171,17 @@ def cmd_verify(args, out) -> int:
         parallelism=args.parallelism,
         bounds=bounds_for(args.max_n),
     )
-    _emit_reports(reports, args.format, out)
-    return 0 if summarize(reports)["fail"] == 0 else 1
+    counts = summarize(reports)
+    _emit_reports(reports, counts, args.format, out)
+    return 0 if counts["fail"] == 0 else 1
 
 
 # -- moments ------------------------------------------------------------
 
 
 def cmd_moments(args, out) -> int:
+    from . import moments
+
     q = _parse_rational(args.q)
     if args.n < 0:
         raise UsageError("--n must be >= 0")

@@ -3,17 +3,15 @@ q-Fibonacci and q-Lucas bases, moments from three-term recurrences, the
 q-Catalan connection and the trace-Lucas non-orthogonality witness.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import families
 from .polyring import ONE, S, X, XsPoly, ZERO
 from .qkernel import ParamPoint, as_rational, q_binom, q_catalan, q_int, q_poch
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(NamedTuple):
     """Monic three-term recurrence p_k = x p_(k-1) + t(k) p_(k-2), with
     p_0 = 1 and p_1 = x.  t(k) returns an s-multiple as an XsPoly.
 

@@ -11,7 +11,6 @@ All arithmetic is over `fractions.Fraction`; nothing here ever rounds.
 """
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -32,7 +31,6 @@ def as_rational(v) -> Fraction:
     raise TypeError(f"cannot interpret {v!r} as an exact rational")
 
 
-@dataclass(frozen=True)
 class ParamPoint:
     """A concrete rational substitution (q, b), q != 0; x and s stay formal.
 
@@ -48,18 +46,26 @@ class ParamPoint:
     against the sample's b.  Two threads filling the same entry store equal
     values."""
 
-    q: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        q, b = as_rational(self.q), as_rational(self.b)
+    def __init__(self, q, b):
+        q, b = as_rational(q), as_rational(b)
         if q == 0:
             raise PoleError("q = 0 is not a valid parameter")
         self.__dict__.update(q=q, b=b, _hash=hash((q, b)), _shifts={}, _offset=0,
                              _root_b=b, _powers={}, _factors={}, _pochs={})
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a ParamPoint")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.b) == (other.q, other.b)
+
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"ParamPoint(q={self.q!r}, b={self.b!r})"
 
     def power(self, j: int) -> Fraction:
         """q^j."""

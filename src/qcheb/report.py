@@ -1,14 +1,12 @@
 """Result records for identity checks."""
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .polyring import format_rational
 from .qkernel import ParamPoint
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity at one parameter point over an index range.
 
     A fail report, made only by check_range, carries a witness (the first

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcheb import analysis, families, suites
-from qcheb.polyring import TruncSeries
-from qcheb.qkernel import q_int, q_poch
+from qcheb.polyring import S, TruncSeries, X, XsPoly
+from qcheb.qkernel import binom2, q_poch
 from qcheb.report import check_range
 
 F = Fraction
@@ -89,10 +89,30 @@ def test_rodrigues_needs_enough_order():
 def test_genfun_low_coefficients():
     q = F(2)
     u = analysis.genfun_u(4, q)
-    from qcheb.polyring import XsPoly
-
     assert XsPoly._coerce(u.coeffs[0]) == families.cheb_u(0, q)
     assert XsPoly._coerce(u.coeffs[1]) == families.cheb_u(1, q)
+
+
+def _genfun_reference(order, q, shift):
+    """sum_k q^C(k+shift,2) z^k prod_{j<k} (x + q^(j+1-shift) s z) /
+    prod_{j<k+shift} (1 - q^j x z), each term built from its own factors:
+    the U sum at shift 1, the T sum at shift 0."""
+    total = TruncSeries.zero(order)
+    for k in range(order):
+        term = TruncSeries.one(order).shift(k) * XsPoly.const(q ** binom2(k + shift))
+        for j in range(k):
+            term = term * TruncSeries([X, S.scale(q ** (j + 1 - shift))], order)
+        for j in range(k + shift):
+            term = term * TruncSeries.geom(X.scale(q**j), order)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("q", QS + (F(-2, 3), F(1)), ids=str)
+def test_generating_function_sums_match_their_termwise_definition(q):
+    for order in (1, 2, 7):
+        assert analysis.genfun_u(order, q) == _genfun_reference(order, q, 1)
+        assert analysis.genfun_t(order, q) == _genfun_reference(order, q, 0)
 
 
 @pytest.mark.parametrize("q", (F(2), F(1, 2)))

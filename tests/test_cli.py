@@ -3,7 +3,10 @@ suite runner's determinism and skip behavior."""
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,33 @@ def run_cli(argv):
     out = io.StringIO()
     code = cli.main(argv, out=out)
     return code, out.getvalue()
+
+
+VERIFIER_MODULES = ("dataclasses", "inspect", "qcheb.suites", "qcheb.analysis",
+                    "qcheb.matrixids", "qcheb.operators", "qcheb.moments")
+
+
+def _verifier_modules_loaded_by(code):
+    """The VERIFIER_MODULES that running code loads in a fresh interpreter."""
+    probe = (f"import io, sys\nbefore = set(sys.modules)\n{code}\n"
+             f"print(*(m for m in {VERIFIER_MODULES!r} if m in set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize("code", [
+    "import qcheb.cli; qcheb.cli.build_parser()",
+    "from qcheb import cli; cli.main(['gen', '--family', 'T', '--n', '3'], out=io.StringIO())",
+])
+def test_building_the_parser_and_gen_load_no_verifier_module(code):
+    assert _verifier_modules_loaded_by(code) == set()
+
+
+def test_verify_loads_the_suites():
+    code = "from qcheb import cli; cli.main(['verify', '--max-n', '2'], out=io.StringIO())"
+    assert "qcheb.suites" in _verifier_modules_loaded_by(code)
 
 
 def test_gen_text():

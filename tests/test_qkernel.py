@@ -113,6 +113,36 @@ def test_param_point_guards():
     assert ParamPoint(-1, 3).level(1) == 4  # 1 + q^j = 0 is no pole
 
 
+SMALL_RATIONALS = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=9)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS)
+def test_param_point_is_a_frozen_value(q, b, q2, b2):
+    """A point equals and hashes as its (q, b) however they were given, never
+    equals a tuple, reprs as its fields, refuses assignment and rejects q = 0."""
+    assert ParamPoint(1, 0) == ParamPoint(F(1), F(0))
+    assert hash(ParamPoint(1, 0)) == hash(ParamPoint(F(1), F(0)))
+    assert repr(ParamPoint(F(3, 5), F(3, 7))) == "ParamPoint(q=Fraction(3, 5), b=Fraction(3, 7))"
+    if q == 0:
+        with pytest.raises(PoleError):
+            ParamPoint(q, b)
+        return
+    p = ParamPoint(q, b)
+    assert (p.q, p.b) == (q, b) and type(p.q) is type(p.b) is F
+    assert p == ParamPoint(F(q), F(b)) and hash(p) == hash(ParamPoint(F(q), F(b)))
+    if q2 != 0:
+        assert (p == ParamPoint(q2, b2)) == ((q, b) == (q2, b2))
+    assert p != (p.q, p.b) and (p.q, p.b) != p
+    assert repr(p) == f"ParamPoint(q={F(q)!r}, b={F(b)!r})"
+    for field in ("q", "b"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, F(1))
+    assert (p.q, p.b) == (q, b)
+
+
 def test_shift_b():
     p = ParamPoint(F(2), F(3))
     assert p.shift_b(2).b == 12

@@ -1,7 +1,10 @@
 """check_range: the one place that picks a witness."""
 
+from fractions import Fraction as F
+
 import pytest
 
+from qcheb import suites
 from qcheb.qkernel import PoleError
 from qcheb.report import check_range
 
@@ -39,3 +42,14 @@ def test_equal_pairs_pass_and_an_error_in_a_pair_propagates():
 
     with pytest.raises(PoleError):
         check_range("id", None, [0], pole)
+
+
+def test_reports_compare_by_value():
+    """Two runs build their own points and reports, which compare equal."""
+
+    def run():
+        return suites.run_suite("core", qs=[F(3, 5)], bs=[F(3, 7)], bounds=suites.bounds_for(4))
+
+    first, second = run(), run()
+    assert first == second and first[0] is not second[0]
+    assert first[0].point is not None and first[0].point is not second[0].point
