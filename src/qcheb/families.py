@@ -8,7 +8,19 @@ negative powers of s, held in the same XsPoly type.
 
 The primary recurrences and the dilated Carlitz route are `qkernel.sequence`s,
 built bottom-up and kept for the 64 most recently used parameter sets; the
-closed forms and the dilated (q,b) and backward routes keep no memo.
+closed forms (beyond the q-Pascal rows they read) and the dilated (q,b) and
+backward routes keep no memo.
+
+The closed-form sums (fib_carlitz, fib_qb_closed, lucas_trace_closed,
+lucas_qb_closed, cheb_u_closed, cheb_t_closed and the hypergeometric forms)
+work in integers at q = a/c.  Term k is an integer numerator over a power of
+c times a product that gains one integer factor per k; its Gaussian
+binomials are entries of the rows qkernel.q_pascal(m, a, c), and the (q,b)
+forms take each factor 1 - q^j b from ParamPoint.level(j), in the order
+that raises the first vanishing one.  _one_denominator puts every term over
+the last denominator and XsPoly._reduced makes the one gcd.  No sum divides
+by [i]_q, and the hypergeometric sums divide by 1 + q^k only as a level of
+the b = -1 families, so the sums hold at q = -1 off their families' poles.
 """
 
 import enum
@@ -21,8 +33,7 @@ from .qkernel import (
     PoleError,
     as_rational,
     binom2,
-    q_binom,
-    q_int,
+    q_pascal,
     q_poch,
     sequence,
 )
@@ -40,16 +51,55 @@ class FamilyId(enum.Enum):
     ALSALAM_ISMAIL = "ALSALAM_ISMAIL"
 
 
+# -- integer closed-form sums -----------------------------------------
+
+
+def _one_denominator(terms, c=1) -> XsPoly:
+    """The sum of num_k / (c^e_k f_0 f_1 ... f_k) x^dx s^ds over the terms
+    [((dx, ds), num_k, e_k, f_k), ...], all integers with e_k >= 0.
+
+    One pass from the last term multiplies each numerator by the factors
+    after it and by the power of c it lacks, so that every term is over
+    c^max(e) f_0 ... f_K; XsPoly._reduced divides out their one gcd, and
+    raises a bare ZeroDivisionError where a factor is 0."""
+    top = max((e for _, _, e, _ in terms), default=0)
+    num, tail = {}, 1
+    for key, value, e, f in reversed(terms):
+        if value:
+            num[key] = value * tail * c ** (top - e)
+        tail *= f
+    return XsPoly._reduced(num, tail * c**top)
+
+
+def _levels(point: ParamPoint, i: int, j: int):
+    """(numerator, denominator) of (1 - q^i b)(1 - q^j b), each factor from
+    point.level, i first."""
+    lo, hi = point.level(i), point.level(j)
+    return lo.numerator * hi.numerator, lo.denominator * hi.denominator
+
+
+def _lucas_weight(m: int, k: int, a: int, c: int) -> int:
+    """c^(k(m-k)+k) [m+k]/[m] [m over k] at q = a/c, from the division-free
+    [m+k]/[m] [m over k] = q^k [m over k] + [m-1 over k-1]."""
+    weight = a**k * q_pascal(m, a, c)[k]
+    if k:
+        weight += c**m * q_pascal(m - 1, a, c)[k - 1]
+    return weight
+
+
 # -- Carlitz q-Fibonacci ----------------------------------------------
 
 
 def fib_carlitz(n: int, q) -> XsPoly:
-    """Closed-form sum over k of q^(k^2) [n-1-k over k] s^k x^(n-1-2k)."""
+    """Closed-form sum over k of q^(k^2) [n-1-k over k] s^k x^(n-1-2k): at
+    q = a/c, term k is a^(k^2) G(n-1-k, k) / c^(k(n-1-k))."""
     q = as_rational(q)
-    terms = {}
+    a, c = q.numerator, q.denominator
+    terms = []
     for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
-        terms[(n - 1 - 2 * k, k)] = q ** (k * k) * q_binom(n - 1 - k, k, q)
-    return XsPoly(terms)
+        m = n - 1 - k
+        terms.append(((m - k, k), a ** (k * k) * q_pascal(m, a, c)[k], k * m, 1))
+    return _one_denominator(terms, c)
 
 
 def fib_carlitz_rec(n: int, q) -> XsPoly:
@@ -91,16 +141,20 @@ def fib_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     """Closed-form sum route for the (q,b)-Fibonacci polynomials:
     sum of q^(k^2) [n-1-k over k] s^k x^(n-1-2k) / ((qb;q)_k (q^(n-k) b;q)_k).
 
-    The denominator is carried from k-1 to k by its two new factors
-    (1 - q^k b)(1 - q^(n-k) b)."""
-    q = point.q
-    terms = {}
-    den = Fraction(1)
+    The denominator gains the two factors (1 - q^k b)(1 - q^(n-k) b) per k:
+    their numerators are term k's new factor, their denominators multiply
+    its numerator."""
+    a, c = point.q.numerator, point.q.denominator
+    terms = []
+    carried = 1
     for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
+        factor = 1
         if k:
-            den *= point.level(k) * point.level(n - k)
-        terms[(n - 1 - 2 * k, k)] = q ** (k * k) * q_binom(n - 1 - k, k, q) / den
-    return XsPoly(terms)
+            factor, den = _levels(point, k, n - k)
+            carried *= den
+        m = n - 1 - k
+        terms.append(((m - k, k), a ** (k * k) * q_pascal(m, a, c)[k] * carried, k * m, factor))
+    return _one_denominator(terms, c)
 
 
 def fib_qb_dilated(n: int, point: ParamPoint) -> XsPoly:
@@ -177,23 +231,26 @@ def lucas_trace(n: int, point: ParamPoint) -> XsPoly:
 
 def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
     """Explicit sum for l_n, n > 0:
-    sum of q^(k^2-k) [n]/[n-k] [n-k over k] s^k x^(n-2k) / ((b;q)_k (q^(n-k+1) b;q)_k).
+    sum of q^(k^2-k) [n]/[n-k] [n-k over k] s^k x^(n-2k) / ((b;q)_k (q^(n-k+1) b;q)_k),
+    with [n]/[n-k] [n-k over k] = q^k [n-k over k] + [n-k-1 over k-1], so no
+    term divides by [n-k].
 
-    The denominator is carried from k-1 to k by its two new factors
-    (1 - q^(k-1) b)(1 - q^(n-k+1) b)."""
+    The denominator gains the two factors (1 - q^(k-1) b)(1 - q^(n-k+1) b)
+    per k, carried as in fib_qb_closed."""
     if n <= 0:
         raise ValueError("closed form holds for n > 0")
-    q = point.q
-    qn = q_int(n, q)
-    terms = {}
-    den = Fraction(1)
+    a, c = point.q.numerator, point.q.denominator
+    terms = []
+    carried = 1
     for k in range(n // 2 + 1):
+        factor = 1
         if k:
-            den *= point.level(k - 1) * point.level(n - k + 1)
-        terms[(n - 2 * k, k)] = (
-            q ** (k * k - k) * qn / q_int(n - k, q) * q_binom(n - k, k, q) / den
-        )
-    return XsPoly(terms)
+            factor, den = _levels(point, k - 1, n - k + 1)
+            carried *= den
+        m = n - k
+        value = a ** (k * k - k) * _lucas_weight(m, k, a, c) * carried
+        terms.append(((m - k, k), value, k * m, factor))
+    return _one_denominator(terms, c)
 
 
 def lucas_trace_neg_closed(n: int, point: ParamPoint) -> XsPoly:
@@ -229,19 +286,25 @@ def lucas_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     sum of q^(k^2) s^k x^(n-2k) ([n-k over k] - q^(n-k) b [n-1-k over k-1])
     / ((qb;q)_k (q^(n-k) b;q)_k).
 
-    The denominator is carried from k-1 to k by its two new factors
-    (1 - q^k b)(1 - q^(n-k) b)."""
+    At q = a/c and b = u/v, term k is over c^(k(n-k)+k) v and the level
+    factors, which are carried as in fib_qb_closed."""
     if n < 1:
         raise ValueError("closed form holds for n >= 1")
-    q, b = point.q, point.b
-    terms = {}
-    den = Fraction(1)
+    a, c = point.q.numerator, point.q.denominator
+    u, v = point.b.numerator, point.b.denominator
+    terms = []
+    carried = 1
     for k in range(n // 2 + 1):
+        factor = v  # term 0 is over v
         if k:
-            den *= point.level(k) * point.level(n - k)
-        num = q_binom(n - k, k, q) - q ** (n - k) * b * q_binom(n - 1 - k, k - 1, q)
-        terms[(n - 2 * k, k)] = q ** (k * k) * num / den
-    return XsPoly(terms)
+            factor, den = _levels(point, k, n - k)
+            carried *= den
+        m = n - k
+        value = c**k * v * q_pascal(m, a, c)[k]
+        if k:
+            value -= a**m * u * q_pascal(m - 1, a, c)[k - 1]
+        terms.append(((m - k, k), a ** (k * k) * value * carried, k * m + k, factor))
+    return _one_denominator(terms, c)
 
 
 def lucas_qb_dilated(n: int, point: ParamPoint) -> XsPoly:
@@ -334,17 +397,23 @@ def cheb_u_closed(n: int, q) -> XsPoly:
 
     The sum runs from k = n//2 down to 0, so the Pochhammer symbol
     (1+q^(k+1))...(1+q^(n-k)) grows by the two factors (1+q^(k+1))(1+q^(n-k))
-    per step and is never divided (a factor vanishes at q = -1)."""
+    per step and is never divided (a factor vanishes at q = -1).  At q = a/c
+    it is poch / c^sigma, poch the product of the c^j + a^j."""
     q = as_rational(q)
     if n < 0:
         raise ValueError("closed form holds for n >= 0")
-    terms = {}
-    poch = q_poch(-(q ** (n // 2 + 1)), q, n % 2)
-    for k in range(n // 2, -1, -1):
-        if k < n // 2:
-            poch *= (1 + q ** (k + 1)) * (1 + q ** (n - k))
-        terms[(n - 2 * k, k)] = q ** (k * k) * q_binom(n - k, k, q) * poch
-    return XsPoly(terms)
+    a, c = q.numerator, q.denominator
+    half = n // 2
+    poch, sigma = (c ** (half + 1) + a ** (half + 1), half + 1) if n % 2 else (1, 0)
+    terms = []
+    for k in range(half, -1, -1):
+        m = n - k
+        if k < half:
+            poch *= (c ** (k + 1) + a ** (k + 1)) * (c**m + a**m)
+            sigma += n + 1
+        value = a ** (k * k) * q_pascal(m, a, c)[k] * poch
+        terms.append(((m - k, k), value, k * m + sigma, 1))
+    return _one_denominator(terms, c)
 
 
 def cheb_u_ext(n: int, q) -> XsPoly:
@@ -392,24 +461,31 @@ def cheb_t_closed(n: int, q) -> XsPoly:
     sum of q^(k^2) [n]/[n-k] [n-k over k] (-q;q)_(n-1) s^k x^(n-2k)
     / ((-q;q)_k (-q^(n-k);q)_k).
 
-    [n] and (-q;q)_(n-1) are computed once; the denominator is carried from
-    k-1 to k by its two new factors (1+q^k)(1+q^(n-k))."""
+    Division-free: [n]/[n-k] [n-k over k] = q^k [n-k over k] + [n-k-1 over k-1],
+    and the Pochhammer quotient is (-q^(k+1);q)_(n-1-2k), so the k = n/2 term
+    is q^(k^2).  As in cheb_u_closed the sum runs from k = n//2 down, and the
+    product of the factors 1 + q^j, j = k+1 .. n-k-1, grows at both ends."""
     q = as_rational(q)
     if n < 0:
         raise ValueError("closed form holds for n >= 0")
     if n == 0:
         return ONE
-    qn = q_int(n, q)
-    poch_n = q_poch(-q, q, n - 1)
-    terms = {}
-    den = Fraction(1)
-    for k in range(n // 2 + 1):
-        if k:
-            den *= (1 + q**k) * (1 + q ** (n - k))
-        terms[(n - 2 * k, k)] = (
-            q ** (k * k) * qn / q_int(n - k, q) * q_binom(n - k, k, q) * poch_n / den
-        )
-    return XsPoly(terms)
+    a, c = q.numerator, q.denominator
+    half = n // 2
+    poch, sigma = 1, 0
+    terms = []
+    for k in range(half, -1, -1):
+        m = n - k
+        if m == k:
+            terms.append(((0, k), a ** (k * k), k * k, 1))
+            continue
+        if k < half:
+            for j in {k + 1, m - 1}:  # one factor where they meet, at n = 2k + 2
+                poch *= c**j + a**j
+                sigma += j
+        value = a ** (k * k) * _lucas_weight(m, k, a, c) * poch
+        terms.append(((m - k, k), value, k * m + k + sigma, 1))
+    return _one_denominator(terms, c)
 
 
 def cheb_t_ext(n: int, q) -> XsPoly:
@@ -451,10 +527,7 @@ def gen_lucas(n: int, q) -> XsPoly:
 def hypergeom_gen_fib(n: int, q) -> XsPoly:
     """Hypergeometric-form sum equal to F_(n+1)(x, -1, s, q):
     sum of (q^-n;q^2)_k (q^(1-n);q^2)_k / ((q^-2n;q^2)_k (q^2;q^2)_k) (-s)^k x^(n-2k)."""
-    q = as_rational(q)
-    if q == 0:
-        raise PoleError("q must be nonzero")
-    return _hypergeom_sum(n, q, q ** (-2 * n), Fraction(-1))
+    return _hypergeom_sum(n, as_rational(q), 2 * n + 2)
 
 
 def hypergeom_gen_lucas(n: int, q) -> XsPoly:
@@ -463,25 +536,39 @@ def hypergeom_gen_lucas(n: int, q) -> XsPoly:
     q = as_rational(q)
     if n < 1:
         raise ValueError("hypergeometric Lucas form holds for n >= 1")
-    return _hypergeom_sum(n, q, q ** (2 - 2 * n), -q * q)
+    return _hypergeom_sum(n, q, 2 * n)
 
 
-def _hypergeom_sum(n: int, q: Fraction, c: Fraction, z: Fraction) -> XsPoly:
+def _hypergeom_sum(n: int, q: Fraction, top: int) -> XsPoly:
     """Sum over 0 <= k <= n//2 of
-    (q^-n;q^2)_k (q^(1-n);q^2)_k / ((c;q^2)_k (q^2;q^2)_k) z^k s^k x^(n-2k).
+    (q^-n;q^2)_k (q^(1-n);q^2)_k / ((q^(2-top);q^2)_k (q^2;q^2)_k) z^k s^k x^(n-2k),
+    with top = 2n+2 and z = -1 for F_(n+1), top = 2n and z = -q^2 for L_n.
 
-    Each Pochhammer symbol (a;q^2)_k gains one factor per k, 1 - a q^(2(k-1))."""
-    q2 = q * q
-    a1, a2 = q**-n, q ** (1 - n)
-    terms = {}
-    num = den = step = Fraction(1)
+    Each Pochhammer symbol gains one factor per k; writing each
+    1 - q^-m (m > 0) as -q^-m (1 - q^m), term k is term k-1 times
+    q^(2k-1) (1 - q^(n+2-2k))(1 - q^(n+1-2k)) / ((1 - q^(top-2k))(1 - q^(2k))),
+    every exponent >= 0.  The factor 1 - q^(2k) is (1 - q^k)(1 + q^k), and
+    1 + q^k is level k of the b = -1 families, so a vanishing one raises
+    their PoleError; any other vanishing factor leaves a zero denominator."""
+    if q == 0:
+        raise PoleError("q must be nonzero")
+    a, c = q.numerator, q.denominator
+    point = ParamPoint(q, Fraction(-1))
+
+    def w(m):  # c^m (1 - q^m)
+        return c**m - a**m
+
+    terms = []
+    num = 1
     for k in range(n // 2 + 1) if n >= 0 else range(0):
+        factor = 1
         if k:
-            num *= (1 - a1 * step) * (1 - a2 * step)
-            den *= (1 - c * step) * (1 - q2 * step)
-            step *= q2
-        terms[(n - 2 * k, k)] = num / den * z**k
-    return XsPoly(terms)
+            level = point.level(k).numerator  # c^k (1 + q^k)
+            num *= a ** (2 * k - 1) * c ** (top - 2 * n - 2 + 2 * k)
+            num *= w(n + 2 - 2 * k) * w(n + 1 - 2 * k)
+            factor = w(top - 2 * k) * w(k) * level
+        terms.append(((n - 2 * k, k), num, 0, factor))
+    return _one_denominator(terms)
 
 
 # -- uniform dispatch --------------------------------------------------

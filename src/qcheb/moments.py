@@ -31,24 +31,26 @@ class RecurrenceSpec(NamedTuple):
 
 
 def gen_fib_spec(q) -> RecurrenceSpec:
-    """Basis p_k = F_(k+1)(x,-1,s,q): t(k) = q^(k-1) s / ((1+q^(k-1))(1+q^k))."""
-    q = as_rational(q)
+    """Basis p_k = F_(k+1)(x,-1,s,q): t(k) = q^(k-1) s / ((1+q^(k-1))(1+q^k)).
+    Each 1 + q^j is level j of the b = -1 point, which raises its PoleError."""
+    point = ParamPoint(q, -1)
     return RecurrenceSpec(
         "gen_fib",
-        lambda k: S.scale(q ** (k - 1) / ((1 + q ** (k - 1)) * (1 + q**k))),
+        lambda k: S.scale(point.power(k - 1) / (point.level(k - 1) * point.level(k))),
     )
 
 
 def gen_lucas_spec(q) -> RecurrenceSpec:
     """Basis L*_k (L_k(x,-1,s,q) for k >= 1, L*_0 = 1):
     t(2) = qs/(1+q) after normalizing the degree-0 element, then
-    t(k) = q^(k-1) s / ((1+q^(k-2))(1+q^(k-1)))."""
-    q = as_rational(q)
+    t(k) = q^(k-1) s / ((1+q^(k-2))(1+q^(k-1))), dividing by the levels of
+    the b = -1 point as gen_fib_spec does."""
+    point = ParamPoint(q, -1)
 
     def t(k):
         if k == 2:
-            return S.scale(q / (1 + q))
-        return S.scale(q ** (k - 1) / ((1 + q ** (k - 2)) * (1 + q ** (k - 1))))
+            return S.scale(point.q / point.level(1))
+        return S.scale(point.power(k - 1) / (point.level(k - 2) * point.level(k - 1)))
 
     return RecurrenceSpec("gen_lucas", t)
 

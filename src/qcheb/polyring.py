@@ -68,7 +68,10 @@ class XsPoly:
 
     @staticmethod
     def _reduced(num, den):
-        """The XsPoly num/den brought to canonical form; num holds no zeros."""
+        """The XsPoly num/den brought to canonical form; num holds no zeros.
+        A zero den raises a bare ZeroDivisionError, whatever num holds."""
+        if not den:
+            raise ZeroDivisionError("XsPoly denominator is 0")
         if not num:
             return XsPoly._of(num, 1)
         g = gcd(den, *num.values())

@@ -7,7 +7,11 @@ A ParamPoint (q, b) owns its b-ladder: the powers q^j, the factors
 multiply and divide by, each computed once per ladder.  q_poch is the
 general, uncached Pochhammer symbol for every other base.
 
-All arithmetic is over `fractions.Fraction`; nothing here ever rounds.
+Values are exact `fractions.Fraction`s and nothing here ever rounds.  The
+Gaussian binomials are built in integers: at q = a/c, q_pascal(n, a, c) is
+the row of G(n, k) = c^(k(n-k)) [n over k], so a closed form can sum integer
+numerators over one denominator, and no row divides by [i]_q (which is 0 at
+q = -1 for even i).
 """
 
 import threading
@@ -75,11 +79,16 @@ class ParamPoint:
         return value
 
     def _factor(self, j: int) -> Fraction:
-        """1 - q^j b, zero or not."""
+        """1 - q^j b, zero or not, built from integers: at q = a/c and
+        b = u/v it is (c^j v - a^j u) / (c^j v), with a and c swapped for j < 0."""
         key = j + self._offset
         value = self._factors.get(key)
         if value is None:
-            value = self._factors[key] = 1 - self.q**j * self.b
+            a, c = self.q.numerator, self.q.denominator
+            if j < 0:
+                a, c, j = c, a, -j
+            den = c**j * self.b.denominator
+            value = self._factors[key] = Fraction(den - a**j * self.b.numerator, den)
         return value
 
     def level(self, j: int) -> Fraction:
@@ -180,19 +189,30 @@ def q_int(n: int, q: Fraction) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=4096)
 def q_binom(n: int, k: int, q) -> Fraction:
-    """Gaussian binomial [n over k] evaluated at q; 0 outside 0 <= k <= n."""
+    """Gaussian binomial [n over k] evaluated at q; 0 outside 0 <= k <= n.
+
+    At q = a/c it is G(n, k) / c^(k(n-k)), read from the integer row
+    q_pascal(n, a, c); q_binom.cache_info and cache_clear are the rows'."""
     q = as_rational(q)
     if k < 0 or k > n:
         return Fraction(0)
-    k = min(k, n - k)
-    num = Fraction(1)
-    den = Fraction(1)
-    for i in range(1, k + 1):
-        num *= q_int(n - k + i, q)
-        den *= q_int(i, q)
-    return num / den
+    c = q.denominator
+    return Fraction(q_pascal(n, q.numerator, c)[k], c ** (k * (n - k)))
+
+
+def _q_pascal_row(m, rows, a, c):
+    """Row m of G(m, k) = c^(k(m-k)) [m over k] at q = a/c from row m-1, by
+    G(m, k) = c^(m-k) G(m-1, k-1) + a^k G(m-1, k); the row is symmetric."""
+    prev, row = rows[m - 1], [1] * (m + 1)
+    for k in range(1, m // 2 + 1):
+        row[k] = row[m - k] = c ** (m - k) * prev[k - 1] + a**k * prev[k]
+    return row
+
+
+# q_pascal(n, a, c): the integer q-Pascal row [G(n, 0), ..., G(n, n)] at q = a/c.
+q_pascal = sequence(lambda a, c: [[1]], _q_pascal_row)
+q_binom.cache_info, q_binom.cache_clear = q_pascal.cache_info, q_pascal.cache_clear
 
 
 def q_poch(a, q, n: int) -> Fraction:

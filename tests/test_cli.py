@@ -247,7 +247,7 @@ def test_unknown_suite_raises():
         (["gen", "--family", "F_QB", "--n", "4", "--q=-1", "--b=-1"],
          "error: 1 - q^1 b vanishes at q=-1, b=-1\n"),
         (["moments", "--family", "GEN_FIB", "--q", "-1", "--n", "4"],
-         "error: division by zero at these parameters\n"),
+         "error: 1 - q^1 b vanishes at q=-1, b=-1\n"),
     ],
     ids=["gen", "moments"],
 )
@@ -273,14 +273,15 @@ def test_gen_at_q_minus_1_off_its_poles_prints_the_closed_form():
 def test_verify_at_q_minus_1_skips_the_rows_that_meet_a_pole(capsys):
     """A pole once checks have started is a skipped report, not exit 2.  Every
     point row reports at the three points of the default b grid that are
-    pole-free at q = -1; (-1, -1) has 1 - qb = 0."""
+    pole-free at q = -1; (-1, -1) has 1 - qb = 0.  Each skip is a pole of the
+    b = -1 families, never a bare division by zero."""
     code, text = run_cli(["verify", "--suite", "all", "--q=-1", "--format", "json"])
     assert code == 0
     assert capsys.readouterr().err == ""
     payload = json.loads(text)
-    assert payload["summary"] == {"pass": 82, "fail": 0, "skipped": 27}
+    assert payload["summary"] == {"pass": 97, "fail": 0, "skipped": 12}
     skipped = [r for r in payload["reports"] if r["status"] == "skipped"]
-    assert skipped and all(r["reason"] for r in skipped)
+    assert {r["reason"] for r in skipped} == {"1 - q^1 b vanishes at q=-1, b=-1"}
     assert all("reason" not in r for r in payload["reports"] if r["status"] != "skipped")
     core, _ = suites.checks()
     point_rows = {row.id for row in core if row.scope in ("point", "neg_point")}

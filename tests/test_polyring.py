@@ -189,6 +189,16 @@ def test_dilate_at_zero_keeps_its_poles():
         S.shift_s(-2).subs_s(0)
 
 
+@pytest.mark.parametrize("num", [{(1, 0): 3, (0, 1): -2}, {(0, 0): 0}, {}], ids=str)
+def test_a_zero_denominator_is_a_bare_division_by_zero(num):
+    """num / 0 is never returned, whatever num holds (zeros included); the
+    error is a plain ZeroDivisionError, not a pole of the families."""
+    with pytest.raises(ZeroDivisionError) as info:
+        XsPoly._reduced(num, 0)
+    assert info.type is ZeroDivisionError
+    assert XsPoly._reduced({(1, 0): 3}, -6) == X.scale(F(-1, 2))
+
+
 def test_basic_arithmetic():
     p = X * X + S.scale(3)
     q = X - ONE

@@ -1,6 +1,7 @@
 """Scalar q-kernel: q-integers, Gaussian binomials, Pochhammer symbols,
 q-Catalan numbers and parameter points."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from qcheb.qkernel import (
     q_binom,
     q_catalan,
     q_int,
+    q_pascal,
     q_poch,
     sample_points,
 )
@@ -41,11 +43,55 @@ def test_q_binom_values():
 
 
 def test_q_binom_classical_limit():
-    import math
-
     for n in range(8):
         for k in range(n + 1):
             assert q_binom(n, k, F(1)) == math.comb(n, k)
+
+
+def _product_binom(n, k, q):
+    """[n over k] = prod over 1 <= i <= k of [n-k+i] / [i], from q_int."""
+    out = F(1)
+    for i in range(1, k + 1):
+        out *= q_int(n - k + i, q) / q_int(i, q)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(lambda q: q not in (0, -1)),
+    st.integers(0, 30),
+    st.data(),
+)
+def test_q_binom_matches_the_product_formula(q, n, data):
+    """Off q = -1 no [i]_q vanishes at these q (q^i = 1 needs q = +-1), and
+    q = 1 gives [i] = i, so the product formula holds; the q-Pascal rows
+    give the same value."""
+    k = data.draw(st.integers(-1, n + 1))
+    want = _product_binom(n, k, q) if 0 <= k <= n else 0
+    assert q_binom(n, k, q) == want
+
+
+def test_q_binom_at_q_minus_1():
+    """At q = -1 the product formula is 0/0 for even [i]; the Gaussian
+    binomial is 0 for even n and odd k, and C(n//2, k//2) otherwise."""
+    for n in range(31):
+        for k in range(n + 1):
+            want = 0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2)
+            assert q_binom(n, k, F(-1)) == want, (n, k)
+
+
+def test_q_binom_keeps_its_cache_interface():
+    """q_binom.cache_info counts the q-Pascal rows per q = a/c, so calls at
+    one q after the first are hits, and cache_clear drops the rows."""
+    q_binom.cache_clear()
+    assert q_binom.cache_info().currsize == 0
+    q_binom(12, 5, F(3, 5))
+    q_binom(10, 3, F(6, 10))
+    info = q_binom.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert q_pascal(3, 3, 5) == [1, 25 + 15 + 9, 25 + 15 + 9, 1]
+    q_binom.cache_clear()
+    assert q_binom.cache_info().currsize == 0
 
 
 def test_q_binom_pascal():

@@ -32,8 +32,10 @@ def test_max_n_rules():
 
 # sha256 of the JSON report of each command, as produced before the table of
 # checks replaced the hand-written work list; `--q 1` as recorded once q = 1
-# became an ordinary sample, and `--q 2 --b 4` once a pole met at a shifted
-# point named the sample's b; the same on CPython 3.11, 3.12 and 3.13
+# became an ordinary sample, `--q 2 --b 4` once a pole met at a shifted
+# point named the sample's b, and `--q=-1` once the closed forms stopped
+# dividing by [i]_q (97 pass and 12 skipped, each at a pole of the b = -1
+# families, where 82 and 27 were); the same on CPython 3.10 to 3.13
 PINNED = {
     "verify --suite all --q 1":
         "bb6c11211eb0a6d3106a49dd0f7f7fc3c350bee472f0763bb171ae5cfde158e2",
@@ -43,7 +45,7 @@ PINNED = {
         "26fe224e18e541ab2be5476ccbf6ba8ddad292ca271c71f49d12280ea41f41c5",
     # zero factors and negative-order Pochhammer symbols are reached here
     "verify --suite all --q=-1":
-        "a3f2bd57caa74616966bb19c53b2f681d17bdd9fe30ccfbcafd3f9d45ecad29f",
+        "3a06898b89d8580c9adecdad364f52360b6ce9a02ef31e4daf3eee2c8bd9244f",
     "verify --suite core --q 2 --b 4":
         "fcf403d49a9d429b00cf7fa02d61515dc756f490c32446d2c5fedfe2d09610a5",
     "verify --suite core --q 2 --b 1/32":
@@ -99,13 +101,15 @@ def test_a_named_point_runs_every_point_row(b, summary, poles):
 
 
 def _sequence_memos():
-    """The memo of every recurrence built by qkernel.sequence."""
-    return [
-        value
+    """The memo of every sequence built by qkernel.sequence, once each
+    (q_binom reports the memo of the q_pascal rows)."""
+    memos = {
+        id(value.cache_info): value
         for module in (qkernel, families)
         for value in vars(module).values()
         if callable(getattr(value, "cache_info", None)) and value.cache_info().maxsize == 64
-    ]
+    }
+    return list(memos.values())
 
 
 def _evict_every_sequence():
@@ -120,6 +124,7 @@ def _evict_every_sequence():
         families.cheb_u(0, q)
         families.cheb_t(0, q)
         qkernel.q_catalan(0, q)
+        qkernel.q_binom(0, 0, q)
 
 
 def test_run_suite_repeats_after_every_memo_is_evicted():
@@ -132,7 +137,7 @@ def test_run_suite_repeats_after_every_memo_is_evicted():
     first = run()
     _evict_every_sequence()
     memos = _sequence_memos()
-    assert len(memos) == 7
+    assert len(memos) == 8
     assert all(memo.cache_info().currsize == 64 for memo in memos)
     assert run() == first
 
