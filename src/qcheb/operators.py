@@ -24,9 +24,10 @@ def apply_word(word, point: ParamPoint, start=(0, 0, 0)) -> XsPoly:
     The letters act as X = x eta and Y = qs/((1-qb)(1-q^2 b)) eta^2 (see the
     module docstring).  The q-exponent and the denominator shifts are tracked
     as plain integers: a denominator created when the running shift was s0
-    ends at exponent base + (total - s0).
+    ends at exponent base + (total - s0).  The coefficient
+    q^e b^m / prod levels is built as one integer numerator over one integer
+    denominator and reduced once.
     """
-    q, b = point.q, point.b
     i, j, m = start
     denoms = []
     exp_q = 0
@@ -44,10 +45,15 @@ def apply_word(word, point: ParamPoint, start=(0, 0, 0)) -> XsPoly:
             denoms.append((2, shift))
         else:
             raise ValueError(f"unknown letter {letter!r}")
-    value = q**exp_q * b**m
+    value = point.power(exp_q)
+    if m:
+        value *= point.b**m
+    num, den = value.numerator, value.denominator
     for base, s0 in denoms:
-        value /= point.level(base + shift - s0)
-    return XsPoly.monomial(value, i, j)
+        level = point.level(base + shift - s0)
+        num *= level.denominator
+        den *= level.numerator
+    return XsPoly.monomial(Fraction(num, den), i, j)
 
 
 def words_with_k_y(n: int, k: int):

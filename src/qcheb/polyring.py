@@ -37,9 +37,12 @@ class XsPoly:
     members, whose denominators are pure powers of s.  Every instance is kept
     in one canonical form: no zero numerator is stored, den > 0 and
     gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the
-    empty map).  So == compares the two fields, and each operation reduces its
-    result with one gcd pass instead of one gcd per coefficient product.
-    Instances are treated as immutable.
+    empty map).  So == compares the two fields.  A product with a one-term
+    operand n/d x^i s^j, and scale(n/d), shift the keys and cross-cancel with
+    at most two small gcds, as gcd(n * num, d * den) = gcd(n, den) gcd(d, *num)
+    for canonical operands (Knuth, TAOCP vol. 2, 4.5.1); every other
+    operation reduces its result with one gcd pass instead of one gcd per
+    coefficient product.  Instances are treated as immutable.
     """
 
     __slots__ = ("num", "den")
@@ -82,27 +85,44 @@ class XsPoly:
             den //= g
         return XsPoly._of(num, den)
 
+    def _times_term(self, i, j, n, d):
+        """self * n/d x^i s^j, for n/d != 0 in lowest terms with d > 0:
+        canonical by cross-cancellation, with no gcd over the product."""
+        g = gcd(n, self.den)
+        h = gcd(d, *self.num.values()) if d != 1 else 1
+        n //= g
+        if h == 1:
+            num = {(dx + i, ds + j): n * c for (dx, ds), c in self.num.items()}
+        else:
+            num = {(dx + i, ds + j): n * (c // h) for (dx, ds), c in self.num.items()}
+        return XsPoly._of(num, d // h * (self.den // g))
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero():
-        return XsPoly()
+        return XsPoly._of({}, 1)
 
     @staticmethod
     def const(c):
-        return XsPoly({(0, 0): as_rational(c)})
+        return XsPoly.monomial(c, 0, 0)
 
     @staticmethod
     def monomial(c, dx: int, ds: int):
-        return XsPoly({(dx, ds): as_rational(c)})
+        c = as_rational(c)
+        if not c:
+            return XsPoly.zero()
+        if dx < 0:
+            raise ValueError("negative x exponents are not representable")
+        return XsPoly._of({(dx, ds): c.numerator}, c.denominator)
 
     @staticmethod
     def x(power: int = 1):
-        return XsPoly({(power, 0): 1})
+        return XsPoly.monomial(1, power, 0)
 
     @staticmethod
     def s(power: int = 1):
-        return XsPoly({(0, power): 1})
+        return XsPoly.monomial(1, 0, power)
 
     # -- ring structure -----------------------------------------------
 
@@ -142,6 +162,12 @@ class XsPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if len(other.num) == 1:
+            ((i, j), n), = other.num.items()
+            return self._times_term(i, j, n, other.den)
+        if len(self.num) == 1:
+            ((i, j), n), = self.num.items()
+            return other._times_term(i, j, n, self.den)
         num = {}
         get = num.get
         for (i1, j1), c1 in self.num.items():
@@ -155,10 +181,9 @@ class XsPoly:
 
     def scale(self, c):
         c = as_rational(c)
-        if c == 0:
+        if not c:
             return XsPoly.zero()
-        p = c.numerator
-        return XsPoly._reduced({k: v * p for k, v in self.num.items()}, self.den * c.denominator)
+        return self._times_term(0, 0, c.numerator, c.denominator)
 
     @staticmethod
     def _coerce(v):
@@ -401,10 +426,19 @@ def _elem_inv(c):
     return 1 / c
 
 
+def _over_one_den(coeffs):
+    """Integer numerators over one denominator for int or Fraction coefficients."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 class TruncSeries:
     """Truncated power series: coefficients for powers 0 .. order-1 of the
     series variable.  Coefficients may be Fractions or XsPoly values; results
-    are exact modulo variable^order.
+    are exact modulo variable^order.  A product of two series of int or
+    Fraction coefficients convolves integer numerators over one denominator
+    and makes one Fraction per coefficient; with XsPoly coefficients it adds
+    term products.
     """
 
     __slots__ = ("order", "coeffs")
@@ -465,6 +499,17 @@ class TruncSeries:
         if isinstance(other, (int, Fraction, XsPoly)):
             return TruncSeries([a * other for a in self.coeffs], self.order)
         self._check(other)
+        if all(isinstance(c, (int, Fraction)) for c in self.coeffs + other.coeffs):
+            # scalar series: convolve integer numerators over one denominator
+            a, da = _over_one_den(self.coeffs)
+            b, db = _over_one_den(other.coeffs)
+            num = [0] * self.order
+            for i, ai in enumerate(a):
+                if ai:
+                    for j in range(self.order - i):
+                        num[i + j] += ai * b[j]
+            den = da * db
+            return TruncSeries([Fraction(c, den) for c in num], self.order)
         coeffs = [Fraction(0)] * self.order
         for i, a in enumerate(self.coeffs):
             if isinstance(a, XsPoly) and a.is_zero():

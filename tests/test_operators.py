@@ -7,7 +7,7 @@ import pytest
 
 from qcheb import families, operators
 from qcheb.polyring import ONE, S, X, XsPoly
-from qcheb.qkernel import ParamPoint, binom2, q_binom
+from qcheb.qkernel import ParamPoint, PoleError, binom2, q_binom
 from qcheb.report import check_range
 
 F = Fraction
@@ -46,7 +46,8 @@ def test_words_with_k_y_counts():
             assert len(list(operators.words_with_k_y(n, k))) == math.comb(n, k)
 
 
-@pytest.mark.parametrize("point", WORD_POINTS, ids=str)
+# at q = 2, b = 1/16 the levels 1 - q^j b are 7/8, 3/4, 1/2 and 0 (at j = 4)
+@pytest.mark.parametrize("point", [*WORD_POINTS, ParamPoint(2, F(1, 16))], ids=str)
 def test_commutation_relations(point):
     assert holds(operators.commutation_check(point))
 
@@ -115,3 +116,26 @@ def test_apply_word_from_a_monomial(start):
     i, j, m = start
     expect = XsPoly.monomial(q ** (j + m) * b**m, i + 1, j)
     assert operators.apply_word(("X",), point, start) == expect
+
+
+def test_apply_word_names_the_vanishing_level():
+    with pytest.raises(PoleError) as err:
+        operators.apply_word(("Y",), ParamPoint(2, F(1, 4)))
+    assert type(err.value) is PoleError
+    assert str(err.value) == "1 - q^2 b vanishes at q=2, b=1/4"
+
+
+@pytest.mark.parametrize("word", [(), ("X",), ("Y",), ("Y", "X", "Y")], ids=str)
+def test_apply_word_at_b_zero_sends_b_powers_to_zero(word):
+    point = ParamPoint(F(3, 5), 0)
+    value = operators.apply_word(word, point, (1, 2, 3))
+    assert value.num == {} and value.den == 1
+    assert operators.apply_word(word, point, (1, 2, 0)) != 0
+
+
+def test_apply_word_from_a_negative_exponent():
+    value = operators.apply_word(("X",), ParamPoint(F(3, 5), 2), (0, -3, 0))
+    assert value == XsPoly.monomial(F(125, 27), 1, -3)
+    assert str(value) == "125/27*x*s^-3"
+    value = operators.apply_word(("Y",), ParamPoint(2, F(3, 7)), (0, 0, -1))
+    assert value == XsPoly.monomial(F(7, 3) / 2 / ((1 - F(6, 7)) * (1 - F(12, 7))), 0, 1)

@@ -155,6 +155,46 @@ def test_kernel_matches_fraction_reference(a, b, q, m_x, m_s, k):
         assert_matches(coeff, {(0, ds): c for (dx, ds), c in a.items() if dx == x_deg})
 
 
+# one-term operands: unit, +-1 and fractional coefficients, negative s
+# exponents, and X, S and ZERO themselves
+one_terms = st.one_of(
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(-4, 4)),
+        st.one_of(st.sampled_from([F(1), F(-1)]), rationals),
+        min_size=1,
+        max_size=1,
+    ),
+    st.sampled_from([X.terms, S.terms, ZERO.terms]),
+)
+scale_factors = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=9))
+
+
+@settings(max_examples=150)
+@given(one_terms, laurent_terms, scale_factors)
+def test_one_term_products_and_scale_match_fraction_reference(m, a, c):
+    term, p = XsPoly(m), XsPoly(a)
+    m, a = ref_clean(m), ref_clean(a)
+    assert_matches(term * p, ref_mul(m, a))
+    assert_matches(p * term, ref_mul(a, m))
+    assert_matches(term * term, ref_mul(m, m))
+    assert_matches(p.scale(c), ref_scale(a, c))
+    assert_matches(term.scale(c), ref_scale(m, c))
+    assert_matches(p * c, ref_scale(a, c))
+
+
+def test_monomial_and_const_edge_cases():
+    # a zero coefficient is the zero polynomial, whatever the exponents
+    for zero in (XsPoly.monomial(0, -1, 2), XsPoly.monomial(F(0), 3, -1), XsPoly.const(0)):
+        assert zero.num == {} and zero.den == 1 and zero == ZERO
+    with pytest.raises(ValueError, match="^negative x exponents are not representable$"):
+        XsPoly.monomial(F(1, 2), -1, 0)
+    assert_matches(XsPoly.monomial(F(-6, 4), 2, -3), {(2, -3): F(-3, 2)})
+    assert_matches(XsPoly.monomial(7, 0, 1), {(0, 1): F(7)})
+    assert_matches(XsPoly.const(F(5, 10)), {(0, 0): F(1, 2)})
+    assert_matches(XsPoly.x(3), {(3, 0): F(1)})
+    assert_matches(XsPoly.s(-2), {(0, -2): F(1)})
+
+
 @settings(max_examples=60)
 @given(laurent_terms, laurent_terms)
 def test_equal_values_hash_equal(a, b):
@@ -388,3 +428,43 @@ def test_series_truncate():
 def test_series_order_mismatch():
     with pytest.raises(ValueError):
         TruncSeries.one(3) + TruncSeries.one(4)
+    with pytest.raises(ValueError, match="^truncation orders differ$"):
+        TruncSeries.one(3) * TruncSeries([F(1, 2), 2], 4)
+
+
+def ref_series_mul(a, b):
+    """The term-by-term product of two scalar series of one order, as every
+    TruncSeries product ran before scalar series convolved integer
+    numerators, kept as the oracle for that path."""
+    coeffs = [F(0)] * len(a)
+    for i, c in enumerate(a):
+        if isinstance(c, Fraction) and c == 0:
+            continue
+        for j in range(len(a) - i):
+            coeffs[i + j] = coeffs[i + j] + c * b[j]
+    return coeffs
+
+
+series_coeffs = st.lists(
+    st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=9)), max_size=7
+)
+
+
+@settings(max_examples=100)
+@given(series_coeffs, series_coeffs, st.integers(0, 6))
+def test_scalar_series_products_match_the_pair_loop(a, b, order):
+    left, right = TruncSeries(a, order), TruncSeries(b, order)
+    expected = ref_series_mul(left.coeffs, right.coeffs)
+    product = left * right
+    assert product.coeffs == expected
+    # every coefficient stays a Fraction, so the repr keeps its text
+    assert all(type(c) is Fraction for c in product.coeffs)
+    assert repr(product) == repr(TruncSeries(expected, order))
+
+
+def test_scalar_series_products_of_int_coefficients():
+    product = TruncSeries([1, 2], 3) * TruncSeries([3, -1], 3)
+    assert repr(product) == (
+        "TruncSeries([Fraction(3, 1), Fraction(5, 1), Fraction(-2, 1)], order=3)"
+    )
+    assert (TruncSeries([], 0) * TruncSeries([], 0)).coeffs == []
