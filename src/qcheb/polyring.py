@@ -17,6 +17,13 @@ def _coerce_coeff(c) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c)}")
 
 
+def _over_one_den(coeffs):
+    """Integer numerators over the least common denominator of int or
+    Fraction coefficients; gcd(den, *numerators) == 1 for lowest-terms inputs."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _power_weights(q: Fraction, exponents):
     """Integer weights {e: w_e} and one integer d with q^e = w_e / d for every
     e in exponents (non-empty): for q = a/b, w_e = a^(e-lo) b^(hi-e) and
@@ -56,10 +63,8 @@ class XsPoly:
                     if dx < 0:
                         raise ValueError("negative x exponents are not representable")
                     coeffs[(dx, ds)] = c
-        # the lcm of lowest-terms denominators leaves the numerators coprime to it
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        self.num = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
-        self.den = den
+        nums, self.den = _over_one_den(coeffs.values())
+        self.num = dict(zip(coeffs, nums))
 
     @staticmethod
     def _of(num, den):
@@ -424,12 +429,6 @@ def _elem_inv(c):
     if c == 0:
         raise ZeroDivisionError("constant term is not invertible")
     return 1 / c
-
-
-def _over_one_den(coeffs):
-    """Integer numerators over one denominator for int or Fraction coefficients."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class TruncSeries:
