@@ -99,6 +99,9 @@ class SeriesContext:
         if self.order < 2:
             raise ValueError("order must be at least 2")
 
+    def __repr__(self):
+        return f"SeriesContext(q={self.q}, s_val={self.s_val}, order={self.order})"
+
 
 def h_coeffs(count: int, q) -> list:
     """The first count coefficients of h, h_k = (q;q^2)_k / (q^2;q^2)_k, each

@@ -45,6 +45,11 @@ def test_series_context_guards():
         analysis.SeriesContext(F(2), F(1), 1)
 
 
+def test_series_context_repr_names_its_fields():
+    """The repr is the parametrized test id, so it must not carry an address."""
+    assert repr(CONTEXTS[1]) == "SeriesContext(q=3/5, s_val=-2, order=24)"
+
+
 def test_h_coefficients():
     q = F(2)
     h = analysis.h_coeffs(8, q)
