@@ -104,12 +104,22 @@ class SeriesContext:
 
 
 def h_coeffs(count: int, q) -> list:
-    """The first count coefficients of h, h_k = (q;q^2)_k / (q^2;q^2)_k, each
-    from the one before by the factor (1 - q^(2k-1)) / (1 - q^(2k))."""
-    coeffs = [Fraction(1)][:count]
-    for k in range(1, count):
-        coeffs.append(coeffs[-1] * (1 - q ** (2 * k - 1)) / (1 - q ** (2 * k)))
-    return coeffs
+    """The first count coefficients of h, h_k = (q;q^2)_k / (q^2;q^2)_k."""
+    return [Fraction(num, den) for num, den in _h_pairs(count, q)]
+
+
+def _h_pairs(count: int, q):
+    """h_0 .. h_(count-1) as integer pairs (numerator, denominator), not in
+    lowest terms: at q = a/c, h_k is h_(k-1) times the factor
+    (1 - q^(2k-1)) / (1 - q^(2k)) = c (c^(2k-1) - a^(2k-1)) / (c^(2k) - a^(2k))."""
+    q = as_rational(q)
+    a, c = q.numerator, q.denominator
+    num = den = 1
+    for k in range(count):
+        if k:
+            num *= c * (c ** (2 * k - 1) - a ** (2 * k - 1))
+            den *= c ** (2 * k) - a ** (2 * k)
+        yield num, den
 
 
 def h_series(ctx: SeriesContext) -> TruncSeries:
@@ -132,12 +142,15 @@ def h_functional_equation_check(ctx: SeriesContext):
 
 
 def h_of_x_squared(c: Fraction, ctx: SeriesContext) -> TruncSeries:
-    """h(c * x^2) as a series in x."""
+    """h(c * x^2) as a series in x: the coefficient of x^(2k) is h_k c^k, one
+    Fraction made from integers each."""
     coeffs = [Fraction(0)] * ctx.order
-    power = Fraction(1)
-    for k, h in enumerate(h_coeffs((ctx.order + 1) // 2, ctx.q)):
-        coeffs[2 * k] = h * power
-        power *= c
+    u, v = c.numerator, c.denominator
+    u_k = v_k = 1
+    for k, (num, den) in enumerate(_h_pairs((ctx.order + 1) // 2, ctx.q)):
+        coeffs[2 * k] = Fraction(num * u_k, den * v_k)
+        u_k *= u
+        v_k *= v
     return TruncSeries(coeffs, ctx.order)
 
 

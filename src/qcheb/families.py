@@ -16,7 +16,7 @@ lucas_qb_closed, cheb_u_closed, cheb_t_closed and the hypergeometric forms)
 work in integers at q = a/c.  Term k is an integer numerator over a power of
 c times a product that gains one integer factor per k; its Gaussian
 binomials are entries of the rows qkernel.q_pascal(m, a, c), and the (q,b)
-forms take each factor 1 - q^j b from ParamPoint.level(j), in the order
+forms take each factor 1 - q^j b from ParamPoint.level_pair(j), in the order
 that raises the first vanishing one.  _one_denominator puts every term over
 the last denominator and XsPoly._reduced makes the one gcd.  No sum divides
 by [i]_q, and the hypergeometric sums divide by 1 + q^k only as a level of
@@ -31,6 +31,7 @@ from .polyring import ONE, S, X, XsPoly, ZERO
 from .qkernel import (
     ParamPoint,
     PoleError,
+    _lowest,
     as_rational,
     binom2,
     q_pascal,
@@ -71,13 +72,6 @@ def _one_denominator(terms, c=1) -> XsPoly:
     return XsPoly._reduced(num, tail * c**top)
 
 
-def _levels(point: ParamPoint, i: int, j: int):
-    """(numerator, denominator) of (1 - q^i b)(1 - q^j b), each factor from
-    point.level, i first."""
-    lo, hi = point.level(i), point.level(j)
-    return lo.numerator * hi.numerator, lo.denominator * hi.denominator
-
-
 def _lucas_weight(m: int, k: int, a: int, c: int) -> int:
     """c^(k(m-k)+k) [m+k]/[m] [m over k] at q = a/c, from the division-free
     [m+k]/[m] [m over k] = q^k [m over k] + [m-1 over k-1]."""
@@ -104,12 +98,15 @@ def fib_carlitz(n: int, q) -> XsPoly:
 
 def fib_carlitz_rec(n: int, q) -> XsPoly:
     """Parameter-dilated recurrence route: F_n = x F_(n-1)(x,qs) + qs F_(n-2)(x,q^2 s)."""
-    return _fib_carlitz_rec(n, as_rational(q))
+    q = as_rational(q)
+    return _fib_carlitz_rec(n, q.numerator, q.denominator)
 
 
+# The q-only recurrences are kept per q = a/c and step in integers.
 _fib_carlitz_rec = sequence(
-    lambda q: (ZERO, ONE),
-    lambda m, f, q: X * f[m - 1].dilate(q, 0, 1) + S.scale(q) * f[m - 2].dilate(q, 0, 2),
+    lambda a, c: (ZERO, ONE),
+    lambda m, f, a, c: f[m - 1]._dilate(a, c, 0, 1)._times_term(1, 0, 1, 1)
+    + f[m - 2]._dilate(a, c, 0, 2)._times_term(0, 1, a, c),
 )
 
 
@@ -126,14 +123,12 @@ def fib_qb(n: int, point: ParamPoint) -> XsPoly:
     return _fib_qb(n, point)
 
 
-def _qb_coeff(m: int, point: ParamPoint, e: int) -> Fraction:
-    """q^e / ((1 - q^(m-2) b)(1 - q^(m-1) b)): step m of F_n (e = m-2) and L_n (e = m-1)."""
-    return point.power(e) / (point.level(m - 2) * point.level(m - 1))
-
-
+# Step m of F_n and L_n: x P_(m-1) + q^e s / ((1 - q^(m-2) b)(1 - q^(m-1) b)) P_(m-2),
+# e = m-2 for F_n and m-1 for L_n, the coefficient a lowest-terms integer pair.
 _fib_qb = sequence(
     lambda point: (ZERO, ONE),
-    lambda m, f, p: X * f[m - 1] + S.scale(_qb_coeff(m, p, m - 2)) * f[m - 2],
+    lambda m, f, p: f[m - 1]._times_term(1, 0, 1, 1)
+    + f[m - 2]._times_term(0, 1, *p._over_levels(m - 2, m - 2, m - 1)),
 )
 
 
@@ -150,7 +145,7 @@ def fib_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
         factor = 1
         if k:
-            factor, den = _levels(point, k, n - k)
+            factor, den = point._level_product((k, n - k))
             carried *= den
         m = n - 1 - k
         terms.append(((m - k, k), a ** (k * k) * q_pascal(m, a, c)[k] * carried, k * m, factor))
@@ -177,11 +172,12 @@ def _dilated_bottom_up(n: int, point: ParamPoint, seed0: XsPoly, seed1: XsPoly) 
         raise ValueError("the dilated route holds for n >= 0")
     if n == 0:
         return seed0
-    q = point.q
+    a, c = point.q.numerator, point.q.denominator
     prev, cur = seed0, seed1
     for m in range(2, n + 1):
-        coeff = q / (point.level(n - m + 1) * point.level(n - m + 2))
-        prev, cur = cur, X * cur.dilate(q, 0, 1) + S.scale(coeff) * prev.dilate(q, 0, 2)
+        coeff = point._over_levels(1, n - m + 1, n - m + 2)
+        lower = prev._dilate(a, c, 0, 2)._times_term(0, 1, *coeff)
+        prev, cur = cur, cur._dilate(a, c, 0, 1)._times_term(1, 0, 1, 1) + lower
     return cur
 
 
@@ -194,12 +190,19 @@ def fib_qb_ext(n: int, point: ParamPoint) -> XsPoly:
     if n >= 0:
         return fib_qb(n, point)
     m = -n
-    q = point.q
-    scalar = (
-        Fraction(-1) ** (m - 1) * q ** binom2(m + 1) * point.poch(1 - m, m) * point.poch(-m, m)
-    )
-    inner = fib_qb(m, point.shift_b(-m)).dilate(q, 0, -m)
-    return inner.scale(scalar).shift_s(-m)
+    scalar = _reflection(point, m, m - 1)
+    inner = fib_qb(m, point.shift_b(-m)).dilate(point.q, 0, -m)
+    return inner._times_term(0, -m, *scalar)
+
+
+def _reflection(point: ParamPoint, m: int, sign: int):
+    """(-1)^sign q^C(m+1,2) (b/q^m;q)_m (b/q^(m-1);q)_m, the scalar of the
+    negative-index extensions, as a lowest-terms integer pair."""
+    a, c = point.q.numerator, point.q.denominator
+    e = binom2(m + 1)
+    n1, d1 = point._poch_pair(-m, m)
+    n2, d2 = point._poch_pair(1 - m, m)
+    return _lowest((-1 if sign % 2 else 1) * a**e * n1 * n2, c**e * d1 * d2)
 
 
 def fib_qb_backward(n: int, point: ParamPoint) -> XsPoly:
@@ -210,11 +213,10 @@ def fib_qb_backward(n: int, point: ParamPoint) -> XsPoly:
     raises where they vanish."""
     if n >= 0:
         return fib_qb(n, point)
-    q = point.q
     hi, mid = fib_qb(1, point), fib_qb(0, point)
     for m in range(-1, n - 1, -1):
-        scalar = point.level(m) * point.level(m + 1) / q**m
-        hi, mid = mid, (hi - X * mid).scale(scalar).shift_s(-1)
+        num, den = point._over_levels(m, m, m + 1)  # the reciprocal of the step's scalar
+        hi, mid = mid, (hi - X * mid)._times_term(0, -1, *_lowest(den, num))
     return mid
 
 
@@ -223,10 +225,9 @@ def fib_qb_backward(n: int, point: ParamPoint) -> XsPoly:
 
 def lucas_trace(n: int, point: ParamPoint) -> XsPoly:
     """l_n = F_(n+1)(x,b,s) + s/((1-b)(1-qb)) F_(n-1)(x,qb,qs), any integer n."""
-    q = point.q
-    scalar = 1 / (point.level(0) * point.level(1))
-    shifted = fib_qb_ext(n - 1, point.shift_b(1)).dilate(q, 0, 1)
-    return fib_qb_ext(n + 1, point) + shifted.shift_s(1).scale(scalar)
+    scalar = point._over_levels(0, 0, 1)
+    shifted = fib_qb_ext(n - 1, point.shift_b(1)).dilate(point.q, 0, 1)
+    return fib_qb_ext(n + 1, point) + shifted._times_term(0, 1, *scalar)
 
 
 def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
@@ -245,7 +246,7 @@ def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
     for k in range(n // 2 + 1):
         factor = 1
         if k:
-            factor, den = _levels(point, k - 1, n - k + 1)
+            factor, den = point._level_product((k - 1, n - k + 1))
             carried *= den
         m = n - k
         value = a ** (k * k - k) * _lucas_weight(m, k, a, c) * carried
@@ -258,10 +259,9 @@ def lucas_trace_neg_closed(n: int, point: ParamPoint) -> XsPoly:
     l_(-n) = (-1)^n q^C(n+1,2) / s^n (b/q^n;q)_n (b/q^(n-1);q)_n l_n(x, b/q^n, s/q^n)."""
     if n <= 0:
         raise ValueError("pass the positive n of l_(-n)")
-    q = point.q
-    scalar = Fraction(-1) ** n * q ** binom2(n + 1) * point.poch(-n, n) * point.poch(1 - n, n)
-    inner = lucas_trace(n, point.shift_b(-n)).dilate(q, 0, -n)
-    return inner.scale(scalar).shift_s(-n)
+    scalar = _reflection(point, n, n)
+    inner = lucas_trace(n, point.shift_b(-n)).dilate(point.q, 0, -n)
+    return inner._times_term(0, -n, *scalar)
 
 
 # -- (q, b)-Lucas L_n --------------------------------------------------
@@ -277,7 +277,8 @@ def lucas_qb(n: int, point: ParamPoint) -> XsPoly:
 
 _lucas_qb = sequence(
     lambda point: (XsPoly.const(1 - point.b), X),
-    lambda m, f, p: X * f[m - 1] + S.scale(_qb_coeff(m, p, m - 1)) * f[m - 2],
+    lambda m, f, p: f[m - 1]._times_term(1, 0, 1, 1)
+    + f[m - 2]._times_term(0, 1, *p._over_levels(m - 1, m - 2, m - 1)),
 )
 
 
@@ -297,7 +298,7 @@ def lucas_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     for k in range(n // 2 + 1):
         factor = v  # term 0 is over v
         if k:
-            factor, den = _levels(point, k, n - k)
+            factor, den = point._level_product((k, n - k))
             carried *= den
         m = n - k
         value = c**k * v * q_pascal(m, a, c)[k]
@@ -318,8 +319,9 @@ def lucas_qb_relation(n: int, point: ParamPoint) -> XsPoly:
     """Third route: L_n = F_(n+1) - q^(2n-1) s b / ((1-q^(n-1)b)(1-q^n b)) F_(n-1)."""
     if n < 1:
         raise ValueError("relation holds for n >= 1")
-    coeff = point.q ** (2 * n - 1) * point.b / (point.level(n - 1) * point.level(n))
-    return fib_qb(n + 1, point) - S.scale(coeff) * fib_qb(n - 1, point)
+    num, den = point._over_levels(2 * n - 1, n - 1, n)
+    coeff = _lowest(num * point.b.numerator, den * point.b.denominator)
+    return fib_qb(n + 1, point) - fib_qb(n - 1, point)._times_term(0, 1, *coeff)
 
 
 def gen_lucas_neg_closed(n: int, q) -> XsPoly:
@@ -350,7 +352,7 @@ def gen_lucas_backward(n: int, q) -> XsPoly:
     # forward recurrence to L_(-n) are taken first, in its order, to raise the
     # PoleError that gen_lucas_neg_closed raises.
     for j in range(-n):
-        point.level(j)
+        point.level_pair(j)
     hi, mid = lucas_qb(1, point), lucas_qb(0, point)
     for m in range(1, n + 1, -1):
         scalar = (1 + q ** (m - 2)) * (1 + q ** (m - 1)) / q ** (m - 1)
@@ -383,12 +385,15 @@ def cheb_u(n: int, q) -> XsPoly:
     """U_n = (1+q^n) x U_(n-1) + q^(n-1) s U_(n-2); U_0 = 1, U_1 = (1+q)x."""
     if n < 0:
         raise ValueError("use cheb_u_ext for negative indices")
-    return _cheb_u(n, as_rational(q))
+    q = as_rational(q)
+    return _cheb_u(n, q.numerator, q.denominator)
 
 
+# At q = a/c, 1 + q^m = (c^m + a^m) / c^m and q^m = a^m / c^m are in lowest terms.
 _cheb_u = sequence(
-    lambda q: (ONE, X.scale(1 + q)),
-    lambda m, u, q: X.scale(1 + q**m) * u[m - 1] + S.scale(q ** (m - 1)) * u[m - 2],
+    lambda a, c: (ONE, X._times_term(0, 0, c + a, c)),
+    lambda m, u, a, c: u[m - 1]._times_term(1, 0, c**m + a**m, c**m)
+    + u[m - 2]._times_term(0, 1, a ** (m - 1), c ** (m - 1)),
 )
 
 
@@ -447,12 +452,14 @@ def cheb_t(n: int, q) -> XsPoly:
     """T_n = (1+q^(n-1)) x T_(n-1) + q^(n-1) s T_(n-2); T_0 = 1, T_1 = x."""
     if n < 0:
         raise ValueError("use cheb_t_ext for negative indices")
-    return _cheb_t(n, as_rational(q))
+    q = as_rational(q)
+    return _cheb_t(n, q.numerator, q.denominator)
 
 
 _cheb_t = sequence(
-    lambda q: (ONE, X),
-    lambda m, t, q: X.scale(1 + q ** (m - 1)) * t[m - 1] + S.scale(q ** (m - 1)) * t[m - 2],
+    lambda a, c: (ONE, X),
+    lambda m, t, a, c: t[m - 1]._times_term(1, 0, c ** (m - 1) + a ** (m - 1), c ** (m - 1))
+    + t[m - 2]._times_term(0, 1, a ** (m - 1), c ** (m - 1)),
 )
 
 
@@ -549,21 +556,25 @@ def _hypergeom_sum(n: int, q: Fraction, top: int) -> XsPoly:
     q^(2k-1) (1 - q^(n+2-2k))(1 - q^(n+1-2k)) / ((1 - q^(top-2k))(1 - q^(2k))),
     every exponent >= 0.  The factor 1 - q^(2k) is (1 - q^k)(1 + q^k), and
     1 + q^k is level k of the b = -1 families, so a vanishing one raises
-    their PoleError; any other vanishing factor leaves a zero denominator."""
+    their PoleError.  Each of the other four factors 1 - q^m is (1 - q) [m]_q,
+    two above and two below, so (1 - q)^2 cancels and the ratio is taken
+    with the integers w(m) = c^(m-1) [m]_q at q = a/c: the sum is finite at
+    q = 1, where w(m) = m, and a vanishing [m]_q (m even at q = -1) leaves a
+    zero denominator."""
     if q == 0:
         raise PoleError("q must be nonzero")
     a, c = q.numerator, q.denominator
     point = ParamPoint(q, Fraction(-1))
 
-    def w(m):  # c^m (1 - q^m)
-        return c**m - a**m
+    def w(m):  # c^(m-1) [m]_q = (c^m - a^m) / (c - a), m >= 1
+        return (c**m - a**m) // (c - a) if a != c else m
 
     terms = []
     num = 1
     for k in range(n // 2 + 1) if n >= 0 else range(0):
         factor = 1
         if k:
-            level = point.level(k).numerator  # c^k (1 + q^k)
+            level = point.level_pair(k)[0]  # c^k (1 + q^k)
             num *= a ** (2 * k - 1) * c ** (top - 2 * n - 2 + 2 * k)
             num *= w(n + 2 - 2 * k) * w(n + 1 - 2 * k)
             factor = w(top - 2 * k) * w(k) * level

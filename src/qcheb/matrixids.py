@@ -6,12 +6,12 @@ from fractions import Fraction
 
 from . import families
 from .polyring import Mat2, ONE, S, X, XsPoly, ZERO
-from .qkernel import ParamPoint, as_rational, binom2
+from .qkernel import ParamPoint, _lowest, as_rational, binom2
 
 
 def fib_factor(j: int, point: ParamPoint) -> Mat2:
     """The transfer matrix C(x, q^j b, q^j s, q) with the s-dilation applied."""
-    lower = S.scale(point.power(j) / (point.level(j) * point.level(j + 1)))
+    lower = S._times_term(0, 0, *point._over_levels(j, j, j + 1))
     return Mat2(ZERO, ONE, lower, X)
 
 
@@ -29,13 +29,13 @@ def fib_matrix_expected(n: int, point: ParamPoint) -> Mat2:
     """Entrywise family expressions for the product of n Fibonacci factors."""
     q = point.q
     shifted = point.shift_b(1)
-    scalar = 1 / (point.level(0) * point.level(1))
+    scalar = point._over_levels(0, 0, 1)
 
     def upshift(m):
         return families.fib_qb_ext(m, shifted).dilate(q, 0, 1)
 
-    a11 = (upshift(n - 1).shift_s(1) * scalar).as_poly()
-    a21 = (upshift(n).shift_s(1) * scalar).as_poly()
+    a11 = upshift(n - 1)._times_term(0, 1, *scalar).as_poly()
+    a21 = upshift(n)._times_term(0, 1, *scalar).as_poly()
     return Mat2(a11, families.fib_qb(n, point), a21, families.fib_qb(n + 1, point))
 
 
@@ -52,8 +52,17 @@ def cassini_sides(n: int, point: ParamPoint):
     lhs = up(n - 1) * families.fib_qb_ext(n + 1, point) - families.fib_qb_ext(
         n, point
     ) * up(n)
-    scalar = Fraction(-1) ** n * q ** binom2(n) / (point.poch(1, n - 1) * point.poch(2, n - 1))
-    return lhs, XsPoly.monomial(scalar, 0, n - 1)
+    return lhs, XsPoly._monomial(*_cassini_scalar(n, 1, n - 1, point), 0, n - 1)
+
+
+def _cassini_scalar(n: int, s: int, m: int, point: ParamPoint):
+    """(-1)^n q^C(n,2) / ((q^s b;q)_m (q^(s+1) b;q)_m) as a lowest-terms
+    integer pair; a zero symbol raises a bare ZeroDivisionError."""
+    e = binom2(n)  # >= 0 for every integer n
+    n1, d1 = point._poch_pair(s, m)
+    n2, d2 = point._poch_pair(s + 1, m)
+    a, c = point.q.numerator, point.q.denominator
+    return _lowest((-1 if n % 2 else 1) * a**e * d1 * d2, c**e * n1 * n2)
 
 
 def cassini_euler_sides(n: int, k: int, point: ParamPoint):
@@ -67,11 +76,11 @@ def cassini_euler_sides(n: int, k: int, point: ParamPoint):
         return families.fib_qb_ext(m, shifted).dilate(q, 0, 1)
 
     f = lambda m: families.fib_qb_ext(m, point)
-    inverse = 1 / (point.level(0) * point.level(1))
-    d = (up(n - 1) * f(n + k) - up(n + k - 1) * f(n)).shift_s(1) * inverse
-    scalar = q ** binom2(n) / (point.poch(0, n) * point.poch(1, n))
+    inverse = point._over_levels(0, 0, 1)
+    d = (up(n - 1) * f(n + k) - up(n + k - 1) * f(n))._times_term(0, 1, *inverse)
+    scalar = _cassini_scalar(n, 0, n, point)
     inner = families.fib_qb_ext(k, point.shift_b(n)).dilate(q, 0, n)
-    return d, (inner * scalar * Fraction(-1) ** n).shift_s(n)
+    return d, inner._times_term(0, n, *scalar)
 
 
 def trace_lucas_check(n: int, point: ParamPoint):

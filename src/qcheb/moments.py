@@ -36,7 +36,7 @@ def gen_fib_spec(q) -> RecurrenceSpec:
     point = ParamPoint(q, -1)
     return RecurrenceSpec(
         "gen_fib",
-        lambda k: S.scale(point.power(k - 1) / (point.level(k - 1) * point.level(k))),
+        lambda k: S._times_term(0, 0, *point._over_levels(k - 1, k - 1, k)),
     )
 
 
@@ -50,7 +50,7 @@ def gen_lucas_spec(q) -> RecurrenceSpec:
     def t(k):
         if k == 2:
             return S.scale(point.q / point.level(1))
-        return S.scale(point.power(k - 1) / (point.level(k - 2) * point.level(k - 1)))
+        return S._times_term(0, 0, *point._over_levels(k - 1, k - 2, k - 1))
 
     return RecurrenceSpec("gen_lucas", t)
 

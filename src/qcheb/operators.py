@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import families
 from .polyring import ONE, S, X as POLY_X, XsPoly, ZERO
-from .qkernel import ParamPoint, as_rational, binom2, q_binom
+from .qkernel import ParamPoint, _lowest, as_rational, binom2, q_binom, q_pascal
 
 
 def apply_word(word, point: ParamPoint, start=(0, 0, 0)) -> XsPoly:
@@ -45,15 +45,14 @@ def apply_word(word, point: ParamPoint, start=(0, 0, 0)) -> XsPoly:
             denoms.append((2, shift))
         else:
             raise ValueError(f"unknown letter {letter!r}")
-    value = point.power(exp_q)
-    if m:
-        value *= point.b**m
-    num, den = value.numerator, value.denominator
-    for base, s0 in denoms:
-        level = point.level(base + shift - s0)
-        num *= level.denominator
-        den *= level.numerator
-    return XsPoly.monomial(Fraction(num, den), i, j)
+    a, c, u, v = point._ints  # q = a/c, b = u/v
+    if exp_q < 0:
+        a, c, exp_q = c, a, -exp_q
+    if m < 0:
+        u, v, m = v, u, -m
+    levels_num, levels_den = point._level_product(base + shift - s0 for base, s0 in denoms)
+    num, den = a**exp_q * u**m * levels_den, c**exp_q * v**m * levels_num
+    return XsPoly._monomial(*_lowest(num, den), i, j)
 
 
 def words_with_k_y(n: int, k: int):
@@ -72,12 +71,14 @@ def word_sum_ck(n: int, k: int, point: ParamPoint) -> XsPoly:
 
 def ck_closed(n: int, k: int, point: ParamPoint) -> XsPoly:
     """Closed form: [n over k] q^(k^2) / ((q^(n+1) b;q)_k (qb;q)_k) s^k x^(n-k)."""
-    q = point.q
-    den = Fraction(1)
-    for e in (*range(n + 1, n + 1 + k), *range(1, k + 1)):
-        den *= point.level(e)
-    c = q_binom(n, k, q) * q ** (k * k) / den
-    return XsPoly.monomial(c, n - k, k)
+    den, num = point._level_product((*range(n + 1, n + 1 + k), *range(1, k + 1)))
+    if not 0 <= k <= n:
+        return ZERO
+    a, c = point.q.numerator, point.q.denominator
+    # [n over k] q^(k^2) = G(n, k) a^(k^2) / c^(k(n-k) + k^2), G the q-Pascal entry
+    num *= q_pascal(n, a, c)[k] * a ** (k * k)
+    den *= c ** (k * (n - k) + k * k)
+    return XsPoly._monomial(*_lowest(num, den), n - k, k)
 
 
 def schlosser_coefficient(n: int, k: int, point: ParamPoint, shift: int = 0) -> Fraction:
@@ -85,10 +86,13 @@ def schlosser_coefficient(n: int, k: int, point: ParamPoint, shift: int = 0) -> 
     and 0 for k < 0."""
     if k < 0:
         return Fraction(0)
-    den = Fraction(1)
-    for j in range(shift, shift + k):
-        den *= point.level(n + 1 + j)
-    return q_binom(n, k, point.q) * point.poch(k + 1 + shift, k) / den
+    den, num = point._level_product(range(n + 1 + shift, n + 1 + shift + k))
+    if k > n:
+        return Fraction(0)
+    c = point.q.denominator
+    poch_num, poch_den = point._poch_pair(k + 1 + shift, k)
+    binom_num = q_pascal(n, point.q.numerator, c)[k]  # c^(k(n-k)) [n over k]
+    return Fraction(num * binom_num * poch_num, den * c ** (k * (n - k)) * poch_den)
 
 
 def fib_words(n: int):

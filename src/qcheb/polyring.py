@@ -24,13 +24,12 @@ def _over_one_den(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _power_weights(q: Fraction, exponents):
+def _power_weights(a: int, b: int, exponents):
     """Integer weights {e: w_e} and one integer d with q^e = w_e / d for every
-    e in exponents (non-empty): for q = a/b, w_e = a^(e-lo) b^(hi-e) and
+    e in exponents (non-empty), at q = a/b, b > 0: w_e = a^(e-lo) b^(hi-e) and
     d = a^(-lo) b^hi, where lo = min(0, min e) and hi = max(0, max e)."""
     exponents = set(exponents)
     lo, hi = min(0, min(exponents)), max(0, max(exponents))
-    a, b = q.numerator, q.denominator
     if lo < 0 and not a:
         raise ZeroDivisionError("Fraction(1, 0)")  # as Fraction(0) ** -k raises
     return {e: a ** (e - lo) * b ** (hi - e) for e in exponents}, a**-lo * b**hi
@@ -91,8 +90,10 @@ class XsPoly:
         return XsPoly._of(num, den)
 
     def _times_term(self, i, j, n, d):
-        """self * n/d x^i s^j, for n/d != 0 in lowest terms with d > 0:
-        canonical by cross-cancellation, with no gcd over the product."""
+        """self * n/d x^i s^j, for n/d in lowest terms with d > 0: canonical
+        by cross-cancellation, with no gcd over the product; 0 if n is 0."""
+        if not n:
+            return XsPoly._of({}, 1)
         g = gcd(n, self.den)
         h = gcd(d, *self.num.values()) if d != 1 else 1
         n //= g
@@ -115,11 +116,16 @@ class XsPoly:
     @staticmethod
     def monomial(c, dx: int, ds: int):
         c = as_rational(c)
-        if not c:
-            return XsPoly.zero()
+        return XsPoly._monomial(c.numerator, c.denominator, dx, ds)
+
+    @staticmethod
+    def _monomial(n: int, d: int, dx: int, ds: int):
+        """n/d x^dx s^ds, for n/d in lowest terms with d > 0."""
+        if not n:
+            return XsPoly._of({}, 1)
         if dx < 0:
             raise ValueError("negative x exponents are not representable")
-        return XsPoly._of({(dx, ds): c.numerator}, c.denominator)
+        return XsPoly._of({(dx, ds): n}, d)
 
     @staticmethod
     def x(power: int = 1):
@@ -186,8 +192,6 @@ class XsPoly:
 
     def scale(self, c):
         c = as_rational(c)
-        if not c:
-            return XsPoly.zero()
         return self._times_term(0, 0, c.numerator, c.denominator)
 
     @staticmethod
@@ -247,10 +251,14 @@ class XsPoly:
     def dilate(self, q, m_x: int, m_s: int):
         """Substitute x -> q^m_x x and s -> q^m_s s."""
         q = as_rational(q)
+        return self._dilate(q.numerator, q.denominator, m_x, m_s)
+
+    def _dilate(self, a: int, b: int, m_x: int, m_s: int):
+        """dilate at q = a/b, b > 0."""
         if not self.num:
             return self
         exps = [m_x * dx + m_s * ds for dx, ds in self.num]
-        weights, d = _power_weights(q, exps)
+        weights, d = _power_weights(a, b, exps)
         num = {}
         for (key, c), e in zip(self.num.items(), exps):
             if weights[e]:
@@ -267,7 +275,7 @@ class XsPoly:
         if top < 1:
             return XsPoly.zero()
         # [k] = (w_0 + ... + w_(k-1)) / d with q^i = w_i / d
-        weights, d = _power_weights(q, range(top))
+        weights, d = _power_weights(q.numerator, q.denominator, range(top))
         q_ints = [0]
         for i in range(top):
             q_ints.append(q_ints[-1] + weights[i])
@@ -290,7 +298,8 @@ class XsPoly:
         s_val = as_rational(s_val)
         if not self.num:
             return self
-        weights, d = _power_weights(s_val, [ds for _, ds in self.num])
+        exps = [ds for _, ds in self.num]
+        weights, d = _power_weights(s_val.numerator, s_val.denominator, exps)
         num = {}
         for (dx, ds), c in self.num.items():
             key = (dx, 0)
@@ -522,7 +531,32 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def recip(self):
-        """Multiplicative inverse; requires an invertible constant term."""
+        """Multiplicative inverse; requires an invertible constant term.
+        Modulo variable^0 every series is the unit, so order 0 gives order 0.
+
+        With int or Fraction coefficients A_j = a_j / D over one denominator,
+        the inverse has the coefficients D b_k / a_0^(k+1), from the integers
+        b_0 = 1 and b_k = -sum over 1 <= j <= k of a_j a_0^(j-1) b_(k-j),
+        one Fraction each; with XsPoly coefficients each comes from the ones
+        before it by the same recurrence."""
+        if not self.order:
+            return TruncSeries([], 0)
+        if all(isinstance(c, (int, Fraction)) for c in self.coeffs):
+            a, den = _over_one_den(self.coeffs)
+            if not a[0]:
+                raise ZeroDivisionError("constant term is not invertible")
+            weights, power = [0], 1  # weights[j] = a_j a_0^(j-1)
+            for j in range(1, self.order):
+                weights.append(a[j] * power)
+                power *= a[0]
+            b = [1]
+            for k in range(1, self.order):
+                b.append(-sum(weights[j] * b[k - j] for j in range(1, k + 1) if weights[j]))
+            out, power = [], 1
+            for bk in b:
+                power *= a[0]
+                out.append(Fraction(den * bk, power))
+            return TruncSeries(out, self.order)
         inv0 = _elem_inv(self.coeffs[0])
         out = [inv0]
         for k in range(1, self.order):

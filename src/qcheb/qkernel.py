@@ -2,22 +2,25 @@
 symbols, Carlitz q-Catalan numbers, parameter points and the bounded memo of
 every recurrence.
 
-A ParamPoint (q, b) owns its b-ladder: the powers q^j, the factors
-1 - q^j b and the Pochhammer symbols (q^s b;q)_m that the (q,b) families
-multiply and divide by, each computed once per ladder.  q_poch is the
+A ParamPoint (q, b) owns its b-ladder: the levels 1 - q^j b and the
+Pochhammer symbols (q^s b;q)_m that the (q,b) families multiply and divide
+by, each computed once per ladder.  q_poch is the
 general, uncached Pochhammer symbol for every other base.
 
-Values are exact `fractions.Fraction`s and nothing here ever rounds.  The
-Gaussian binomials are built in integers: at q = a/c, q_pascal(n, a, c) is
-the row of G(n, k) = c^(k(n-k)) [n over k], so a closed form can sum integer
-numerators over one denominator, and no row divides by [i]_q (which is 0 at
-q = -1 for even i).
+Nothing here ever rounds.  The arithmetic is in integers: at q = a/c a level
+is an integer pair read by ParamPoint.level_pair, q_poch and q_int multiply
+integer numerators over one integer denominator, and at q = a/c
+q_pascal(n, a, c) is the row of G(n, k) = c^(k(n-k)) [n over k], so a closed
+form can sum integer numerators over one denominator, and no row divides by
+[i]_q (which is 0 at q = -1 for even i).  A value handed out by level(),
+poch(), power(), q_poch(), q_int(), q_binom() or q_catalan() is an exact
+`fractions.Fraction`, made once from its integers.
 """
 
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd
 
 
 class PoleError(ZeroDivisionError):
@@ -35,27 +38,46 @@ def as_rational(v) -> Fraction:
     raise TypeError(f"cannot interpret {v!r} as an exact rational")
 
 
+def _lowest(n: int, d: int):
+    """The integers (n, d) of the Fraction n/d: divided by their gcd, d > 0.
+    A zero d raises a bare ZeroDivisionError."""
+    if not d:
+        raise ZeroDivisionError("division by zero")
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
 class ParamPoint:
     """A concrete rational substitution (q, b), q != 0; x and s stay formal.
 
-    A point owns its b-ladder: the powers q^j, the factors 1 - q^j b and the
-    Pochhammer symbols (q^s b;q)_m, each computed on first use and kept in
-    tables indexed from the point's b.  shift_b(j) builds the point at
-    q^j b once and gives it the same tables, indexed j further on, so the
-    points one point shifts to share one ladder, which lives as long as the
-    last of them.  The hash is computed once.  Every division of the (q,b)
-    families by a factor 1 - q^j b goes through level(j), the one place that
-    raises the PoleError of a vanishing one; it names the factor and b of the
-    point the ladder was built from, so a pole met at a shifted point reads
-    against the sample's b.  Two threads filling the same entry store equal
+    A point owns its b-ladder: the levels 1 - q^j b and the Pochhammer
+    symbols (q^s b;q)_m, each held as an integer pair (numerator,
+    denominator), computed on first use and kept in tables indexed from the
+    point's b.  At q = a/c and b = u/v, level j is the
+    pair (c^j v - a^j u, c^j v), with a and c swapped for j < 0 and the signs
+    turned so that the denominator is positive; it is not in lowest terms.
+    shift_b(j) builds the point at q^j b once and gives it the same tables,
+    indexed j further on, so the points one point shifts to share one ladder,
+    built from the root's b, which lives as long as the last of them.
+    Fractions are made only at the public edge: level(), poch() and power().
+
+    Every division of the (q,b) families by a factor 1 - q^j b goes through
+    level_pair(j) (or level(j), its Fraction), the one place that raises the
+    PoleError of a vanishing one; it names the factor and b of the point the
+    ladder was built from, so a pole met at a shifted point reads against the
+    sample's b.  Two points are equal when their integer fields are; the hash
+    is computed once.  Two threads filling the same entry store equal
     values."""
 
     def __init__(self, q, b):
         q, b = as_rational(q), as_rational(b)
-        if q == 0:
+        ints = (q.numerator, q.denominator, b.numerator, b.denominator)
+        if not ints[0]:
             raise PoleError("q = 0 is not a valid parameter")
-        self.__dict__.update(q=q, b=b, _hash=hash((q, b)), _shifts={}, _offset=0,
-                             _root_b=b, _powers={}, _factors={}, _pochs={})
+        self.__dict__.update(q=q, b=b, _ints=ints, _hash=hash(ints), _shifts={}, _offset=0,
+                             _root=(b, ints[2], ints[3]), _pairs={}, _pochs={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a ParamPoint")
@@ -63,7 +85,7 @@ class ParamPoint:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.q, self.b) == (other.q, other.b)
+        return self is other or self._ints == other._ints
 
     def __hash__(self):
         return self._hash
@@ -73,47 +95,96 @@ class ParamPoint:
 
     def power(self, j: int) -> Fraction:
         """q^j."""
-        value = self._powers.get(j)
-        if value is None:
-            value = self._powers[j] = self.q**j
-        return value
+        return self.q**j
 
-    def _factor(self, j: int) -> Fraction:
-        """1 - q^j b, zero or not, built from integers: at q = a/c and
-        b = u/v it is (c^j v - a^j u) / (c^j v), with a and c swapped for j < 0."""
+    def _pair(self, j: int):
+        """Level j as the pair (n, d), d > 0, n possibly 0, from the root's
+        b = u/v: (c^k v - a^k u, c^k v) at k = j + offset, a and c swapped
+        for k < 0."""
         key = j + self._offset
-        value = self._factors.get(key)
-        if value is None:
-            a, c = self.q.numerator, self.q.denominator
-            if j < 0:
-                a, c, j = c, a, -j
-            den = c**j * self.b.denominator
-            value = self._factors[key] = Fraction(den - a**j * self.b.numerator, den)
-        return value
+        pair = self._pairs.get(key)
+        if pair is None:
+            a, c = self._ints[0], self._ints[1]
+            _, u, v = self._root
+            k = key
+            if k < 0:
+                a, c, k = c, a, -k
+            den = c**k * v
+            pair = (den - a**k * u, den) if den > 0 else (a**k * u - den, -den)
+            self._pairs[key] = pair
+        return pair
+
+    def level_pair(self, j: int):
+        """1 - q^j b as integers (n, d), d > 0, n != 0, not in lowest terms;
+        PoleError where the level vanishes."""
+        pair = self._pairs.get(j + self._offset) or self._pair(j)
+        if not pair[0]:
+            raise PoleError(
+                f"1 - q^{j + self._offset} b vanishes at q={self.q}, b={self._root[0]}"
+            )
+        return pair
+
+    def _level_product(self, levels):
+        """The product of the levels j in levels, taken in their order, as
+        integers (n, d), d > 0; the first vanishing level raises its PoleError."""
+        num = den = 1
+        for j in levels:
+            n, d = self.level_pair(j)
+            num *= n
+            den *= d
+        return num, den
+
+    def _over_levels(self, e: int, i: int, j: int):
+        """q^e / ((1 - q^i b)(1 - q^j b)) as the lowest-terms pair (n, d), d > 0;
+        the PoleError of level i comes before that of level j."""
+        n1, d1 = self.level_pair(i)
+        n2, d2 = self.level_pair(j)
+        a, c = self._ints[0], self._ints[1]
+        if e < 0:
+            a, c, e = c, a, -e
+        return _lowest(a**e * d1 * d2, c**e * n1 * n2)
 
     def level(self, j: int) -> Fraction:
         """1 - q^j b, the factor the (q,b) families divide by; PoleError where it is 0."""
-        factor = self._factor(j)
-        if not factor:
-            raise PoleError(f"1 - q^{j + self._offset} b vanishes at q={self.q}, b={self._root_b}")
-        return factor
+        return Fraction(*self.level_pair(j))
 
-    def poch(self, s: int, m: int) -> Fraction:
-        """(q^s b;q)_m, a product of factors 1 - q^j b that may be 0.  Each
-        product is kept once asked for, and extends a kept (s, m-1) by one
-        factor; m < 0 is q_poch's reciprocal, which is not kept."""
+    def _poch_pair(self, s: int, m: int):
+        """(q^s b;q)_m as integers (n, d), d != 0, not in lowest terms.
+
+        For m >= 0 it is the product of the levels s .. s+m-1, any of which
+        may be 0; it is kept once asked for, and extends a kept (s, m-1) by
+        one level.  For m < 0 it is the reciprocal of the product of the
+        levels s+m .. s-1, which is not kept, and raises q_poch's PoleError at
+        the first of them that vanishes."""
         if m < 0:
-            return q_poch(self.power(s) * self.b, self.q, m)
+            num = den = 1
+            for j in range(s + m, s):
+                n, d = self._pair(j)
+                if not n:
+                    raise _poch_pole(m)
+                num *= n
+                den *= d
+            return den, num
         start = s + self._offset
-        value = self._pochs.get((start, m))
-        if value is None:
+        pair = self._pochs.get((start, m))
+        if pair is None:
             shorter = self._pochs.get((start, m - 1))
             if shorter is None:
-                value = prod(map(self._factor, range(s, s + m)), start=Fraction(1))
+                num = den = 1
+                for j in range(s, s + m):
+                    n, d = self._pair(j)
+                    num *= n
+                    den *= d
             else:
-                value = shorter * self._factor(s + m - 1)
-            self._pochs[start, m] = value
-        return value
+                n, d = self._pair(s + m - 1)
+                num, den = shorter[0] * n, shorter[1] * d
+            pair = self._pochs[start, m] = (num, den)
+        return pair
+
+    def poch(self, s: int, m: int) -> Fraction:
+        """(q^s b;q)_m, a product of factors 1 - q^j b that may be 0; m < 0 is
+        q_poch's reciprocal, with its PoleError."""
+        return Fraction(*self._poch_pair(s, m))
 
     def shift_b(self, j: int) -> "ParamPoint":
         """The point with b replaced by q^j * b, built once per j, on this
@@ -121,14 +192,13 @@ class ParamPoint:
         point = self._shifts.get(j)
         if point is None:
             point = ParamPoint(self.q, self.power(j) * self.b)
-            point.__dict__.update(_offset=self._offset + j, _root_b=self._root_b,
-                                  _powers=self._powers, _factors=self._factors,
-                                  _pochs=self._pochs)
+            point.__dict__.update(_offset=self._offset + j, _root=self._root,
+                                  _pairs=self._pairs, _pochs=self._pochs)
             self._shifts[j] = point
         return point
 
     def is_pole_free(self, levels) -> bool:
-        return all(self._factor(j) for j in levels)
+        return all(self._pair(j)[0] for j in levels)
 
 
 # Default sample set used by every identity suite; combinations producing a
@@ -176,17 +246,17 @@ def sequence(first, step):
     return fn
 
 
-@lru_cache(maxsize=1024)
-def q_int(n: int, q: Fraction) -> Fraction:
-    """[n] = 1 + q + ... + q^(n-1); equals n at q = 1."""
+def q_int(n: int, q) -> Fraction:
+    """[n] = 1 + q + ... + q^(n-1); equals n at q = 1.  At q = a/c it is
+    w / c^(n-1) with the integer w = c^(n-1) + a c^(n-2) + ... + a^(n-1),
+    which is (c^n - a^n) / (c - a) off q = 1 and n at q = 1."""
     if n < 0:
         raise ValueError("q_int needs n >= 0")
-    total = Fraction(0)
-    power = Fraction(1)
-    for _ in range(n):
-        total += power
-        power *= q
-    return total
+    q = as_rational(q)
+    a, c = q.numerator, q.denominator
+    if not n:
+        return Fraction(0)
+    return Fraction((c**n - a**n) // (c - a) if a != c else n, c ** (n - 1))
 
 
 def q_binom(n: int, k: int, q) -> Fraction:
@@ -217,26 +287,41 @@ q_binom.cache_info, q_binom.cache_clear = q_pascal.cache_info, q_pascal.cache_cl
 
 def q_poch(a, q, n: int) -> Fraction:
     """(a; q)_n = (1-a)(1-qa)...(1-q^(n-1)a), extended to negative n by
-    (a; q)_(-n) = 1 / (q^(-n) a; q)_n."""
+    (a; q)_(-n) = 1 / (q^(-n) a; q)_n.
+
+    At a = u/v and q = p/r the factor 1 - q^i a is (r^i v - p^i u) / (r^i v),
+    with p and r swapped for i < 0, so the product is one integer numerator
+    over one integer denominator and a single Fraction is made."""
     a = as_rational(a)
     q = as_rational(q)
+    u, v, p, r = a.numerator, a.denominator, q.numerator, q.denominator
+    num = den = 1
     if n >= 0:
-        result = Fraction(1)
-        factor = a
+        p_i = r_i = 1
         for _ in range(n):
-            result *= 1 - factor
-            factor *= q
-        return result
-    # negative order: reciprocal of the product starting at q^n * a
-    result = Fraction(1)
-    factor = q**n * a
-    for _ in range(-n):
-        term = 1 - factor
-        if term == 0:
-            raise PoleError(f"(a;q)_{n} undefined: factor 1 - {factor} vanishes")
-        result *= term
-        factor *= q
-    return 1 / result
+            d = r_i * v
+            num *= d - p_i * u
+            den *= d
+            p_i *= p
+            r_i *= r
+        return Fraction(num, den)
+    if not p:
+        q**n  # raises the ZeroDivisionError of 0 to a negative power
+    # negative order: reciprocal of the product of the factors i = n .. -1
+    for i in range(-n, 0, -1):
+        d = p**i * v
+        term = d - r**i * u
+        if not term:
+            raise _poch_pole(n)
+        num *= term
+        den *= d
+    return Fraction(den, num)
+
+
+def _poch_pole(n: int) -> PoleError:
+    """The error of (a;q)_n, n < 0, where a factor 1 - q^i a vanishes, which
+    is where q^i a = 1."""
+    return PoleError(f"(a;q)_{n} undefined: factor 1 - 1 vanishes")
 
 
 def q_catalan(n: int, q) -> Fraction:

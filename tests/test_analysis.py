@@ -61,6 +61,41 @@ def test_h_coefficients():
         assert h[k] * (1 - q ** (2 * k)) == h[k - 1] * (1 - q ** (2 * k - 1))
 
 
+def _h_reference(count, q):
+    """h_0 .. h_(count-1) by the Fraction loop h_coeffs ran before it used
+    integers: each from the one before by (1 - q^(2k-1)) / (1 - q^(2k))."""
+    coeffs = [F(1)][:count]
+    for k in range(1, count):
+        coeffs.append(coeffs[-1] * (1 - q ** (2 * k - 1)) / (1 - q ** (2 * k)))
+    return coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+    st.integers(0, 12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+def test_h_coefficients_match_the_fraction_loop(q, count, c):
+    """h_coeffs and h(c x^2) equal the Fraction loop's values, every one a
+    Fraction, and at q = +-1, where 1 - q^2 = 0, raise a ZeroDivisionError
+    as it does (whose text differs between versions)."""
+    if abs(q) == 1 and count >= 2:
+        with pytest.raises(ZeroDivisionError):
+            _h_reference(count, q)
+        with pytest.raises(ZeroDivisionError):
+            analysis.h_coeffs(count, q)
+        return
+    got = analysis.h_coeffs(count, q)
+    assert got == _h_reference(count, q) and all(type(h) is F for h in got)
+    if abs(q) != 1:
+        ctx = analysis.SeriesContext(q, F(1), 2 * count + 2)
+        series = analysis.h_of_x_squared(c, ctx)
+        want = [h * c**k for k, h in enumerate(_h_reference(count + 1, q))]
+        assert series.coeffs[0::2] == want and not any(series.coeffs[1::2])
+        assert all(type(h) is F for h in series.coeffs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([F(2), F(3, 5), F(-2, 3), F(7)]), st.integers(0, 29))
 def test_h_coefficients_match_the_pochhammer_ratio(q, k):

@@ -166,13 +166,13 @@ def test_verify_small_passes():
     assert all(r["status"] in ("pass", "skipped") for r in payload["reports"])
 
 
-def test_verify_q1_skips():
+def test_verify_at_q_1_runs_every_row():
     code, text = run_cli(
         ["verify", "--suite", "core", "--q", "1", "--max-n", "4", "--format", "json"]
     )
     assert code == 0
     payload = json.loads(text)
-    assert payload["summary"]["skipped"] > 0
+    assert payload["summary"]["skipped"] == 0
     assert payload["summary"]["fail"] == 0
     # the classical-limit checks still run
     ids = {r["identity_id"] for r in payload["reports"] if r["status"] == "pass"}

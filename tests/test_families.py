@@ -203,7 +203,8 @@ POLE_CASES = [
     (families.lucas_qb_closed, (8, ParamPoint(2, F(1, 32))), PoleError, POLE_AT_LEVEL_5),
     (families.lucas_trace_closed, (8, ParamPoint(2, F(1, 32))), PoleError, POLE_AT_LEVEL_5),
     (families.lucas_trace_closed, (8, ParamPoint(-1, -1)), PoleError, POLE_AT_Q_MINUS_1),
-    (families.hypergeom_gen_fib, (6, 1), ZeroDivisionError, "XsPoly denominator is 0"),
+    (families.hypergeom_gen_lucas, (0, 2),
+     ValueError, "hypergeometric Lucas form holds for n >= 1"),
     (families.hypergeom_gen_fib, (6, 0), PoleError, "q must be nonzero"),
     (families.hypergeom_gen_fib, (6, -1), PoleError, POLE_AT_Q_MINUS_1),
     (families.hypergeom_gen_lucas, (6, -1), PoleError, POLE_AT_Q_MINUS_1),
@@ -259,6 +260,15 @@ def test_routes_raise_exactly_where_a_level_vanishes(q):
                     assert pole, (route.__name__, n, point)
                 else:
                     assert not pole, (route.__name__, n, point)
+
+
+def test_hypergeometric_forms_are_finite_at_q_1():
+    """At q = 1 the four factors 1 - q^m of each term ratio share the factor
+    1 - q, which cancels, so the forms equal the b = -1 families there."""
+    for n in range(12):
+        assert families.hypergeom_gen_fib(n, 1) == families.gen_fib(n + 1, 1), n
+        if n:
+            assert families.hypergeom_gen_lucas(n, 1) == families.gen_lucas(n, 1), n
 
 
 def test_gen_lucas_negative_routes_agree_at_q_1():

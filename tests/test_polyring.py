@@ -468,3 +468,43 @@ def test_scalar_series_products_of_int_coefficients():
         "TruncSeries([Fraction(3, 1), Fraction(5, 1), Fraction(-2, 1)], order=3)"
     )
     assert (TruncSeries([], 0) * TruncSeries([], 0)).coeffs == []
+
+
+def ref_series_recip(coeffs):
+    """The inverse by the term loop every TruncSeries ran before scalar
+    series used integer numerators over one denominator, kept as the oracle
+    for that path."""
+    if coeffs[0] == 0:
+        raise ZeroDivisionError("constant term is not invertible")
+    inv0 = 1 / F(coeffs[0])
+    out = [inv0]
+    for k in range(1, len(coeffs)):
+        acc = None
+        for j in range(1, k + 1):
+            term = coeffs[j] * out[k - j]
+            acc = term if acc is None else acc + term
+        out.append(-(inv0 * acc))
+    return out
+
+
+@settings(max_examples=100)
+@given(series_coeffs, st.integers(1, 7))
+def test_scalar_series_recip_matches_the_term_loop(a, order):
+    series = TruncSeries(a, order)
+    if series.coeffs[0] == 0:
+        with pytest.raises(ZeroDivisionError, match="^constant term is not invertible$"):
+            series.recip()
+        return
+    inverse = series.recip()
+    assert inverse.coeffs == ref_series_recip(series.coeffs)
+    assert all(type(c) is Fraction for c in inverse.coeffs)
+    assert series * inverse == TruncSeries.one(order)
+
+
+def test_series_recip_at_order_0_is_the_unit():
+    """Modulo variable^0 every series is the unit, whatever it holds."""
+    for series in (TruncSeries([], 0), TruncSeries([F(0)], 0), TruncSeries([ZERO, X], 0)):
+        inverse = series.recip()
+        assert inverse.order == 0 and inverse.coeffs == []
+    with pytest.raises(ZeroDivisionError, match="^constant term is not invertible$"):
+        TruncSeries([0, 1], 2).recip()

@@ -264,3 +264,105 @@ def test_as_rational():
     assert as_rational("2/5") == F(2, 5)
     with pytest.raises(TypeError):
         as_rational(0.5)
+
+
+# -- the integer kernel against Fraction references ---------------------
+
+SIGNED_QS = st.builds(
+    lambda a, c, sign: F(sign * a, c),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.sampled_from([1, -1]),
+)
+
+
+@st.composite
+def signed_ladder_points(draw):
+    """q = +-a/c and a b that is either small or q^-j, where level j vanishes."""
+    q = draw(SIGNED_QS)
+    return q, draw(st.one_of(SMALL_RATIONALS.map(F), st.integers(-4, 8).map(lambda j: q**-j)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_ladder_points(), st.integers(-3, 3), st.lists(st.integers(-8, 8), min_size=1))
+def test_level_pair_matches_the_fraction_reference(qb, shift, levels):
+    """level_pair(j), read at a point or at a point its shift_b made, is an
+    integer pair (n, d), d > 0, of the Fraction 1 - q^j b, and walking the
+    levels in order raises the reference's PoleError text at the same first
+    vanishing level."""
+    q, b = qb
+    point = ParamPoint(q, b).shift_b(shift)
+
+    def walk(read):
+        return [read(j) for j in levels]
+
+    def reference(j):
+        return _level_reference(q, b, j + shift)
+
+    def pair(j):
+        n, d = point.level_pair(j)
+        assert type(n) is type(d) is int and d > 0 and n
+        return F(n, d)
+
+    assert _outcome(walk, pair) == _outcome(walk, reference)
+    assert _outcome(walk, point.level) == _outcome(walk, reference)
+
+
+def _q_poch_reference(a, q, n):
+    """(a;q)_n by the Fraction loop q_poch ran before it multiplied integers."""
+    a, q = F(a), F(q)
+    result = F(1)
+    if n >= 0:
+        factor = a
+        for _ in range(n):
+            result *= 1 - factor
+            factor *= q
+        return result
+    factor = q**n * a
+    for _ in range(-n):
+        term = 1 - factor
+        if term == 0:
+            raise PoleError(f"(a;q)_{n} undefined: factor 1 - {factor} vanishes")
+        result *= term
+        factor *= q
+    return 1 / result
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMALL_RATIONALS, st.integers(-7, 7), st.data())
+def test_q_poch_matches_the_fraction_reference(q, n, data):
+    """At n < 0, n = 0 and n > 0, and with a = q^-i, where a factor of a
+    negative order vanishes, q_poch gives the reference's Fraction or raises
+    its error with the same text."""
+    a = data.draw(
+        st.one_of(SMALL_RATIONALS, st.integers(1, 7).map(lambda i: F(q) ** -i))
+        if q
+        else SMALL_RATIONALS
+    )
+    got = _outcome(q_poch, a, q, n)
+    assert got == _outcome(_q_poch_reference, a, q, n)
+    assert not isinstance(got, F) or type(got) is F
+
+
+def test_q_poch_negative_order_names_the_vanishing_factor():
+    with pytest.raises(PoleError, match=r"^\(a;q\)_-3 undefined: factor 1 - 1 vanishes$"):
+        q_poch(F(4), F(2), -3)  # the factor at q^-2 a = 1
+    assert q_poch(F(4), F(2), -1) == 1 / (1 - F(2))
+
+
+def _q_int_reference(n, q):
+    """[n] by the Fraction sum q_int ran before it used integers."""
+    total, power = F(0), F(1)
+    for _ in range(n):
+        total += power
+        power *= q
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL_RATIONALS, st.integers(0, 30))
+def test_q_int_matches_the_fraction_reference(q, n):
+    got = q_int(n, q)
+    assert got == _q_int_reference(n, F(q)) and type(got) is F
+    with pytest.raises(ValueError, match="^q_int needs n >= 0$"):
+        q_int(-1, q)

@@ -31,14 +31,16 @@ def test_max_n_rules():
 
 
 # sha256 of the JSON report of each command, as produced before the table of
-# checks replaced the hand-written work list; `--q 1` as recorded once q = 1
-# became an ordinary sample, `--q 2 --b 4` once a pole met at a shifted
+# checks replaced the hand-written work list; `--q 1` as recorded once the
+# hypergeometric forms cancelled their 1 - q factors, so that every row runs
+# at q = 1 (118 pass, where 115 passed and 3 were skipped with a bare
+# division by zero), `--q 2 --b 4` once a pole met at a shifted
 # point named the sample's b, and `--q=-1` once the closed forms stopped
 # dividing by [i]_q (97 pass and 12 skipped, each at a pole of the b = -1
 # families, where 82 and 27 were); the same on CPython 3.10 to 3.13
 PINNED = {
     "verify --suite all --q 1":
-        "bb6c11211eb0a6d3106a49dd0f7f7fc3c350bee472f0763bb171ae5cfde158e2",
+        "21959f52a8fac6dd81e213d2a6c46d49ac623e8a9a76da294033de68095b1098",
     "verify --suite extended":
         "9d00d32972e764457921f6d7557ad2b90b16ff56e4b682bffcf5a85bfee88efa",
     "verify --suite all --q 2 --b 3/7 --max-n 6":
@@ -68,14 +70,14 @@ def _verify_json(command):
 
 
 def test_q_1_is_an_ordinary_sample():
-    """At q = 1 every row runs; only the hypergeometric forms, whose
-    (q^(2-2n);q^2)_k vanishes there, meet a pole."""
+    """At q = 1 every row runs and passes, the hypergeometric forms too:
+    their term ratios cancel the 1 - q factors of (q^(2-2n);q^2)_k and
+    (q^2;q^2)_k, which vanish there, against those of the numerator."""
     code, payload = _verify_json("verify --suite all --q 1")
     assert code == 0
-    assert payload["summary"] == {"pass": 115, "fail": 0, "skipped": 3}
-    skipped = [r for r in payload["reports"] if r["status"] == "skipped"]
-    assert [r["identity_id"] for r in skipped] == ["dual-GEN_LUCAS", "eq-2.28", "eq-4.3"]
-    assert all(r["reason"] == "division by zero" for r in skipped)
+    assert payload["summary"] == {"pass": 118, "fail": 0, "skipped": 0}
+    passed = {r["identity_id"] for r in payload["reports"] if r["status"] == "pass"}
+    assert {"dual-GEN_LUCAS", "eq-2.28", "eq-4.3"} <= passed
 
 
 @pytest.mark.parametrize(
