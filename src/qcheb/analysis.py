@@ -1,6 +1,12 @@
 """q-derivative relations, q-differential equations, the weight series and
 Pearson equation, Rodrigues-type formulae, generating functions, and the
 registry of standalone identities.
+
+A weight series, a series in x with rational coefficients, is an XsPoly free
+of s, cut by mod_x after each product and at the order where it is compared;
+the Rodrigues checks compare it with a family member with s substituted.
+The generating functions are series in z whose coefficients
+are polynomials in x and s, TruncSeries.
 """
 
 from fractions import Fraction
@@ -122,9 +128,9 @@ def _h_pairs(count: int, q):
         yield num, den
 
 
-def h_series(ctx: SeriesContext) -> TruncSeries:
-    """h as a series in its own argument, to ctx.order."""
-    return TruncSeries(h_coeffs(ctx.order, ctx.q), ctx.order)
+def h_series(ctx: SeriesContext) -> XsPoly:
+    """h as a series in its own argument, taken as x, to ctx.order."""
+    return XsPoly({(k, 0): h for k, h in enumerate(h_coeffs(ctx.order, ctx.q))})
 
 
 def h_functional_equation_check(ctx: SeriesContext):
@@ -132,29 +138,27 @@ def h_functional_equation_check(ctx: SeriesContext):
     infinite-product form of h, compared once, at the series order."""
 
     def sides(_):
-        h = h_series(ctx)
-        q = ctx.q
-        t = TruncSeries([Fraction(0), Fraction(1)], ctx.order)
-        lhs = h * (TruncSeries.one(ctx.order) - t)
-        yield lhs, (TruncSeries.one(ctx.order) - t * q) * h.dilate_var(q * q)
+        h, q = h_series(ctx), ctx.q
+        lhs = (h * (1 - X)).mod_x(ctx.order)
+        yield lhs, ((1 - X.scale(q)) * h.dilate(q, 2, 0)).mod_x(ctx.order)
 
     return [ctx.order], sides, (0, ctx.order)
 
 
-def h_of_x_squared(c: Fraction, ctx: SeriesContext) -> TruncSeries:
-    """h(c * x^2) as a series in x: the coefficient of x^(2k) is h_k c^k, one
+def h_of_x_squared(c: Fraction, ctx: SeriesContext) -> XsPoly:
+    """h(c * x^2) to ctx.order: the coefficient of x^(2k) is h_k c^k, one
     Fraction made from integers each."""
-    coeffs = [Fraction(0)] * ctx.order
+    coeffs = {}
     u, v = c.numerator, c.denominator
     u_k = v_k = 1
     for k, (num, den) in enumerate(_h_pairs((ctx.order + 1) // 2, ctx.q)):
-        coeffs[2 * k] = Fraction(num * u_k, den * v_k)
+        coeffs[(2 * k, 0)] = Fraction(num * u_k, den * v_k)
         u_k *= u
         v_k *= v
-    return TruncSeries(coeffs, ctx.order)
+    return XsPoly(coeffs)
 
 
-def weight_series(ctx: SeriesContext) -> TruncSeries:
+def weight_series(ctx: SeriesContext) -> XsPoly:
     """w(x) = h(-x^2 / s_val)."""
     return h_of_x_squared(Fraction(-1) / ctx.s_val, ctx)
 
@@ -163,24 +167,12 @@ def pearson_check(ctx: SeriesContext):
     """Pearson operator equation D((x^2 + s) w(x)) = q x w(qx)."""
 
     def sides(_):
-        q = ctx.q
-        w = weight_series(ctx)
-        x_sq = TruncSeries([ctx.s_val, Fraction(0), Fraction(1)], ctx.order)
+        q, w = ctx.q, weight_series(ctx)
+        lhs = ((X * X + ctx.s_val) * w).mod_x(ctx.order).q_deriv(q)
         # the q-derivative loses the top coefficient, so compare one order lower
-        lhs = (x_sq * w).qderiv_in_var(q).truncate(ctx.order - 1)
-        yield lhs, (w.dilate_var(q) * q).shift(1).truncate(ctx.order - 1)
+        yield lhs, (X.scale(q) * w.dilate(q, 1, 0)).mod_x(ctx.order - 1)
 
     return [ctx.order], sides, (0, ctx.order)
-
-
-def _poly_to_series(poly: XsPoly, ctx: SeriesContext) -> TruncSeries:
-    """A polynomial with s substituted by s_val, as a series in x."""
-    sub = poly.subs_s(ctx.s_val)
-    coeffs = [Fraction(0)] * ctx.order
-    for (dx, _), c in sub.terms.items():
-        if dx < ctx.order:
-            coeffs[dx] += c
-    return TruncSeries(coeffs, ctx.order)
 
 
 def rodrigues_t(n: int, ctx: SeriesContext):
@@ -188,19 +180,18 @@ def rodrigues_t(n: int, ctx: SeriesContext):
     * D^n( h(-x^2/(q^(2n) s)) prod_{k=1}^n (x^2/q^(2k+1) + s/q) )."""
     if ctx.order < 2 * n + 10:
         raise ValueError("series order too small for a degree-n Rodrigues check")
-    q, s = ctx.q, ctx.s_val
+    q, s, order = ctx.q, ctx.s_val, ctx.order
     inner = h_of_x_squared(Fraction(-1) / (q ** (2 * n) * s), ctx)
     for k in range(1, n + 1):
-        factor = TruncSeries([s / q, Fraction(0), q ** (-2 * k - 1)], ctx.order)
-        inner = inner * factor
+        inner = (inner * (XsPoly.monomial(q ** (-2 * k - 1), 2, 0) + s / q)).mod_x(order)
     for _ in range(n):
-        inner = inner.qderiv_in_var(q)
+        inner = inner.q_deriv(q)
     pref = q ** (n * (n + 1))
     for j in range(1, n + 1):
         pref /= q_int(2 * j - 1, q)
     # n applications of the q-derivative lose the top n coefficients
-    rhs = (weight_series(ctx).recip() * inner * pref).truncate(ctx.order - n)
-    lhs = _poly_to_series(families.cheb_t(n, q), ctx).truncate(ctx.order - n)
+    rhs = (weight_series(ctx).inverse_mod_x(order - n) * inner).mod_x(order - n).scale(pref)
+    lhs = families.cheb_t(n, q).subs_s(s).mod_x(order - n)
     return [n], lambda _: [(rhs, lhs)]
 
 
@@ -209,19 +200,18 @@ def rodrigues_u(n: int, ctx: SeriesContext):
     * D^n( (1/h(-x^2/(q^(2n-1) s))) prod_{k=1}^n (x^2/q^(2k-1) + s/q) )."""
     if ctx.order < 2 * n + 10:
         raise ValueError("series order too small for a degree-n Rodrigues check")
-    q, s = ctx.q, ctx.s_val
-    inner = h_of_x_squared(Fraction(-1) / (q ** (2 * n - 1) * s), ctx).recip()
+    q, s, order = ctx.q, ctx.s_val, ctx.order
+    inner = h_of_x_squared(Fraction(-1) / (q ** (2 * n - 1) * s), ctx).inverse_mod_x(order)
     for k in range(1, n + 1):
-        factor = TruncSeries([s / q, Fraction(0), q ** (1 - 2 * k)], ctx.order)
-        inner = inner * factor
+        inner = (inner * (XsPoly.monomial(q ** (1 - 2 * k), 2, 0) + s / q)).mod_x(order)
     for _ in range(n):
-        inner = inner.qderiv_in_var(q)
+        inner = inner.q_deriv(q)
     pref = q ** (n * (n + 1)) * q_int(n + 1, q)
     for j in range(1, n + 1):
         pref /= q_int(2 * j + 1, q)
     # n applications of the q-derivative lose the top n coefficients
-    rhs = (h_of_x_squared(-q / s, ctx) * inner * pref).truncate(ctx.order - n)
-    lhs = _poly_to_series(families.cheb_u(n, q), ctx).truncate(ctx.order - n)
+    rhs = (h_of_x_squared(-q / s, ctx) * inner).mod_x(order - n).scale(pref)
+    lhs = families.cheb_u(n, q).subs_s(s).mod_x(order - n)
     return [n], lambda _: [(rhs, lhs)]
 
 
@@ -235,7 +225,7 @@ def genfun_u(order: int, q) -> TruncSeries:
     q = as_rational(q)
     term = total = TruncSeries.geom(X, order)
     for k in range(1, order):
-        step = TruncSeries([Fraction(0), X.scale(q**k), S.scale(q ** (2 * k - 1))], order)
+        step = TruncSeries([0, X.scale(q**k), S.scale(q ** (2 * k - 1))], order)
         term = step * term * TruncSeries.geom(X.scale(q**k), order)
         total = total + term
     return total
@@ -248,7 +238,7 @@ def genfun_t(order: int, q) -> TruncSeries:
     q = as_rational(q)
     term = total = TruncSeries.one(order)
     for k in range(1, order):
-        step = TruncSeries([Fraction(0), X.scale(q ** (k - 1)), S.scale(q ** (2 * k - 1))], order)
+        step = TruncSeries([0, X.scale(q ** (k - 1)), S.scale(q ** (2 * k - 1))], order)
         term = step * term * TruncSeries.geom(X.scale(q ** (k - 1)), order)
         total = total + term
     return total

@@ -1,12 +1,13 @@
 """Sparse polynomials in x, Laurent in s, over exact rationals, plus the
-q-dilation substitution, q-derivative, 2x2 matrices and truncated power series.
+q-dilation substitution, q-derivative, 2x2 matrices and truncated power series
+in a second variable z with polynomial coefficients.
 """
 
 import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .qkernel import as_rational, q_int
+from .qkernel import as_rational
 
 
 def _coerce_coeff(c) -> Fraction:
@@ -15,13 +16,6 @@ def _coerce_coeff(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"coefficients must be exact rationals, got {type(c)}")
-
-
-def _over_one_den(coeffs):
-    """Integer numerators over the least common denominator of int or
-    Fraction coefficients; gcd(den, *numerators) == 1 for lowest-terms inputs."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _power_weights(a: int, b: int, exponents):
@@ -62,8 +56,10 @@ class XsPoly:
                     if dx < 0:
                         raise ValueError("negative x exponents are not representable")
                     coeffs[(dx, ds)] = c
-        nums, self.den = _over_one_den(coeffs.values())
-        self.num = dict(zip(coeffs, nums))
+        # the lcm of lowest-terms denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        self.den = den
 
     @staticmethod
     def _of(num, den):
@@ -171,7 +167,7 @@ class XsPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not XsPoly:
             return self.scale(other)
         if len(other.num) == 1:
             ((i, j), n), = other.num.items()
@@ -203,10 +199,10 @@ class XsPoly:
         raise TypeError(f"cannot coerce {type(v)} to XsPoly")
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not XsPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = XsPoly.const(other)
-        if not isinstance(other, XsPoly):
-            return NotImplemented
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
@@ -311,6 +307,43 @@ class XsPoly:
         if k == 0:
             return self
         return XsPoly._of({(dx, ds + k): c for (dx, ds), c in self.num.items()}, self.den)
+
+    def mod_x(self, order: int):
+        """self modulo x^order: the terms of x-degree below order."""
+        num = {k: c for k, c in self.num.items() if k[0] < order}
+        if len(num) == len(self.num):
+            return self
+        return XsPoly._reduced(num, self.den)
+
+    def inverse_mod_x(self, order: int):
+        """The inverse of self modulo x^order, for self a polynomial in x
+        alone with an invertible constant term.  Modulo x^0 every polynomial
+        is 0, so order 0 gives 0.
+
+        With the coefficients A_j = a_j / D of self, the inverse has the
+        coefficients D b_k / a_0^(k+1), from the integers b_0 = 1 and
+        b_k = -sum over 1 <= j <= k of a_j a_0^(j-1) b_(k-j)."""
+        if any(ds for _, ds in self.num):
+            raise ValueError("inverse_mod_x needs a polynomial in x alone")
+        if not order:
+            return XsPoly._of({}, 1)
+        a, den = [self.num.get((j, 0), 0) for j in range(order)], self.den
+        if not a[0]:
+            raise ZeroDivisionError("constant term is not invertible")
+        weights, power = [0], 1  # weights[j] = a_j a_0^(j-1)
+        for j in range(1, order):
+            weights.append(a[j] * power)
+            power *= a[0]
+        b = [1]
+        for k in range(1, order):
+            b.append(-sum(weights[j] * b[k - j] for j in range(1, k + 1) if weights[j]))
+        # D b_k / a_0^(k+1) = D b_k a_0^(order-1-k) / a_0^order
+        num, power = {}, 1
+        for k in range(order - 1, -1, -1):
+            if b[k]:
+                num[(k, 0)] = den * b[k] * power
+            power *= a[0]
+        return XsPoly._reduced(num, power)
 
     def as_poly(self):
         """self, checked to be a polynomial in s: no negative s exponent."""
@@ -427,26 +460,11 @@ class Mat2:
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"
 
 
-def _elem_inv(c):
-    """Multiplicative inverse of a series coefficient (Fraction or constant XsPoly)."""
-    if isinstance(c, XsPoly):
-        value = c.constant()
-        if value == 0:
-            raise ZeroDivisionError("constant term is not invertible")
-        return XsPoly.const(1 / value)
-    c = as_rational(c)
-    if c == 0:
-        raise ZeroDivisionError("constant term is not invertible")
-    return 1 / c
-
-
 class TruncSeries:
-    """Truncated power series: coefficients for powers 0 .. order-1 of the
-    series variable.  Coefficients may be Fractions or XsPoly values; results
-    are exact modulo variable^order.  A product of two series of int or
-    Fraction coefficients convolves integer numerators over one denominator
-    and makes one Fraction per coefficient; with XsPoly coefficients it adds
-    term products.
+    """Truncated power series in z with XsPoly coefficients: powers
+    0 .. order-1 of z, exact modulo z^order.  These are the generating
+    functions' series, whose coefficients are polynomials in x and s; a
+    series in x with rational coefficients is an XsPoly cut by mod_x.
     """
 
     __slots__ = ("order", "coeffs")
@@ -454,24 +472,20 @@ class TruncSeries:
     def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("order must be >= 0")
-        coeffs = list(coeffs)[:order]
-        coeffs += [Fraction(0)] * (order - len(coeffs))
+        coeffs = [XsPoly._coerce(c) for c in list(coeffs)[:order]]
+        coeffs += [ZERO] * (order - len(coeffs))
         self.order = order
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(order: int):
-        return TruncSeries([], order)
-
-    @staticmethod
     def one(order: int):
-        return TruncSeries([Fraction(1)], order)
+        return TruncSeries([ONE], order)
 
     @staticmethod
     def geom(c, order: int):
-        """1 / (1 - c * variable) = sum c^k variable^k."""
+        """1 / (1 - c * z) = sum c^k z^k."""
         coeffs = []
-        power = Fraction(1) if isinstance(c, (int, Fraction)) else XsPoly.const(1)
+        power = ONE
         for _ in range(order):
             coeffs.append(power)
             power = power * c
@@ -482,115 +496,18 @@ class TruncSeries:
             raise ValueError("truncation orders differ")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, XsPoly)):
-            coeffs = list(self.coeffs)
-            if self.order > 0:
-                coeffs[0] = coeffs[0] + other
-            return TruncSeries(coeffs, self.order)
         self._check(other)
         return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries([-a for a in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, TruncSeries):
-            self._check(other)
-            return TruncSeries(
-                [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-            )
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, XsPoly)):
-            return TruncSeries([a * other for a in self.coeffs], self.order)
         self._check(other)
-        if all(isinstance(c, (int, Fraction)) for c in self.coeffs + other.coeffs):
-            # scalar series: convolve integer numerators over one denominator
-            a, da = _over_one_den(self.coeffs)
-            b, db = _over_one_den(other.coeffs)
-            num = [0] * self.order
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(self.order - i):
-                        num[i + j] += ai * b[j]
-            den = da * db
-            return TruncSeries([Fraction(c, den) for c in num], self.order)
-        coeffs = [Fraction(0)] * self.order
+        coeffs = [ZERO] * self.order
         for i, a in enumerate(self.coeffs):
-            if isinstance(a, XsPoly) and a.is_zero():
-                continue
-            if isinstance(a, Fraction) and a == 0:
+            if a.is_zero():
                 continue
             for j in range(self.order - i):
                 coeffs[i + j] = coeffs[i + j] + a * other.coeffs[j]
         return TruncSeries(coeffs, self.order)
-
-    __rmul__ = __mul__
-
-    def recip(self):
-        """Multiplicative inverse; requires an invertible constant term.
-        Modulo variable^0 every series is the unit, so order 0 gives order 0.
-
-        With int or Fraction coefficients A_j = a_j / D over one denominator,
-        the inverse has the coefficients D b_k / a_0^(k+1), from the integers
-        b_0 = 1 and b_k = -sum over 1 <= j <= k of a_j a_0^(j-1) b_(k-j),
-        one Fraction each; with XsPoly coefficients each comes from the ones
-        before it by the same recurrence."""
-        if not self.order:
-            return TruncSeries([], 0)
-        if all(isinstance(c, (int, Fraction)) for c in self.coeffs):
-            a, den = _over_one_den(self.coeffs)
-            if not a[0]:
-                raise ZeroDivisionError("constant term is not invertible")
-            weights, power = [0], 1  # weights[j] = a_j a_0^(j-1)
-            for j in range(1, self.order):
-                weights.append(a[j] * power)
-                power *= a[0]
-            b = [1]
-            for k in range(1, self.order):
-                b.append(-sum(weights[j] * b[k - j] for j in range(1, k + 1) if weights[j]))
-            out, power = [], 1
-            for bk in b:
-                power *= a[0]
-                out.append(Fraction(den * bk, power))
-            return TruncSeries(out, self.order)
-        inv0 = _elem_inv(self.coeffs[0])
-        out = [inv0]
-        for k in range(1, self.order):
-            acc = None
-            for j in range(1, k + 1):
-                term = self.coeffs[j] * out[k - j]
-                acc = term if acc is None else acc + term
-            out.append(-(inv0 * acc))
-        return TruncSeries(out, self.order)
-
-    def shift(self, k: int):
-        """Multiply by variable^k (k >= 0)."""
-        return TruncSeries([Fraction(0)] * k + self.coeffs, self.order)
-
-    def truncate(self, order: int):
-        """Restrict to a smaller truncation order."""
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[:order], order)
-
-    def qderiv_in_var(self, q):
-        """q-derivative with respect to the series variable itself."""
-        q = as_rational(q)
-        return TruncSeries(
-            [self.coeffs[k + 1] * q_int(k + 1, q) for k in range(self.order - 1)],
-            self.order,
-        )
-
-    def dilate_var(self, q, m: int = 1):
-        """Substitute variable -> q^m * variable."""
-        q = as_rational(q)
-        return TruncSeries(
-            [c * q ** (m * k) for k, c in enumerate(self.coeffs)], self.order
-        )
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -598,9 +515,5 @@ class TruncSeries:
         self._check(other)
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def __repr__(self):
         return f"TruncSeries({self.coeffs!r}, order={self.order})"
-

@@ -13,8 +13,8 @@ integer numerators over one integer denominator, and at q = a/c
 q_pascal(n, a, c) is the row of G(n, k) = c^(k(n-k)) [n over k], so a closed
 form can sum integer numerators over one denominator, and no row divides by
 [i]_q (which is 0 at q = -1 for even i).  A value handed out by level(),
-poch(), power(), q_poch(), q_int(), q_binom() or q_catalan() is an exact
-`fractions.Fraction`, made once from its integers.
+q_poch(), q_int(), q_binom() or q_catalan() is an exact `fractions.Fraction`,
+made once from its integers.
 """
 
 import threading
@@ -61,7 +61,7 @@ class ParamPoint:
     shift_b(j) builds the point at q^j b once and gives it the same tables,
     indexed j further on, so the points one point shifts to share one ladder,
     built from the root's b, which lives as long as the last of them.
-    Fractions are made only at the public edge: level(), poch() and power().
+    A Fraction is made only at the public edge, by level().
 
     Every division of the (q,b) families by a factor 1 - q^j b goes through
     level_pair(j) (or level(j), its Fraction), the one place that raises the
@@ -92,10 +92,6 @@ class ParamPoint:
 
     def __repr__(self):
         return f"ParamPoint(q={self.q!r}, b={self.b!r})"
-
-    def power(self, j: int) -> Fraction:
-        """q^j."""
-        return self.q**j
 
     def _pair(self, j: int):
         """Level j as the pair (n, d), d > 0, n possibly 0, from the root's
@@ -181,17 +177,12 @@ class ParamPoint:
             pair = self._pochs[start, m] = (num, den)
         return pair
 
-    def poch(self, s: int, m: int) -> Fraction:
-        """(q^s b;q)_m, a product of factors 1 - q^j b that may be 0; m < 0 is
-        q_poch's reciprocal, with its PoleError."""
-        return Fraction(*self._poch_pair(s, m))
-
     def shift_b(self, j: int) -> "ParamPoint":
         """The point with b replaced by q^j * b, built once per j, on this
         point's ladder."""
         point = self._shifts.get(j)
         if point is None:
-            point = ParamPoint(self.q, self.power(j) * self.b)
+            point = ParamPoint(self.q, self.q**j * self.b)
             point.__dict__.update(_offset=self._offset + j, _root=self._root,
                                   _pairs=self._pairs, _pochs=self._pochs)
             self._shifts[j] = point

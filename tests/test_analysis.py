@@ -92,8 +92,8 @@ def test_h_coefficients_match_the_fraction_loop(q, count, c):
         ctx = analysis.SeriesContext(q, F(1), 2 * count + 2)
         series = analysis.h_of_x_squared(c, ctx)
         want = [h * c**k for k, h in enumerate(_h_reference(count + 1, q))]
-        assert series.coeffs[0::2] == want and not any(series.coeffs[1::2])
-        assert all(type(h) is F for h in series.coeffs)
+        assert [series.coeff(2 * k, 0) for k in range(count + 1)] == want
+        assert all(ds == 0 and dx % 2 == 0 and dx <= 2 * count for dx, ds in series.terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,9 +137,9 @@ def _genfun_reference(order, q, shift):
     """sum_k q^C(k+shift,2) z^k prod_{j<k} (x + q^(j+1-shift) s z) /
     prod_{j<k+shift} (1 - q^j x z), each term built from its own factors:
     the U sum at shift 1, the T sum at shift 0."""
-    total = TruncSeries.zero(order)
+    total = TruncSeries([], order)
     for k in range(order):
-        term = TruncSeries.one(order).shift(k) * XsPoly.const(q ** binom2(k + shift))
+        term = TruncSeries([0] * k + [q ** binom2(k + shift)], order)
         for j in range(k):
             term = term * TruncSeries([X, S.scale(q ** (j + 1 - shift))], order)
         for j in range(k + shift):

@@ -393,36 +393,40 @@ def test_series_basic():
     assert (t * TruncSeries.one(5)) == t
     geom = TruncSeries.geom(F(2), 4)
     assert geom.coeffs == [1, 2, 4, 8]
-    assert geom.shift(1).coeffs == [0, 1, 2, 4]
+    # every coefficient is an XsPoly, whatever it was given as
+    assert {type(c) for c in t.coeffs + geom.coeffs} == {XsPoly}
+
+
+def _x_series(coeffs):
+    """sum coeffs[k] x^k as an XsPoly."""
+    return XsPoly({(k, 0): c for k, c in enumerate(coeffs)})
 
 
 def test_series_recip():
-    t = TruncSeries([F(1), F(-1)], 6)  # 1 - z
-    assert t.recip() == TruncSeries.geom(F(1), 6)
-    u = TruncSeries([F(2), F(1), F(3)], 6)
-    prod = u * u.recip()
-    assert prod == TruncSeries.one(6)
-
-
-def test_series_recip_xspoly_coeffs():
-    t = TruncSeries([ONE, X], 5)
-    assert t * t.recip() == TruncSeries([ONE], 5)
+    assert (ONE - X).inverse_mod_x(6) == _x_series([1] * 6)
+    u = _x_series([F(2), F(1), F(3)])
+    assert (u * u.inverse_mod_x(6)).mod_x(6) == ONE
+    with pytest.raises(ValueError, match="^inverse_mod_x needs a polynomial in x alone$"):
+        (ONE + S).inverse_mod_x(3)
 
 
 def test_series_qderiv_and_dilate():
+    """An x-series' q-derivative and dilation are XsPoly's q_deriv and
+    dilate(q, m, 0)."""
     q = F(2)
-    t = TruncSeries([F(1), F(1), F(1), F(1)], 4)
-    d = t.qderiv_in_var(q)
-    assert d.coeffs == [1, q_int(2, q), q_int(3, q), 0]
-    assert t.dilate_var(q).coeffs == [1, 2, 4, 8]
-    assert t.dilate_var(q, 2).coeffs == [1, 4, 16, 64]
+    t = _x_series([1, 1, 1, 1])
+    assert t.q_deriv(q) == _x_series([1, q_int(2, q), q_int(3, q)])
+    assert t.dilate(q, 1, 0) == _x_series([1, 2, 4, 8])
+    assert t.dilate(q, 2, 0) == _x_series([1, 4, 16, 64])
 
 
 def test_series_truncate():
-    t = TruncSeries([F(1), F(2), F(3)], 3)
-    assert t.truncate(2).coeffs == [1, 2]
-    with pytest.raises(ValueError):
-        t.truncate(4)
+    p = XsPoly({(0, 0): F(1), (1, 1): F(2), (2, 0): F(3)})
+    assert p.mod_x(2) == XsPoly({(0, 0): F(1), (1, 1): F(2)})
+    assert p.mod_x(3) is p and p.mod_x(0) == ZERO
+    # the terms left may share a smaller denominator; it stays canonical
+    cut = _x_series([F(1, 2), F(1, 3)]).mod_x(1)
+    assert (cut.num, cut.den) == ({(0, 0): 1}, 2)
 
 
 def test_series_order_mismatch():
@@ -435,7 +439,7 @@ def test_series_order_mismatch():
 def ref_series_mul(a, b):
     """The term-by-term product of two scalar series of one order, as every
     TruncSeries product ran before scalar series convolved integer
-    numerators, kept as the oracle for that path."""
+    numerators, kept as the oracle for products cut by mod_x."""
     coeffs = [F(0)] * len(a)
     for i, c in enumerate(a):
         if isinstance(c, Fraction) and c == 0:
@@ -450,30 +454,32 @@ series_coeffs = st.lists(
 )
 
 
+def _padded(coeffs, order):
+    return (list(coeffs) + [0] * order)[:order]
+
+
 @settings(max_examples=100)
 @given(series_coeffs, series_coeffs, st.integers(0, 6))
 def test_scalar_series_products_match_the_pair_loop(a, b, order):
-    left, right = TruncSeries(a, order), TruncSeries(b, order)
-    expected = ref_series_mul(left.coeffs, right.coeffs)
-    product = left * right
-    assert product.coeffs == expected
-    # every coefficient stays a Fraction, so the repr keeps its text
-    assert all(type(c) is Fraction for c in product.coeffs)
-    assert repr(product) == repr(TruncSeries(expected, order))
+    product = (_x_series(a) * _x_series(b)).mod_x(order)
+    expected = ref_series_mul(_padded(a, order), _padded(b, order))
+    assert [product.coeff(k, 0) for k in range(order)] == expected
+    assert product.x_degree() < order and product == _x_series(expected)
 
 
 def test_scalar_series_products_of_int_coefficients():
-    product = TruncSeries([1, 2], 3) * TruncSeries([3, -1], 3)
-    assert repr(product) == (
-        "TruncSeries([Fraction(3, 1), Fraction(5, 1), Fraction(-2, 1)], order=3)"
-    )
+    """A product cut by mod_x prints as a polynomial, the form a failing
+    weight-series check's witness takes."""
+    product = (_x_series([1, 2]) * _x_series([3, -1])).mod_x(3)
+    assert str(product) == "-2*x^2 + 5*x + 3"
+    assert (_x_series([1, 2]) * X).mod_x(0) == ZERO
     assert (TruncSeries([], 0) * TruncSeries([], 0)).coeffs == []
 
 
 def ref_series_recip(coeffs):
     """The inverse by the term loop every TruncSeries ran before scalar
     series used integer numerators over one denominator, kept as the oracle
-    for that path."""
+    for inverse_mod_x."""
     if coeffs[0] == 0:
         raise ZeroDivisionError("constant term is not invertible")
     inv0 = 1 / F(coeffs[0])
@@ -490,21 +496,22 @@ def ref_series_recip(coeffs):
 @settings(max_examples=100)
 @given(series_coeffs, st.integers(1, 7))
 def test_scalar_series_recip_matches_the_term_loop(a, order):
-    series = TruncSeries(a, order)
-    if series.coeffs[0] == 0:
+    """Terms of x-degree order and above, which a may hold, play no part."""
+    series, a = _x_series(a), _padded(a, order)
+    if a[0] == 0:
         with pytest.raises(ZeroDivisionError, match="^constant term is not invertible$"):
-            series.recip()
+            series.inverse_mod_x(order)
         return
-    inverse = series.recip()
-    assert inverse.coeffs == ref_series_recip(series.coeffs)
-    assert all(type(c) is Fraction for c in inverse.coeffs)
-    assert series * inverse == TruncSeries.one(order)
+    inverse = series.inverse_mod_x(order)
+    assert [inverse.coeff(k, 0) for k in range(order)] == ref_series_recip(a)
+    assert inverse.x_degree() < order
+    assert (series * inverse).mod_x(order) == ONE
 
 
 def test_series_recip_at_order_0_is_the_unit():
-    """Modulo variable^0 every series is the unit, whatever it holds."""
-    for series in (TruncSeries([], 0), TruncSeries([F(0)], 0), TruncSeries([ZERO, X], 0)):
-        inverse = series.recip()
-        assert inverse.order == 0 and inverse.coeffs == []
+    """Modulo x^0 every polynomial is 0, which is there the unit, whatever
+    the polynomial holds."""
+    for poly in (ZERO, X, ONE + X):
+        assert poly.inverse_mod_x(0) == ZERO
     with pytest.raises(ZeroDivisionError, match="^constant term is not invertible$"):
-        TruncSeries([0, 1], 2).recip()
+        X.inverse_mod_x(2)

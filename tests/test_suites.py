@@ -52,6 +52,10 @@ PINNED = {
         "fcf403d49a9d429b00cf7fa02d61515dc756f490c32446d2c5fedfe2d09610a5",
     "verify --suite core --q 2 --b 1/32":
         "9ec0e97d5110f0d04de35bb2aa89a3ab6571f7cb27e5d66bc0859a6fdc20d3f0",
+    # Rodrigues to n = 8 at series order 26 (48 pass), past the n <= 6 above;
+    # recorded while the weight series were TruncSeries of Fractions
+    "verify --suite extended --max-n 8":
+        "4220cdb663d84e8ec8b9c7824eee400e5729f486bc0431554b54403be84b0469",
 }
 
 
@@ -179,10 +183,13 @@ def test_per_point_ladders_stay_bounded_and_change_no_later_run():
 # every row that yields more than one pair per index fail somewhere, and the
 # Cassini and Rodrigues rows too.
 PERTURBED = {
+    # re-recorded when the weight series became XsPolys: the eq-5.25 and
+    # eq-5.26 witnesses print as polynomials, "15*x^3 + 14*x", where they
+    # printed as TruncSeries([Fraction(0, 1), Fraction(14, 1), ...], order=15)
     "families.cheb_t@3":
-        "f7bc56a900d013b369267dd946bae16c40f43aebffaf5cffaeb80bee4b0ff899",
+        "b23df96a9ad9231d47f51df431f97463b555d0110d263bf46fe7025468be9940",
     "families.cheb_u@2":
-        "baa368712c1b680fd68cbc55682822c9fa259817caf116700b5c628cfc49d279",
+        "a5c1854ea073ea0cf4900c3afaa5027aefb4dc87d3db1b5cd1c932f88d2aef9e",
     "families.fib_qb@3":
         "f61f0ff0d98d64859bb6f5fb0e371a4731955528a1e440d6213ff3408e7684a1",
     "families.lucas_qb@3":
