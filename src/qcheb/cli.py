@@ -2,10 +2,14 @@
 compute moments and q-Catalan numbers, and emit JSON/CSV/text reports.
 
 Exit codes: 0 = success / all identities pass, 1 = at least one identity
-failure, 2 = usage or parameter error.  Rationals are always serialized as
-lowest-terms "num/den" strings.  Every command renders its whole output
-before writing any of it, so an error such as a number past Python's
-int-to-str digit limit exits 2 with nothing written to stdout.
+failure, 2 = usage or parameter error, 141 (128 + SIGPIPE) = the reader
+closed stdout before all of the output was written, as `qcheb gen ... | head`
+does; nothing is printed for it.  Rationals are always serialized as
+lowest-terms "num/den" strings.  Every command builds all of its rows, checks
+every number against Python's int-to-str digit limit, then writes row by row;
+so an error, such as a pole or a number past the digit limit, exits 2 with
+nothing written to stdout.  `verify` renders every report, then writes one
+report per write.
 
 Startup: each command loads only the modules it runs.  `gen` and `catalan`
 need nothing beyond what `import qcheb` loads; `moments` imports
@@ -15,8 +19,10 @@ the suites, inside its handler.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import families
 from .polyring import format_rational
@@ -92,6 +98,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# -- writing tables -----------------------------------------------------
+
+
+def _check_digits(values):
+    """Raise, before anything is written, the ValueError that str() would
+    raise on the first integer printing values converts past Python's
+    int-to-str digit limit.  values are XsPolys and Fractions, in print order.
+
+    abs(n) >= 10**limit holds exactly when str(n) raises.  A polynomial is
+    reduced to its lowest-terms coefficients only when its unreduced
+    numerators or shared denominator cross that bound."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent on older Pythons
+    if not limit:
+        return
+    bound = 10**limit
+    for v in values:
+        if isinstance(v, Fraction):
+            ints = (v.numerator, v.denominator)
+        elif v.den < bound and all(-bound < c < bound for c in v.num.values()):
+            continue
+        else:
+            ints = (i for _, n, d in v.sorted_terms() for i in (n, d))
+        for i in ints:
+            if abs(i) >= bound:
+                str(i)  # raises Python's own error for it
+
+
+def _json_pieces(fields, key, items):
+    """json.dumps({**fields, key: list(items)}, indent=2) + "\n", for a
+    non-empty iterable items, in pieces: the opening fields with the first
+    item, each further item, and the closing brackets."""
+    head, tail = json.dumps({**fields, key: [None]}, indent=2).rsplit("null", 1)
+    sep = head
+    for item in items:
+        yield sep + json.dumps(item, indent=2).replace("\n", "\n    ")
+        sep = ",\n    "
+    yield tail + "\n"
+
+
+def _write_table(out, values, pieces):
+    """Check every number of values against the digit limit, then write the
+    table one piece, that is one row, per write.  Returns the exit code 0."""
+    _check_digits(values)
+    for piece in pieces:
+        out.write(piece)
+    return 0
+
+
 # -- gen ----------------------------------------------------------------
 
 
@@ -102,21 +156,17 @@ def cmd_gen(args, out) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     point = ParamPoint(q, b)
-    rows = [(n, families.family_poly(family, n, point)) for n in range(args.n + 1)]
+    rows = [families.family_poly(family, n, point) for n in range(args.n + 1)]
     if args.format == "json":
-        payload = {
-            "family": family.value,
-            "q": format_rational(q),
-            "b": format_rational(b),
-            "rows": [{"n": n, "poly": poly.to_json()} for n, poly in rows],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        fields = {"family": family.value, "q": format_rational(q), "b": format_rational(b)}
+        pieces = _json_pieces(
+            fields, "rows", ({"n": n, "poly": poly.to_json()} for n, poly in enumerate(rows))
+        )
     elif args.format == "csv":
-        out.write("n,poly\n" + "".join(f'{n},"{poly}"\n' for n, poly in rows))
+        pieces = chain(["n,poly\n"], (f'{n},"{poly}"\n' for n, poly in enumerate(rows)))
     else:
-        out.write("".join(f"{family.value}_{n} = {poly}\n" for n, poly in rows))
-    return 0
+        pieces = (f"{family.value}_{n} = {poly}\n" for n, poly in enumerate(rows))
+    return _write_table(out, rows, pieces)
 
 
 # -- verify -------------------------------------------------------------
@@ -124,9 +174,10 @@ def cmd_gen(args, out) -> int:
 
 def _emit_reports(reports, counts, fmt, out):
     if fmt == "json":
-        payload = {"summary": counts, "reports": [r.to_json() for r in reports]}
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        # every report is rendered before the first write
+        items = [r.to_json() for r in reports]
+        for piece in _json_pieces({"summary": counts}, "reports", items):
+            out.write(piece)
     elif fmt == "csv":
         lines = ["identity_id,q,b,n_lo,n_hi,status\n"]
         for r in reports:
@@ -201,18 +252,15 @@ def cmd_moments(args, out) -> int:
         )
     values = moments.moments_from_recurrence(spec, args.n + 1)
     if args.format == "json":
-        payload = {
-            "family": name,
-            "q": format_rational(q),
-            "rows": [{"m": m, "moment": v.to_json()} for m, v in enumerate(values)],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        pieces = _json_pieces(
+            {"family": name, "q": format_rational(q)}, "rows",
+            ({"m": m, "moment": v.to_json()} for m, v in enumerate(values)),
+        )
     elif args.format == "csv":
-        out.write("m,moment\n" + "".join(f'{m},"{v}"\n' for m, v in enumerate(values)))
+        pieces = chain(["m,moment\n"], (f'{m},"{v}"\n' for m, v in enumerate(values)))
     else:
-        out.write("".join(f"moment(x^{m}) = {v}\n" for m, v in enumerate(values)))
-    return 0
+        pieces = (f"moment(x^{m}) = {v}\n" for m, v in enumerate(values))
+    return _write_table(out, values, pieces)
 
 
 # -- catalan ------------------------------------------------------------
@@ -226,20 +274,16 @@ def cmd_catalan(args, out) -> int:
         raise UsageError("q must be nonzero")
     values = [q_catalan(n, q) for n in range(args.n + 1)]
     if args.format == "json":
-        payload = {
-            "q": format_rational(q),
-            "values": [format_rational(v) for v in values],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        pieces = _json_pieces(
+            {"q": format_rational(q)}, "values", (format_rational(v) for v in values)
+        )
     elif args.format == "csv":
-        out.write(
-            "n,catalan\n"
-            + "".join(f"{n},{format_rational(v)}\n" for n, v in enumerate(values))
+        pieces = chain(
+            ["n,catalan\n"], (f"{n},{format_rational(v)}\n" for n, v in enumerate(values))
         )
     else:
-        out.write(", ".join(format_rational(v) for v in values) + "\n")
-    return 0
+        pieces = [", ".join(format_rational(v) for v in values) + "\n"]  # one line
+    return _write_table(out, values, pieces)
 
 
 def main(argv=None, out=None) -> int:
@@ -256,7 +300,16 @@ def main(argv=None, out=None) -> int:
         "catalan": cmd_catalan,
     }
     try:
-        return handlers[args.command](args, out)
+        code = handlers[args.command](args, out)
+        out.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading, as `| head` does.  Point stdout at
+        # devnull so that the flush at exit cannot fail again (the recipe of
+        # Python's signal module docs), and exit as a process killed by SIGPIPE.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, PoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -359,19 +359,21 @@ class XsPoly:
     # -- serialization ------------------------------------------------
 
     def sorted_terms(self):
-        """(key, Fraction) pairs in canonical order: descending deg_x, then
-        ascending deg_s."""
-        den = self.den
-        return [
-            ((dx, ds), Fraction(self.num[(dx, ds)], den))
-            for dx, ds in sorted(self.num, key=lambda k: (-k[0], k[1]))
-        ]
+        """((deg_x, deg_s), n, d) per term, with n/d its coefficient in lowest
+        terms and d > 0, in canonical order: descending deg_x, then ascending
+        deg_s.  One gcd per term, and no Fraction."""
+        den, out = self.den, []
+        for key in sorted(self.num, key=lambda k: (-k[0], k[1])):
+            c = self.num[key]
+            g = gcd(c, den)
+            out.append((key, c, den) if g == 1 else (key, c // g, den // g))
+        return out
 
     def to_json(self):
         return {
             "terms": [
-                {"dx": dx, "ds": ds, "c": format_rational(c)}
-                for (dx, ds), c in self.sorted_terms()
+                {"dx": dx, "ds": ds, "c": _format_ratio(n, d)}
+                for (dx, ds), n, d in self.sorted_terms()
             ]
         }
 
@@ -396,15 +398,16 @@ class XsPoly:
         if not self.num:
             return "0"
         parts = []
-        for (dx, ds), c in self.sorted_terms():
+        for (dx, ds), n, d in self.sorted_terms():
             factors = []
-            if abs(c) != 1 or (dx == 0 and ds == 0):
-                factors.append(format_rational(c))
+            unit = d == 1 and abs(n) == 1
+            if not unit or (dx == 0 and ds == 0):
+                factors.append(_format_ratio(n, d))
             if dx:
                 factors.append("x" if dx == 1 else f"x^{dx}")
             if ds:
                 factors.append("s" if ds == 1 else f"s^{ds}")
-            sign = "-" if c == -1 and (dx or ds) else ""
+            sign = "-" if unit and n == -1 and (dx or ds) else ""
             parts.append(sign + "*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -412,7 +415,12 @@ class XsPoly:
 
 
 def format_rational(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return _format_ratio(c.numerator, c.denominator)
+
+
+def _format_ratio(n: int, d: int) -> str:
+    """The lowest-terms n/d, d > 0, as "num/den", or "num" when d is 1."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 X = XsPoly.x()

@@ -1,11 +1,13 @@
 """Command-line interface: output formats, exit codes, round-trips and the
 suite runner's determinism and skip behavior."""
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -336,3 +338,181 @@ def test_digit_limit_exits_2_before_any_output(argv, fmt, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"({sys.get_int_max_str_digits()} digits)" in err
+
+
+# sha256 of the stdout of each command, recorded while every command still
+# built its whole payload and wrote it with one json.dump or one write.  Row 0
+# of F_QB is the zero polynomial; at q = -1 F_CARLITZ's +-1 coefficients print
+# as signs.
+WRITER_PINS = {
+    "gen --family F_QB --n 8 --q=3/5 --b=3/7 --format text":
+        "49aaadd0614174bfe9e212bfb56c02ccc99ab94a9baa09b937b5a9d6d6b1d9b8",
+    "gen --family F_QB --n 8 --q=3/5 --b=3/7 --format csv":
+        "caaeedd52d9073157456a0f296ad542f101b02f3ff02751a462aa3ee7ac8bc4c",
+    "gen --family F_QB --n 8 --q=3/5 --b=3/7 --format json":
+        "f813b0c980f3b27efc18a73a0396f20b6be94109b2f17545d11d9e446466a82f",
+    "gen --family F_CARLITZ --n 5 --q=-1 --format text":
+        "22ad28723aec53dba79b5a78c892eb4840bf316d5f229c76f61e2da6d350be59",
+    "gen --family F_CARLITZ --n 5 --q=-1 --format csv":
+        "0193bb840023fe54239aac5647907998dd843979205b499309d49f39adef26ad",
+    "gen --family F_CARLITZ --n 5 --q=-1 --format json":
+        "040ad4bb7b415f68b844ab5978259d879edb0b60b35abb7d96a2687b3a92968b",
+    "moments --family GEN_FIB --n 6 --q 2 --format text":
+        "1f8ec9a98d563273a76454f7253c91811c44842021c8b4bce40339f8f840875d",
+    "moments --family GEN_FIB --n 6 --q 2 --format csv":
+        "331bd19be4fa0655c1a5c1225242a110e102baf50585d309100fa30f56fed000",
+    "moments --family GEN_FIB --n 6 --q 2 --format json":
+        "c5a44446a98dd693188df07d78527acb3a21257985547732bbace8959b8ca452",
+    "catalan --n 12 --q 2/3 --format text":
+        "13b972ba52043bb7ea53b3561f305c537bd5b246c95cef54a1d477b9b90325f8",
+    "catalan --n 12 --q 2/3 --format csv":
+        "47cc1e2c88d3941c42321e21797ce231e9b4c0dd11675b583d7866d339787c5b",
+    "catalan --n 12 --q 2/3 --format json":
+        "ae767ac7bffa779f6d4ad00f6f45433b55bad00fc3efc60f83d617a112556d1e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITER_PINS))
+def test_row_by_row_output_keeps_the_recorded_bytes(command):
+    code, text = run_cli(command.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == WRITER_PINS[command]
+
+
+@pytest.mark.parametrize("command", ["gen --family T --n 0", "catalan --n 0"])
+def test_json_framing_of_a_one_row_table(command):
+    code, text = run_cli([*command.split(), "--format", "json"])
+    assert code == 0
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# -- the digit check ----------------------------------------------------
+
+LIMIT = 640  # the smallest limit Python accepts
+
+
+@pytest.fixture
+def digit_limit():
+    """Run the test under a given int-to-str digit limit, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+FORMATS = ("text", "csv", "json")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_shared_denominator_past_the_limit_is_no_error(fmt, digit_limit, monkeypatch):
+    """The shared denominator 2^2000 3^1300 has 1224 digits, but each
+    lowest-terms coefficient has at most 621."""
+    digit_limit(LIMIT)
+    poly = XsPoly({(1, 0): Fraction(1, 2**2000), (0, 0): Fraction(-1, 3**1300)})
+    assert poly.den >= 10**LIMIT
+    monkeypatch.setattr(families, "family_poly", lambda family, n, point: poly)
+    code, text = run_cli(["gen", "--family", "T", "--n", "1", "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        rows = json.loads(text)["rows"]
+        assert [XsPoly.from_json(row["poly"]) for row in rows] == [poly, poly]
+    else:
+        assert text.count(str(poly)) == 2
+
+
+# T_2 = (1 + q) x^2 + q s: at q = 10^LIMIT - 2 its coefficients have exactly
+# LIMIT digits; at q = 10^LIMIT - 1 the coefficient of x^2 has LIMIT + 1.  The
+# q-Catalan number C_2 = 1 + q has the same digit counts.
+AT_LIMIT = {
+    "gen": (["gen", "--family", "T", "--n", "2"], "T_2 = {}*x^2 + {}*s"),
+    "catalan": (["catalan", "--n", "2"], "1, 1, {}"),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", sorted(AT_LIMIT))
+def test_a_coefficient_of_exactly_limit_digits_is_printed(command, fmt, digit_limit):
+    digit_limit(LIMIT)
+    argv, _ = AT_LIMIT[command]
+    q = 10**LIMIT - 2
+    code, text = run_cli([*argv, f"--q={q}", "--format", fmt])
+    assert code == 0
+    assert str(q + 1) in text and len(str(q + 1)) == LIMIT
+    if fmt == "text":
+        assert AT_LIMIT[command][1].format(q + 1, q) in text
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", sorted(AT_LIMIT))
+def test_a_coefficient_of_limit_plus_1_digits_exits_2(command, fmt, digit_limit, capsys):
+    digit_limit(LIMIT)
+    argv, _ = AT_LIMIT[command]
+    code, text = run_cli([*argv, f"--q={10**LIMIT - 1}", "--format", fmt])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"limit ({LIMIT}" in err  # 3.10 words it "(640)", later versions "(640 digits)"
+
+
+@pytest.mark.parametrize("command", sorted(AT_LIMIT))
+def test_no_digit_check_without_a_limit(command, digit_limit):
+    digit_limit(0)
+    argv, template = AT_LIMIT[command]
+    q = 10**LIMIT - 1
+    code, text = run_cli([*argv, f"--q={q}"])
+    assert code == 0
+    assert template.format(q + 1, q) in text
+
+
+# -- the process: memory and a closed pipe ------------------------------
+
+SRC = str(Path(cli.__file__).parents[1])
+
+# Linux keeps a process's peak RSS across exec, and a child made by fork or
+# vfork starts from its parent's, so each measured interpreter is spawned
+# from a bare `python -S` launcher whose own peak is below that of any qcheb
+# process.  The launcher prints the child's peak RSS in KB.
+RSS_LAUNCHER = """\
+import os, resource, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def _peak_rss_mb(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-S", "-c", RSS_LAUNCHER, *args], env=env,
+                            capture_output=True, text=True, check=True, timeout=120)
+    return int(result.stdout) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="peak RSS across exec is Linux's")
+def test_gen_at_n_100_holds_the_rows_but_not_the_whole_output():
+    """The members T_0..T_100 take about 2.6 MB and their JSON about 4 MB;
+    writing row by row keeps the rise over an import-only process under 6 MB."""
+    base = _peak_rss_mb("-c", "import qcheb.cli")
+    gen = _peak_rss_mb("-m", "qcheb.cli", "gen", "--family", "T", "--n", "100", "--q=3/5",
+                       "--format", "json")
+    assert gen - base < 6.0, (base, gen)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["gen", "--family", "T", "--n", "60", "--q=3/5", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-m", "qcheb.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # about 1 MB follows, far more than the pipe holds
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
