@@ -5,11 +5,16 @@ Exit codes: 0 = success / all identities pass, 1 = at least one identity
 failure, 2 = usage or parameter error, 141 (128 + SIGPIPE) = the reader
 closed stdout before all of the output was written, as `qcheb gen ... | head`
 does; nothing is printed for it.  Rationals are always serialized as
-lowest-terms "num/den" strings.  Every command builds all of its rows, checks
-every number against Python's int-to-str digit limit, then writes row by row;
-so an error, such as a pole or a number past the digit limit, exits 2 with
-nothing written to stdout.  `verify` renders every report, then writes one
-report per write.
+lowest-terms "num/den" strings.  No command writes before every number it
+will print has been built and checked against Python's int-to-str digit
+limit, so an error, such as a pole or a number past the digit limit, exits 2
+with nothing written to stdout.  `gen` walks its family twice
+(families.family_walk, which holds two members of a recurrence at a time):
+the first walk builds and checks each member and drops it, stopping at the
+first error; the second builds the members again and writes one term per
+write.  `moments` and `catalan` build all of their rows, check them, then
+write row by row; `verify` renders every report, then writes one report per
+write.
 
 Startup: each command loads only the modules it runs.  `gen` and `catalan`
 need nothing beyond what `import qcheb` loads; `moments` imports
@@ -22,7 +27,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, islice
 
 from . import families
 from .polyring import format_rational
@@ -125,21 +131,59 @@ def _check_digits(values):
                 str(i)  # raises Python's own error for it
 
 
-def _json_pieces(fields, key, items):
-    """json.dumps({**fields, key: list(items)}, indent=2) + "\n", for a
-    non-empty iterable items, in pieces: the opening fields with the first
-    item, each further item, and the closing brackets."""
-    head, tail = json.dumps({**fields, key: [None]}, indent=2).rsplit("null", 1)
+def _json_value(value, at):
+    """json.dumps(value, indent=2), with at after each newline."""
+    return json.dumps(value, indent=2).replace("\n", at)
+
+
+def _json_term(term, at):
+    """_json_value(term, at) for an entry of XsPoly.to_json()["terms"]: two
+    ints and a string of digits, "-" and "/", which needs no escaping.  The
+    indenting encoder is pure Python, and one call costs about as much as
+    the rest of writing a term."""
+    inner = at + "  "
+    return f'{{{inner}"dx": {term["dx"]},{inner}"ds": {term["ds"]},{inner}"c": "{term["c"]}"{at}}}'
+
+
+def _json_pieces(template, items, depth=0, render=_json_value):
+    """The text of json.dumps(template, indent=2), with items in place of the
+    one-item list [None] that template holds, in pieces: the text up to the
+    first item with it, each further item, and the closing brackets.
+
+    At depth 0 the text ends with a newline; at depth d every line after the
+    first is indented d levels further, and there is no newline at the end.
+    An item is a JSON value, written by render(item, at) with at a newline
+    and the items' indentation, or an iterator over the pieces of a
+    _json_pieces text at the depth of the list's items."""
+    pad = "\n" + "  " * depth
+    head, tail = json.dumps(template, indent=2).replace("\n", pad).rsplit("null", 1)
+    at = head[head.rindex("\n"):]  # a newline and the items' indentation
     sep = head
     for item in items:
-        yield sep + json.dumps(item, indent=2).replace("\n", "\n    ")
-        sep = ",\n    "
-    yield tail + "\n"
+        if isinstance(item, Iterator):
+            yield sep + next(item, "")
+            yield from item
+        else:
+            yield sep + render(item, at)
+        sep = "," + at
+    if sep is head:  # no items: the list is []
+        tail = head.rstrip() + tail.lstrip()
+    yield tail if depth else tail + "\n"
+
+
+def _line_pieces(head, poly, tail):
+    """head + str(poly) + tail in pieces: head with poly's first term, each
+    further term, and tail."""
+    pieces = poly.str_pieces()
+    yield head + next(pieces)
+    yield from pieces
+    yield tail
 
 
 def _write_table(out, values, pieces):
     """Check every number of values against the digit limit, then write the
-    table one piece, that is one row, per write.  Returns the exit code 0."""
+    table one piece per write: a row, or for gen a term.  Returns the exit
+    code 0."""
     _check_digits(values)
     for piece in pieces:
         out.write(piece)
@@ -156,17 +200,27 @@ def cmd_gen(args, out) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     point = ParamPoint(q, b)
-    rows = [families.family_poly(family, n, point) for n in range(args.n + 1)]
+
+    def rows():  # one walk of the members 0 .. n, each built once and dropped
+        return enumerate(islice(families.family_walk(family, point), args.n + 1))
+
+    # _write_table checks the members of one walk, then writes those of another
     if args.format == "json":
-        fields = {"family": family.value, "q": format_rational(q), "b": format_rational(b)}
-        pieces = _json_pieces(
-            fields, "rows", ({"n": n, "poly": poly.to_json()} for n, poly in enumerate(rows))
-        )
+        template = {"family": family.value, "q": format_rational(q), "b": format_rational(b),
+                    "rows": [None]}
+        pieces = _json_pieces(template, (
+            _json_pieces({"n": n, "poly": {"terms": [None]}}, poly.json_terms(), 2, _json_term)
+            for n, poly in rows()
+        ))
     elif args.format == "csv":
-        pieces = chain(["n,poly\n"], (f'{n},"{poly}"\n' for n, poly in enumerate(rows)))
+        pieces = chain(["n,poly\n"], chain.from_iterable(
+            _line_pieces(f'{n},"', poly, '"\n') for n, poly in rows()
+        ))
     else:
-        pieces = (f"{family.value}_{n} = {poly}\n" for n, poly in enumerate(rows))
-    return _write_table(out, rows, pieces)
+        pieces = chain.from_iterable(
+            _line_pieces(f"{family.value}_{n} = ", poly, "\n") for n, poly in rows()
+        )
+    return _write_table(out, (poly for _, poly in rows()), pieces)
 
 
 # -- verify -------------------------------------------------------------
@@ -176,7 +230,7 @@ def _emit_reports(reports, counts, fmt, out):
     if fmt == "json":
         # every report is rendered before the first write
         items = [r.to_json() for r in reports]
-        for piece in _json_pieces({"summary": counts}, "reports", items):
+        for piece in _json_pieces({"summary": counts, "reports": [None]}, items):
             out.write(piece)
     elif fmt == "csv":
         lines = ["identity_id,q,b,n_lo,n_hi,status\n"]
@@ -253,7 +307,7 @@ def cmd_moments(args, out) -> int:
     values = moments.moments_from_recurrence(spec, args.n + 1)
     if args.format == "json":
         pieces = _json_pieces(
-            {"family": name, "q": format_rational(q)}, "rows",
+            {"family": name, "q": format_rational(q), "rows": [None]},
             ({"m": m, "moment": v.to_json()} for m, v in enumerate(values)),
         )
     elif args.format == "csv":
@@ -275,7 +329,7 @@ def cmd_catalan(args, out) -> int:
     values = [q_catalan(n, q) for n in range(args.n + 1)]
     if args.format == "json":
         pieces = _json_pieces(
-            {"q": format_rational(q)}, "values", (format_rational(v) for v in values)
+            {"q": format_rational(q), "values": [None]}, (format_rational(v) for v in values)
         )
     elif args.format == "csv":
         pieces = chain(

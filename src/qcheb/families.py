@@ -7,9 +7,10 @@ and three-term recurrence); negative indices give polynomials in x with
 negative powers of s, held in the same XsPoly type.
 
 The primary recurrences and the dilated Carlitz route are `qkernel.sequence`s,
-built bottom-up and kept for the 64 most recently used parameter sets; the
-closed forms (beyond the q-Pascal rows they read) and the dilated (q,b) and
-backward routes keep no memo.
+built bottom-up and kept for the 64 most recently used parameter sets, and
+family_walk walks them without the memo, two members at a time; the closed
+forms (beyond the q-Pascal rows they read) and the dilated (q,b) and backward
+routes keep no memo.
 
 The closed-form sums (fib_carlitz, fib_qb_closed, lucas_trace_closed,
 lucas_qb_closed, cheb_u_closed, cheb_t_closed and the hypergeometric forms)
@@ -25,7 +26,8 @@ the b = -1 families, so the sums hold at q = -1 off their families' poles.
 
 import enum
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from itertools import count, repeat
+from typing import Callable, NamedTuple, Optional
 
 from .polyring import ONE, S, X, XsPoly, ZERO
 from .qkernel import (
@@ -98,8 +100,13 @@ def fib_carlitz(n: int, q) -> XsPoly:
 
 def fib_carlitz_rec(n: int, q) -> XsPoly:
     """Parameter-dilated recurrence route: F_n = x F_(n-1)(x,qs) + qs F_(n-2)(x,q^2 s)."""
+    return _fib_carlitz_rec(n, *_q_ints(q))
+
+
+def _q_ints(q):
+    """q = a/c as the integers (a, c), the parameters of the q-only recurrences."""
     q = as_rational(q)
-    return _fib_carlitz_rec(n, q.numerator, q.denominator)
+    return q.numerator, q.denominator
 
 
 # The q-only recurrences are kept per q = a/c and step in integers.
@@ -107,6 +114,7 @@ _fib_carlitz_rec = sequence(
     lambda a, c: (ZERO, ONE),
     lambda m, f, a, c: f[m - 1]._dilate(a, c, 0, 1)._times_term(1, 0, 1, 1)
     + f[m - 2]._dilate(a, c, 0, 2)._times_term(0, 1, a, c),
+    order=2,
 )
 
 
@@ -129,6 +137,7 @@ _fib_qb = sequence(
     lambda point: (ZERO, ONE),
     lambda m, f, p: f[m - 1]._times_term(1, 0, 1, 1)
     + f[m - 2]._times_term(0, 1, *p._over_levels(m - 2, m - 2, m - 1)),
+    order=2,
 )
 
 
@@ -279,6 +288,7 @@ _lucas_qb = sequence(
     lambda point: (XsPoly.const(1 - point.b), X),
     lambda m, f, p: f[m - 1]._times_term(1, 0, 1, 1)
     + f[m - 2]._times_term(0, 1, *p._over_levels(m - 1, m - 2, m - 1)),
+    order=2,
 )
 
 
@@ -329,7 +339,7 @@ def gen_lucas_neg_closed(n: int, q) -> XsPoly:
     if n <= 0:
         raise ValueError("pass the positive n of L_(-n)")
     q = as_rational(q)
-    point = ParamPoint(q, Fraction(-1))
+    point = _b_minus_1(q)
     scalar = (
         Fraction(-1) ** n
         / q ** binom2(n + 1)
@@ -344,7 +354,7 @@ def gen_lucas_backward(n: int, q) -> XsPoly:
     L_(m-2) = (L_m - x L_(m-1)) (1+q^(m-2))(1+q^(m-1)) / (q^(m-1) s),
     walked in one loop from (L_1, L_0) down to L_n."""
     q = as_rational(q)
-    point = ParamPoint(q, Fraction(-1))
+    point = _b_minus_1(q)
     if n >= 0:
         return lucas_qb(n, point)
     # The walk multiplies by the levels j < 0, 1+q^j at b = -1, and level j
@@ -368,13 +378,19 @@ def alsalam_ismail(n: int, a, beta, q) -> XsPoly:
     u_n = x (1+q^(n-1) a) u_(n-1) - q^(n-2) beta u_(n-2).
 
     beta may be a rational or an XsPoly (e.g. -q*s for the Chebyshev case)."""
-    return _alsalam_ismail(n, as_rational(a), XsPoly._coerce(beta), as_rational(q))
+    return _alsalam_ismail(n, *_alsalam_params(a, beta, q))
+
+
+def _alsalam_params(a, beta, q):
+    """The parameters of the Al-Salam/Ismail recurrence, as it keeps them."""
+    return as_rational(a), XsPoly._coerce(beta), as_rational(q)
 
 
 _alsalam_ismail = sequence(
     lambda a, beta, q: (ONE, X.scale(1 + a)),
     lambda m, u, a, beta, q: X.scale(1 + q ** (m - 1) * a) * u[m - 1]
     - q ** (m - 2) * beta * u[m - 2],
+    order=2,
 )
 
 
@@ -385,8 +401,7 @@ def cheb_u(n: int, q) -> XsPoly:
     """U_n = (1+q^n) x U_(n-1) + q^(n-1) s U_(n-2); U_0 = 1, U_1 = (1+q)x."""
     if n < 0:
         raise ValueError("use cheb_u_ext for negative indices")
-    q = as_rational(q)
-    return _cheb_u(n, q.numerator, q.denominator)
+    return _cheb_u(n, *_q_ints(q))
 
 
 # At q = a/c, 1 + q^m = (c^m + a^m) / c^m and q^m = a^m / c^m are in lowest terms.
@@ -394,6 +409,7 @@ _cheb_u = sequence(
     lambda a, c: (ONE, X._times_term(0, 0, c + a, c)),
     lambda m, u, a, c: u[m - 1]._times_term(1, 0, c**m + a**m, c**m)
     + u[m - 2]._times_term(0, 1, a ** (m - 1), c ** (m - 1)),
+    order=2,
 )
 
 
@@ -452,14 +468,14 @@ def cheb_t(n: int, q) -> XsPoly:
     """T_n = (1+q^(n-1)) x T_(n-1) + q^(n-1) s T_(n-2); T_0 = 1, T_1 = x."""
     if n < 0:
         raise ValueError("use cheb_t_ext for negative indices")
-    q = as_rational(q)
-    return _cheb_t(n, q.numerator, q.denominator)
+    return _cheb_t(n, *_q_ints(q))
 
 
 _cheb_t = sequence(
     lambda a, c: (ONE, X),
     lambda m, t, a, c: t[m - 1]._times_term(1, 0, c ** (m - 1) + a ** (m - 1), c ** (m - 1))
     + t[m - 2]._times_term(0, 1, a ** (m - 1), c ** (m - 1)),
+    order=2,
 )
 
 
@@ -523,12 +539,17 @@ def cheb_t_backward(n: int, q) -> XsPoly:
 
 def gen_fib(n: int, q) -> XsPoly:
     """F_n(x, -1, s, q)."""
-    return fib_qb(n, ParamPoint(q, Fraction(-1)))
+    return fib_qb(n, _b_minus_1(q))
 
 
 def gen_lucas(n: int, q) -> XsPoly:
     """L_n(x, -1, s, q)."""
-    return lucas_qb(n, ParamPoint(q, Fraction(-1)))
+    return lucas_qb(n, _b_minus_1(q))
+
+
+def _b_minus_1(q) -> ParamPoint:
+    """The point (q, -1) of the b = -1 families GEN_FIB and GEN_LUCAS."""
+    return ParamPoint(q, Fraction(-1))
 
 
 def hypergeom_gen_fib(n: int, q) -> XsPoly:
@@ -564,7 +585,7 @@ def _hypergeom_sum(n: int, q: Fraction, top: int) -> XsPoly:
     if q == 0:
         raise PoleError("q must be nonzero")
     a, c = q.numerator, q.denominator
-    point = ParamPoint(q, Fraction(-1))
+    point = _b_minus_1(q)
 
     def w(m):  # c^(m-1) [m]_q = (c^m - a^m) / (c - a), m >= 1
         return (c**m - a**m) // (c - a) if a != c else m
@@ -586,62 +607,83 @@ def _hypergeom_sum(n: int, q: Fraction, top: int) -> XsPoly:
 
 
 class Family(NamedTuple):
-    """A family's two routes, each called as route(n, point).  The oracle is
-    independent: it never calls the recurrence of the primary route."""
+    """A family's two routes, each called as route(n, point), and the walk
+    of its primary route.  The oracle is independent: it never calls the
+    recurrence of the primary route."""
 
     primary: Callable
     oracle: Callable
     b_free: bool  # b is a parameter of the family; the others fix or ignore it
     lowest_n: int  # the oracle holds for n >= lowest_n
+    # walk(point) yields primary(0, point), primary(1, point), ... from the
+    # primary's sequence with no memo; None where the primary keeps no memo
+    walk: Optional[Callable]
 
 
 # The routes are looked up by name when called, so each call reaches the
 # module-level function even where that name has been rebound.
 FAMILIES = {
     FamilyId.FIB_CARLITZ: Family(
-        lambda n, p: fib_carlitz(n, p.q), lambda n, p: fib_carlitz_rec(n, p.q), False, 0
+        lambda n, p: fib_carlitz(n, p.q), lambda n, p: fib_carlitz_rec(n, p.q), False, 0, None
     ),
     FamilyId.FIB_QB: Family(
-        lambda n, p: fib_qb(n, p), lambda n, p: fib_qb_closed(n, p), True, 0
+        lambda n, p: fib_qb(n, p), lambda n, p: fib_qb_closed(n, p), True, 0,
+        lambda p: _fib_qb.walk(p),
     ),
     FamilyId.LUCAS_TRACE: Family(
         lambda n, p: lucas_trace(n, p).as_poly(),
         lambda n, p: lucas_trace_closed(n, p),
         True,
         1,
+        None,
     ),
     FamilyId.LUCAS_QB: Family(
-        lambda n, p: lucas_qb(n, p), lambda n, p: lucas_qb_closed(n, p), True, 1
+        lambda n, p: lucas_qb(n, p), lambda n, p: lucas_qb_closed(n, p), True, 1,
+        lambda p: _lucas_qb.walk(p),
     ),
     FamilyId.GEN_FIB: Family(
         lambda n, p: gen_fib(n, p.q),
-        lambda n, p: fib_qb_closed(n, ParamPoint(p.q, Fraction(-1))),
+        lambda n, p: fib_qb_closed(n, _b_minus_1(p.q)),
         False,
         0,
+        lambda p: _fib_qb.walk(_b_minus_1(p.q)),
     ),
     FamilyId.GEN_LUCAS: Family(
-        lambda n, p: gen_lucas(n, p.q), lambda n, p: hypergeom_gen_lucas(n, p.q), False, 1
+        lambda n, p: gen_lucas(n, p.q), lambda n, p: hypergeom_gen_lucas(n, p.q), False, 1,
+        lambda p: _lucas_qb.walk(_b_minus_1(p.q)),
     ),
     FamilyId.CHEB_U: Family(
-        lambda n, p: cheb_u(n, p.q), lambda n, p: cheb_u_closed(n, p.q), False, 0
+        lambda n, p: cheb_u(n, p.q), lambda n, p: cheb_u_closed(n, p.q), False, 0,
+        lambda p: _cheb_u.walk(*_q_ints(p.q)),
     ),
     FamilyId.CHEB_T: Family(
-        lambda n, p: cheb_t(n, p.q), lambda n, p: cheb_t_closed(n, p.q), False, 0
+        lambda n, p: cheb_t(n, p.q), lambda n, p: cheb_t_closed(n, p.q), False, 0,
+        lambda p: _cheb_t.walk(*_q_ints(p.q)),
     ),
     FamilyId.ALSALAM_ISMAIL: Family(
         lambda n, p: alsalam_ismail(n, p.q, S.scale(-p.q), p.q),
         lambda n, p: cheb_u_closed(n, p.q),
         False,
         0,
+        lambda p: _alsalam_ismail.walk(*_alsalam_params(p.q, S.scale(-p.q), p.q)),
     ),
 }
 
 
 def family_poly(family: FamilyId, n: int, point: ParamPoint) -> XsPoly:
     """Generate one family member (n >= 0) at a parameter point by its
-    primary route.  This is the surface the verify pipeline and the CLI
-    consume."""
+    primary route.  This is the surface the verify pipeline consumes."""
     return FAMILIES[family].primary(n, point)
+
+
+def family_walk(family: FamilyId, point: ParamPoint):
+    """The members 0, 1, 2, ... of a family at a parameter point, by its
+    primary route, without end; a recurrence keeps only the members its
+    next step reads.  This is the surface `qcheb gen` consumes."""
+    spec = FAMILIES[family]
+    if spec.walk is None:
+        return map(spec.primary, count(), repeat(point))
+    return spec.walk(point)
 
 
 def binet_float_fib(n: int, x_val: float, s_val: float) -> float:

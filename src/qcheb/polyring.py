@@ -361,21 +361,21 @@ class XsPoly:
     def sorted_terms(self):
         """((deg_x, deg_s), n, d) per term, with n/d its coefficient in lowest
         terms and d > 0, in canonical order: descending deg_x, then ascending
-        deg_s.  One gcd per term, and no Fraction."""
-        den, out = self.den, []
+        deg_s.  One gcd per term, and no Fraction; each term is reduced as
+        it is reached."""
+        den = self.den
         for key in sorted(self.num, key=lambda k: (-k[0], k[1])):
             c = self.num[key]
             g = gcd(c, den)
-            out.append((key, c, den) if g == 1 else (key, c // g, den // g))
-        return out
+            yield (key, c, den) if g == 1 else (key, c // g, den // g)
+
+    def json_terms(self):
+        """The entries of to_json()["terms"], one per term, as they are reached."""
+        for (dx, ds), n, d in self.sorted_terms():
+            yield {"dx": dx, "ds": ds, "c": _format_ratio(n, d)}
 
     def to_json(self):
-        return {
-            "terms": [
-                {"dx": dx, "ds": ds, "c": _format_ratio(n, d)}
-                for (dx, ds), n, d in self.sorted_terms()
-            ]
-        }
+        return {"terms": list(self.json_terms())}
 
     @staticmethod
     def from_json(data):
@@ -394,22 +394,27 @@ class XsPoly:
             terms[key] = Fraction(t["c"])
         return XsPoly(terms)
 
-    def __str__(self):
+    def str_pieces(self):
+        """str(self) in pieces, one per term, as they are reached: the first
+        term, then " + term" or " - term" for each later one.  A coefficient
+        of 1 is left out beside x or s."""
         if not self.num:
-            return "0"
-        parts = []
+            yield "0"
+        sep = ""
         for (dx, ds), n, d in self.sorted_terms():
-            factors = []
-            unit = d == 1 and abs(n) == 1
-            if not unit or (dx == 0 and ds == 0):
-                factors.append(_format_ratio(n, d))
+            sign = sep
+            if n < 0:
+                sign, n = (" - " if sep else "-"), -n
+            factors = [] if n == d == 1 and (dx or ds) else [_format_ratio(n, d)]
             if dx:
                 factors.append("x" if dx == 1 else f"x^{dx}")
             if ds:
                 factors.append("s" if ds == 1 else f"s^{ds}")
-            sign = "-" if unit and n == -1 and (dx or ds) else ""
-            parts.append(sign + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+            yield sign + "*".join(factors)
+            sep = " + "
+
+    def __str__(self):
+        return "".join(self.str_pieces())
 
     __repr__ = __str__
 

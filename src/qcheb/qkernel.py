@@ -20,6 +20,7 @@ made once from its integers.
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd
 
 
@@ -209,15 +210,21 @@ def sample_points(levels=range(0, 40), qs=DEFAULT_QS, bs=DEFAULT_BS):
     return points
 
 
-def sequence(first, step):
+def sequence(first, step, order=None):
     """The recurrence P_0, P_1, ... = *first(*params), then P_m = step(m, P, *params)
-    for each later m, as fn(n, *params) -> P_n.  step may read any P_k, k < m.
+    for each later m, as fn(n, *params) -> P_n.  step may read any P_k, k < m,
+    or, where order is given, only P_(m-order) .. P_(m-1).
 
     P is built bottom-up into one list per params, never by recursion, under
     one lock per sequence.  The lists of the 64 most recently used params are
     kept; fn.cache_clear drops them and fn.cache_info counts them.  A step that
     raises keeps the members below it, so the next call with the same params
-    raises the same error."""
+    raises the same error.
+
+    A sequence with an order also has fn.walk(*params), which yields P_0,
+    P_1, ... by the same steps without the memo, keeping only the order
+    members the next step reads: every older entry of the list the step sees
+    is None, so a step that reads further back fails loudly."""
     lock = threading.RLock()
 
     @lru_cache(maxsize=64)
@@ -233,7 +240,18 @@ def sequence(first, step):
                 seq.append(step(m, seq, *params))
             return seq[n]
 
+    def walk(*params):
+        seq = list(first(*params))
+        for m in count():
+            if m == len(seq):
+                seq.append(step(m, seq, *params))
+            if m >= order:
+                seq[m - order] = None  # step m + 1 reads P_(m+1-order) .. P_m
+            yield seq[m]
+
     fn.cache_clear, fn.cache_info = members.cache_clear, members.cache_info
+    if order is not None:
+        fn.walk = walk
     return fn
 
 
@@ -272,7 +290,7 @@ def _q_pascal_row(m, rows, a, c):
 
 
 # q_pascal(n, a, c): the integer q-Pascal row [G(n, 0), ..., G(n, n)] at q = a/c.
-q_pascal = sequence(lambda a, c: [[1]], _q_pascal_row)
+q_pascal = sequence(lambda a, c: [[1]], _q_pascal_row, order=1)
 q_binom.cache_info, q_binom.cache_clear = q_pascal.cache_info, q_pascal.cache_clear
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,17 @@ def test_gen_bad_family_exits_2():
 def test_gen_bad_rational_exits_2():
     code, _ = run_cli(["gen", "--family", "T", "--n", "2", "--q", "2/0"])
     assert code == 2
+
+
+def test_a_pole_at_the_last_member_exits_2_with_nothing_written(capsys):
+    """F_9 divides by 1 - q^8 b, which vanishes at (2, 1/256); F_8 does not."""
+    argv = ["gen", "--family", "F_QB", "--q", "2", "--b", "1/256"]
+    code, text = run_cli([*argv, "--n", "9"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err == "error: 1 - q^8 b vanishes at q=2, b=1/256\n"
+    code, text = run_cli([*argv, "--n", "8"])
+    assert code == 0 and text.startswith("F_QB_0 = 0\n") and "F_QB_8 = x^7 + " in text
 
 
 def test_gen_pole_exits_2():
@@ -337,7 +349,8 @@ def test_digit_limit_exits_2_before_any_output(argv, fmt, capsys):
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"({sys.get_int_max_str_digits()} digits)" in err
+    # 3.10 words it "limit (4300)", later versions "limit (4300 digits)"
+    assert f"limit ({sys.get_int_max_str_digits()}" in err
 
 
 # sha256 of the stdout of each command, recorded while every command still
@@ -386,6 +399,16 @@ def test_json_framing_of_a_one_row_table(command):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
+def test_gen_json_written_term_by_term_is_the_encoders_text():
+    """Row 0 has no terms; the other rows have negative and fractional
+    coefficients and powers of s."""
+    code, text = run_cli(["gen", "--family", "F_QB", "--n", "6", "--q=-3/5", "--b=3/7",
+                          "--format", "json"])
+    assert code == 0
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert '"terms": []' in text and '"c": "-' in text and '"ds": 2' in text
+
+
 # -- the digit check ----------------------------------------------------
 
 LIMIT = 640  # the smallest limit Python accepts
@@ -411,7 +434,7 @@ def test_a_shared_denominator_past_the_limit_is_no_error(fmt, digit_limit, monke
     digit_limit(LIMIT)
     poly = XsPoly({(1, 0): Fraction(1, 2**2000), (0, 0): Fraction(-1, 3**1300)})
     assert poly.den >= 10**LIMIT
-    monkeypatch.setattr(families, "family_poly", lambda family, n, point: poly)
+    monkeypatch.setattr(families, "family_walk", lambda family, point: repeat(poly))
     code, text = run_cli(["gen", "--family", "T", "--n", "1", "--format", fmt])
     assert code == 0
     if fmt == "json":
@@ -472,32 +495,41 @@ SRC = str(Path(cli.__file__).parents[1])
 # Linux keeps a process's peak RSS across exec, and a child made by fork or
 # vfork starts from its parent's, so each measured interpreter is spawned
 # from a bare `python -S` launcher whose own peak is below that of any qcheb
-# process.  The launcher prints the child's peak RSS in KB.
+# process.  The launcher prints the child's exit code and peak RSS in KB.
 RSS_LAUNCHER = """\
 import os, resource, sys
 pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
-                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+                                   (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
 _, status = os.waitpid(pid, 0)
-assert os.waitstatus_to_exitcode(status) == 0
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(os.waitstatus_to_exitcode(status), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def _peak_rss_mb(*args):
+def _peak_rss_mb(*args, code=0):
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-S", "-c", RSS_LAUNCHER, *args], env=env,
                             capture_output=True, text=True, check=True, timeout=120)
-    return int(result.stdout) / 1024
+    got, kb = map(int, result.stdout.split())
+    assert got == code, (args, got)
+    return kb / 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="peak RSS across exec is Linux's")
-def test_gen_at_n_100_holds_the_rows_but_not_the_whole_output():
-    """The members T_0..T_100 take about 2.6 MB and their JSON about 4 MB;
-    writing row by row keeps the rise over an import-only process under 6 MB."""
+def test_gen_holds_two_members_not_the_table():
+    """gen walks the members twice, to check and then to write them, and
+    holds two members and one term at a time: T_0..T_100 take about 2.6 MB
+    and their JSON about 4 MB, those of T_160 at q = 2 about 11 MB, and T_300 at
+    q = 3/5 (which exits 2 at a coefficient past the digit limit) once peaked
+    at 168 MB.  Each keeps the rise over an import-only process under 1.5 MB."""
     base = _peak_rss_mb("-c", "import qcheb.cli")
-    gen = _peak_rss_mb("-m", "qcheb.cli", "gen", "--family", "T", "--n", "100", "--q=3/5",
-                       "--format", "json")
-    assert gen - base < 6.0, (base, gen)
+    for argv, code in [
+        (["--n", "100", "--q=3/5", "--format", "json"], 0),
+        (["--n", "160", "--q=2", "--format", "json"], 0),
+        (["--n", "300", "--q=3/5"], 2),
+    ]:
+        gen = _peak_rss_mb("-m", "qcheb.cli", "gen", "--family", "T", *argv, code=code)
+        assert gen - base < 1.5, (argv, base, gen)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

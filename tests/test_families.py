@@ -6,6 +6,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -413,6 +414,75 @@ def test_pole_error_repeats_after_a_partial_fill(point, n, message):
             families.fib_qb(n, point)
         assert type(err.value) is PoleError and str(err.value) == message
     assert families.fib_qb(1, point) == ONE
+
+
+# -- walks: the recurrences without their memo ------------------------
+
+# Each sequence that has a walk, with params of its own.
+WALKS = {
+    "q_pascal": (qkernel.q_pascal, (3, 5)),
+    "_fib_carlitz_rec": (families._fib_carlitz_rec, (-3, 5)),
+    "_fib_qb": (families._fib_qb, (ParamPoint(F(3, 5), F(3, 7)),)),
+    "_lucas_qb": (families._lucas_qb, (ParamPoint(F(-3, 5), F(3, 7)),)),
+    "_alsalam_ismail": (families._alsalam_ismail,
+                        families._alsalam_params(F(3, 5), S.scale(F(-3, 5)), F(3, 5))),
+    "_cheb_u": (families._cheb_u, (3, 5)),
+    "_cheb_t": (families._cheb_t, (-3, 5)),
+}
+
+
+def test_every_walk_is_tested_and_q_catalan_has_none():
+    walks = {name for module in (qkernel, families) for name, value in vars(module).items()
+             if hasattr(value, "cache_info") and hasattr(value, "walk")}
+    assert walks == set(WALKS)
+    assert not hasattr(qkernel._q_catalan, "walk")  # its step reads every member
+
+
+def _until_error(members):
+    """The members up to the first ZeroDivisionError, and that error's type
+    and text (None, None if none is raised)."""
+    got = []
+    try:
+        for member in members:
+            got.append(member)
+    except ZeroDivisionError as exc:
+        return got, type(exc), str(exc)
+    return got, None, None
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_a_walk_yields_the_members_and_leaves_the_memo_alone(name):
+    fn, params = WALKS[name]
+    info = fn.cache_info()
+    walked = list(islice(fn.walk(*params), 16))
+    assert fn.cache_info() == info
+    assert walked == [fn(n, *params) for n in range(16)]
+
+
+@pytest.mark.parametrize(
+    "fn, point, message",
+    [
+        (families._fib_qb, ParamPoint(F(2), F(1, 8)), "1 - q^3 b vanishes at q=2, b=1/8"),
+        (families._lucas_qb, ParamPoint(F(-1), F(-1)), "1 - q^1 b vanishes at q=-1, b=-1"),
+    ],
+)
+def test_a_walk_raises_the_pole_of_its_sequence_at_the_same_member(fn, point, message):
+    walked = _until_error(islice(fn.walk(point), 12))
+    assert walked == _until_error(fn(n, point) for n in range(12))
+    assert walked[1:] == (PoleError, message)
+
+
+@pytest.mark.parametrize(
+    "q, b",
+    [(F(3, 5), F(3, 7)), (F(2), F(-1)), (F(-1), F(3, 7)), (F(-1), F(-1)), (F(1), F(-1)),
+     (F(2), F(1, 256))],
+)
+@pytest.mark.parametrize("family", list(families.FamilyId), ids=lambda f: f.value)
+def test_a_family_walk_yields_its_primary_members(family, q, b):
+    """The members family_poly gives, up to the same error at the same n."""
+    walked = _until_error(islice(families.family_walk(family, ParamPoint(q, b)), 12))
+    point = ParamPoint(q, b)  # a fresh ladder
+    assert walked == _until_error(families.family_poly(family, n, point) for n in range(12))
 
 
 SEQUENCES = {

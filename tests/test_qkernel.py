@@ -3,6 +3,7 @@ q-Catalan numbers and parameter points."""
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from qcheb.qkernel import (
     q_pascal,
     q_poch,
     sample_points,
+    sequence,
 )
 
 F = Fraction
@@ -366,3 +368,29 @@ def test_q_int_matches_the_fraction_reference(q, n):
     assert got == _q_int_reference(n, F(q)) and type(got) is F
     with pytest.raises(ValueError, match="^q_int needs n >= 0$"):
         q_int(-1, q)
+
+
+# -- walks: a sequence without its memo ---------------------------------
+
+
+def test_a_walk_keeps_only_the_members_a_step_reads():
+    held = []
+
+    def step(m, f):
+        held.append(sum(v is not None for v in f))
+        return f[m - 1] + f[m - 2]
+
+    fib = sequence(lambda: (0, 1), step, order=2)
+    assert list(islice(fib.walk(), 12)) == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+    assert held == [2] * 10
+    assert fib.cache_info().currsize == 0
+
+
+def test_a_step_that_reads_past_its_order_fails_in_a_walk():
+    """A dropped member reads as None, never as a stale value."""
+    fib = sequence(lambda: (0, 1), lambda m, f: f[m - 1] + f[m - 2], order=1)
+    assert fib(10) == 55  # the memo keeps every member
+    walk = fib.walk()
+    assert [next(walk), next(walk)] == [0, 1]
+    with pytest.raises(TypeError):
+        next(walk)
