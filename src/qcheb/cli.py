@@ -14,7 +14,7 @@ the first walk builds and checks each member and drops it, stopping at the
 first error; the second builds the members again and writes one term per
 write.  `moments` and `catalan` build all of their rows, check them, then
 write row by row; `verify` renders every report, then writes one report per
-write.
+write.  Each command runs in one qkernel.memo_scope, which drops its memos.
 
 Startup: each command loads only the modules it runs.  `gen` and `catalan`
 need nothing beyond what `import qcheb` loads; `moments` imports
@@ -32,7 +32,7 @@ from itertools import chain, islice
 
 from . import families
 from .polyring import format_rational
-from .qkernel import ParamPoint, PoleError, q_catalan
+from .qkernel import ParamPoint, PoleError, memo_scope, q_catalan
 
 
 class UsageError(Exception):
@@ -354,7 +354,8 @@ def main(argv=None, out=None) -> int:
         "catalan": cmd_catalan,
     }
     try:
-        code = handlers[args.command](args, out)
+        with memo_scope():
+            code = handlers[args.command](args, out)
         out.flush()  # so that a closed pipe is met here, not at exit
         return code
     except BrokenPipeError:

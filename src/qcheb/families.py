@@ -7,10 +7,10 @@ and three-term recurrence); negative indices give polynomials in x with
 negative powers of s, held in the same XsPoly type.
 
 The primary recurrences and the dilated Carlitz route are `qkernel.sequence`s,
-built bottom-up and kept for the 64 most recently used parameter sets, and
-family_walk walks them without the memo, two members at a time; the closed
-forms (beyond the q-Pascal rows they read) and the dilated (q,b) and backward
-routes keep no memo.
+built bottom-up and kept for one q sample of a run by a `qkernel.memo_scope`,
+none outside a scope; family_walk walks them without the memo, two members at
+a time; the closed forms (beyond the q-Pascal rows they read) and the dilated
+(q,b) and backward routes keep no memo.
 
 The closed-form sums (fib_carlitz, fib_qb_closed, lucas_trace_closed,
 lucas_qb_closed, cheb_u_closed, cheb_t_closed and the hypergeometric forms)

@@ -1,6 +1,6 @@
 """Exact scalar building blocks: q-integers, Gaussian binomials, q-Pochhammer
-symbols, Carlitz q-Catalan numbers, parameter points and the bounded memo of
-every recurrence.
+symbols, Carlitz q-Catalan numbers, parameter points and the memo of every
+recurrence, kept for one q sample of a run by a memo_scope, none outside one.
 
 A ParamPoint (q, b) owns its b-ladder: the levels 1 - q^j b and the
 Pochhammer symbols (q^s b;q)_m that the (q,b) families multiply and divide
@@ -17,7 +17,7 @@ q_poch(), q_int(), q_binom() or q_catalan() is an exact `fractions.Fraction`,
 made once from its integers.
 """
 
-import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -69,8 +69,7 @@ class ParamPoint:
     PoleError of a vanishing one; it names the factor and b of the point the
     ladder was built from, so a pole met at a shifted point reads against the
     sample's b.  Two points are equal when their integer fields are; the hash
-    is computed once.  Two threads filling the same entry store equal
-    values."""
+    is computed once."""
 
     def __init__(self, q, b):
         q, b = as_rational(q), as_rational(b)
@@ -210,35 +209,48 @@ def sample_points(levels=range(0, 40), qs=DEFAULT_QS, bs=DEFAULT_BS):
     return points
 
 
+_memos, _scopes = [], []  # every sequence's lru_cache; one entry per open memo_scope
+
+
+@contextmanager
+def memo_scope():
+    """Every sequence keeps its lists until a scope, a nested one too, exits."""
+    _scopes.append(None)
+    try:
+        yield
+    finally:
+        _scopes.pop()
+        for memo in _memos:
+            memo.cache_clear()
+
+
 def sequence(first, step, order=None):
     """The recurrence P_0, P_1, ... = *first(*params), then P_m = step(m, P, *params)
     for each later m, as fn(n, *params) -> P_n.  step may read any P_k, k < m,
     or, where order is given, only P_(m-order) .. P_(m-1).
 
-    P is built bottom-up into one list per params, never by recursion, under
-    one lock per sequence.  The lists of the 64 most recently used params are
-    kept; fn.cache_clear drops them and fn.cache_info counts them.  A step that
-    raises keeps the members below it, so the next call with the same params
-    raises the same error.
+    P is built bottom-up into one list per params, never by recursion; outside
+    any memo_scope the list is fresh and dropped, inside one it is kept until
+    the scope exits.  fn.cache_clear drops the kept lists and fn.cache_info
+    counts them.  A kept list holds the members below a step that raised, so
+    the next call with the same params raises the same error.
 
     A sequence with an order also has fn.walk(*params), which yields P_0,
     P_1, ... by the same steps without the memo, keeping only the order
     members the next step reads: every older entry of the list the step sees
     is None, so a step that reads further back fails loudly."""
-    lock = threading.RLock()
 
-    @lru_cache(maxsize=64)
+    @lru_cache(maxsize=None)
     def members(*params):
         return list(first(*params))
 
     def fn(n: int, *params):
         if n < 0:
             raise ValueError(f"a sequence index must be >= 0, got {n}")
-        with lock:
-            seq = members(*params)
-            for m in range(len(seq), n + 1):
-                seq.append(step(m, seq, *params))
-            return seq[n]
+        seq = members(*params) if _scopes else list(first(*params))
+        for m in range(len(seq), n + 1):
+            seq.append(step(m, seq, *params))
+        return seq[n]
 
     def walk(*params):
         seq = list(first(*params))
@@ -249,6 +261,7 @@ def sequence(first, step, order=None):
                 seq[m - order] = None  # step m + 1 reads P_(m+1-order) .. P_m
             yield seq[m]
 
+    _memos.append(members)
     fn.cache_clear, fn.cache_info = members.cache_clear, members.cache_info
     if order is not None:
         fn.walk = walk

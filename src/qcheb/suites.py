@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import analysis, families, matrixids, moments, operators
 from .polyring import ONE, S, X, XsPoly
-from .qkernel import DEFAULT_QS, ParamPoint, PoleError, sample_points
+from .qkernel import DEFAULT_QS, ParamPoint, PoleError, memo_scope, sample_points
 from .report import IdentityReport, check_range, skipped
 
 # Index bounds per key: (default, value under `verify --max-n m`).  The
@@ -420,26 +420,26 @@ def checks():
 # -- the runner --------------------------------------------------------
 
 
-def _run(row, args, label):
-    """Run one row at one sample: check_range compares what the row's check
-    returns and reports under the row's id at the sample's label.  At a pole
-    the row is skipped, with the PoleError's message as the reason (a bare
-    ZeroDivisionError's text differs between versions)."""
-
-    def item():
-        try:
-            return check_range(row.id, label, *row.fn(*args))
-        except ZeroDivisionError as exc:
-            reason = str(exc) if isinstance(exc, PoleError) else "division by zero"
-            return skipped(row.id, label, (0, 0), reason)
-
-    return item
+def _run(runs):
+    """Run each (row, args, label) of runs in one memo_scope: check_range compares
+    what the row's check returns and reports under the row's id at the sample's
+    label.  At a pole the row is skipped, with the PoleError's message as the
+    reason (a bare ZeroDivisionError's text differs between versions)."""
+    reports = []
+    with memo_scope():
+        for row, args, label in runs:
+            try:
+                reports.append(check_range(row.id, label, *row.fn(*args)))
+            except ZeroDivisionError as exc:
+                reason = str(exc) if isinstance(exc, PoleError) else "division by zero"
+                reports.append(skipped(row.id, label, (0, 0), reason))
+    return reports
 
 
 def build_work_items(suite="core", qs=None, bs=None, bounds=None):
-    """The zero-argument callables making up a suite run, one per row of the
-    suite's checks and sample of the row's scope.  `bounds` overrides the
-    default value of any bound key."""
+    """The zero-argument callables making up a suite run, one per q of the
+    samples' labels (every memo key holds q) and one for the fixed rows, each
+    running its rows in table order.  `bounds` overrides any bound key."""
     core, extended = checks()
     rows = {"core": core, "extended": extended, "all": core + extended}.get(suite)
     if rows is None:
@@ -468,11 +468,12 @@ def build_work_items(suite="core", qs=None, bs=None, bounds=None):
         "classical": [(_label(Fraction(1)), ())],
         "fixed": [(None, ())],
     }
-    items = []
+    groups = {}
     for row in rows:
         bound = () if row.bound is None else (bounds[row.bound],)
-        items += [_run(row, bound + args, label) for label, args in samples[row.scope]]
-    return items
+        for label, args in samples[row.scope]:
+            groups.setdefault(label and label.q, []).append((row, bound + args, label))
+    return [partial(_run, runs) for runs in groups.values()]
 
 
 def run_suite(suite="core", qs=None, bs=None, parallelism=1, bounds=None):
@@ -481,7 +482,7 @@ def run_suite(suite="core", qs=None, bs=None, parallelism=1, bounds=None):
     The items run one after another in the calling thread; `parallelism` is
     accepted for callers that pass it and changes nothing."""
     items = build_work_items(suite, qs=qs, bs=bs, bounds=bounds)
-    return sorted((item() for item in items), key=IdentityReport.sort_key)
+    return sorted((r for item in items for r in item()), key=IdentityReport.sort_key)
 
 
 def summarize(reports):

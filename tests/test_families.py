@@ -3,7 +3,6 @@ between families, hypergeometric forms and the dispatch surface."""
 
 import math
 import sys
-import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -17,6 +16,7 @@ from qcheb.polyring import ONE, S, X, XsPoly, ZERO
 from qcheb.qkernel import (
     ParamPoint,
     PoleError,
+    memo_scope,
     q_catalan,
     q_int,
     q_poch,
@@ -391,14 +391,6 @@ def test_negative_index_raises_value_error(fn, args, message):
         fn(*args)
 
 
-def test_sequence_memo_is_bounded():
-    """A long-lived process keeps the members of 64 parameter sets at most."""
-    for i in range(1, 201):
-        families.cheb_t(30, F(i, 7919))
-    info = families._cheb_t.cache_info()
-    assert info.maxsize == 64 and info.currsize <= 64
-
-
 @pytest.mark.parametrize(
     "point, n, message",
     [
@@ -407,13 +399,14 @@ def test_sequence_memo_is_bounded():
     ],
 )
 def test_pole_error_repeats_after_a_partial_fill(point, n, message):
-    """The members below a pole stay; the pole is met again on every call,
-    with the same type and message."""
-    for _ in range(2):
-        with pytest.raises(PoleError) as err:
-            families.fib_qb(n, point)
-        assert type(err.value) is PoleError and str(err.value) == message
-    assert families.fib_qb(1, point) == ONE
+    """Inside a memo scope the members below a pole stay; the pole is met
+    again on every call, with the same type and message."""
+    with memo_scope():
+        for _ in range(2):
+            with pytest.raises(PoleError) as err:
+                families.fib_qb(n, point)
+            assert type(err.value) is PoleError and str(err.value) == message
+        assert families.fib_qb(1, point) == ONE
 
 
 # -- walks: the recurrences without their memo ------------------------
@@ -452,11 +445,19 @@ def _until_error(members):
 
 @pytest.mark.parametrize("name", sorted(WALKS))
 def test_a_walk_yields_the_members_and_leaves_the_memo_alone(name):
+    """fn gives the walked members outside a memo scope, keeping nothing, and
+    inside one, keeping one list until the scope exits."""
     fn, params = WALKS[name]
-    info = fn.cache_info()
     walked = list(islice(fn.walk(*params), 16))
-    assert fn.cache_info() == info
-    assert walked == [fn(n, *params) for n in range(16)]
+    assert [fn(n, *params) for n in range(16)] == walked
+    assert fn.cache_info().currsize == 0
+    with memo_scope():
+        assert [fn(n, *params) for n in range(16)] == walked
+        info = fn.cache_info()
+        assert info.currsize == 1
+        assert list(islice(fn.walk(*params), 16)) == walked
+        assert fn.cache_info() == info
+    assert fn.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
@@ -497,8 +498,7 @@ FRESH = iter(range(1, 10**6))  # numerators of q values no other test uses
 
 
 def _sweep(kind, count):
-    """Touch `count` fresh parameter sets of one sequence, evicting as many
-    of its least recently used entries."""
+    """Touch `count` fresh parameter sets of one sequence."""
     for _ in range(count):
         SEQUENCES[kind][0](0, F(next(FRESH), 1000003))
 
@@ -520,44 +520,19 @@ def _sweep(kind, count):
     )
 )
 def test_sequences_match_closed_forms_in_any_order(actions):
-    """Whatever the order of access, eviction and clearing, each member equals
-    its closed form."""
-    for action in actions:
-        if action[0] == "clear":
-            clear_memos()
-        elif action[0] == "sweep":
-            _sweep(*action[1:])
-        else:
-            _, kind, n, i = action
-            fn, closed = SEQUENCES[kind]
-            q = F(i, 81)
-            assert fn(n, q) == closed(n, q)
-
-
-def test_threads_filling_one_sequence_agree_with_the_closed_form():
-    """Four threads fill the same cold sequences in different orders; a lost
-    or doubled member would shift every index after it."""
-    q = F(5, 1000039)
-    want = [families.cheb_t_closed(n, q) for n in range(25)]
-    orders = [list(range(25)), list(range(24, -1, -1)), list(range(0, 25, 3)) * 2, [24] * 4]
-    results = [[] for _ in orders]
-
-    def work(order, out):
-        out.extend((n, families.cheb_t(n, q)) for n in order)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=job) for job in zip(orders, results)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert [len(out) for out in results] == [len(order) for order in orders]
-    assert all(poly == want[n] for out in results for n, poly in out)
+    """Whatever the order of access, filling and clearing in a memo scope,
+    each member equals its closed form."""
+    with memo_scope():
+        for action in actions:
+            if action[0] == "clear":
+                clear_memos()
+            elif action[0] == "sweep":
+                _sweep(*action[1:])
+            else:
+                _, kind, n, i = action
+                fn, closed = SEQUENCES[kind]
+                q = F(i, 81)
+                assert fn(n, q) == closed(n, q)
 
 
 # Reference closed forms: each coefficient from scratch, its Gaussian

@@ -15,6 +15,7 @@ from qcheb.qkernel import (
     PoleError,
     as_rational,
     binom2,
+    memo_scope,
     q_binom,
     q_catalan,
     q_int,
@@ -82,17 +83,22 @@ def test_q_binom_at_q_minus_1():
             assert q_binom(n, k, F(-1)) == want, (n, k)
 
 
-def test_q_binom_keeps_its_cache_interface():
-    """q_binom.cache_info counts the q-Pascal rows per q = a/c, so calls at
-    one q after the first are hits, and cache_clear drops the rows."""
-    q_binom.cache_clear()
-    assert q_binom.cache_info().currsize == 0
+def test_a_memo_scope_keeps_members_until_it_exits():
+    """q_binom.cache_info counts the q-Pascal rows per q = a/c.  Outside any
+    scope nothing is kept; inside one a second call at the same q is a hit,
+    and the exit of any scope, a nested one too, drops every row."""
     q_binom(12, 5, F(3, 5))
-    q_binom(10, 3, F(6, 10))
-    info = q_binom.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert q_pascal(3, 3, 5) == [1, 25 + 15 + 9, 25 + 15 + 9, 1]
-    q_binom.cache_clear()
+    assert q_binom.cache_info().currsize == 0
+    with memo_scope():
+        q_binom(12, 5, F(3, 5))
+        q_binom(10, 3, F(6, 10))
+        info = q_binom.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        with memo_scope():
+            pass
+        assert q_binom.cache_info().currsize == 0
+        assert q_pascal(3, 3, 5) == [1, 25 + 15 + 9, 25 + 15 + 9, 1]
+        assert q_binom.cache_info().currsize == 1
     assert q_binom.cache_info().currsize == 0
 
 
@@ -389,7 +395,7 @@ def test_a_walk_keeps_only_the_members_a_step_reads():
 def test_a_step_that_reads_past_its_order_fails_in_a_walk():
     """A dropped member reads as None, never as a stale value."""
     fib = sequence(lambda: (0, 1), lambda m, f: f[m - 1] + f[m - 2], order=1)
-    assert fib(10) == 55  # the memo keeps every member
+    assert fib(10) == 55  # fn keeps every member it builds
     walk = fib.walk()
     assert [next(walk), next(walk)] == [0, 1]
     with pytest.raises(TypeError):

@@ -6,7 +6,9 @@ import gc
 import hashlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -106,46 +108,83 @@ def test_a_named_point_runs_every_point_row(b, summary, poles):
     assert {r["reason"] for r in skipped} == poles
 
 
-def _sequence_memos():
-    """The memo of every sequence built by qkernel.sequence, once each
-    (q_binom reports the memo of the q_pascal rows)."""
+def _sequence_sizes():
+    """The number of param lists each sequence built by qkernel.sequence
+    holds, once per sequence (q_binom reports the memo of the q_pascal rows)."""
     memos = {
         id(value.cache_info): value
         for module in (qkernel, families)
         for value in vars(module).values()
-        if callable(getattr(value, "cache_info", None)) and value.cache_info().maxsize == 64
+        if callable(getattr(value, "cache_info", None))
     }
-    return list(memos.values())
-
-
-def _evict_every_sequence():
-    """Touch 64 fresh parameter sets of every sequence, so that none of the
-    entries made before is left."""
-    for i in range(1, 65):
-        q, point = F(i, 1000033), ParamPoint(F(i, 1000033), F(3, 7))
-        families.fib_carlitz_rec(0, q)
-        families.fib_qb(0, point)
-        families.lucas_qb(0, point)
-        families.alsalam_ismail(0, q, 1, q)
-        families.cheb_u(0, q)
-        families.cheb_t(0, q)
-        qkernel.q_catalan(0, q)
-        qkernel.q_binom(0, 0, q)
-
-
-def test_run_suite_repeats_after_every_memo_is_evicted():
-    """No state kept between two runs in one process changes a report."""
-
-    def run():
-        reports = suites.run_suite("core", qs=[F(2)], bounds={"dual": 6})
-        return [report.to_json() for report in reports]
-
-    first = run()
-    _evict_every_sequence()
-    memos = _sequence_memos()
     assert len(memos) == 8
-    assert all(memo.cache_info().currsize == 64 for memo in memos)
-    assert run() == first
+    return [memo.cache_info().currsize for memo in memos.values()]
+
+
+GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden.json"
+
+
+def test_two_verify_runs_in_one_process_give_the_golden_report_in_flat_memory():
+    """Each run's memos live in its own scopes, so a second run in the same
+    process finds none of the first's, prints the recorded report again, and
+    neither run leaves live memory behind (a process-wide memo once kept
+    about 2 MB after the first run and 460 KB after the second).  A first
+    command loads what argparse imports on first use."""
+    argv = ["verify", "--suite", "all", "--format", "json"]
+    want = json.loads(GOLDEN.read_text())["commands"][" ".join(argv)]["sha256"]
+    cli.main(["catalan", "--n", "1", "--q", "2"], out=io.StringIO())
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            out = io.StringIO()
+            assert cli.main(argv, out=out) == 0
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            del out
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+            assert digest == want
+            assert grown < 64 * 1024, grown
+            assert not any(_sequence_sizes())
+    finally:
+        tracemalloc.stop()
+
+
+class _SizesAtWrite(io.StringIO):
+    """Output that notes the largest number of param lists the sequences
+    held at any write."""
+
+    most = 0
+
+    def write(self, text):
+        self.most = max(self.most, sum(_sequence_sizes()))
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv", ["gen --family L_TRACE --n 12 --q 3/5", "catalan --n 12 --q 2/3"],
+    ids=["gen", "catalan"],
+)
+def test_a_command_keeps_its_memos_until_it_returns(argv):
+    """The command's memos are filled while it writes and empty once
+    cli.main returns."""
+    out = _SizesAtWrite()
+    assert cli.main(argv.split(), out=out) == 0
+    assert out.most > 0
+    assert not any(_sequence_sizes())
+
+
+def test_run_suite_leaves_every_sequence_empty():
+    """Each q sample runs in its own memo scope, so no list outlives a run,
+    and the reports at q = 2 are those of a run at q = 2 alone."""
+
+    def at_2(qs):
+        reports = suites.run_suite("core", qs=qs, bounds={"dual": 6})
+        assert not any(_sequence_sizes())
+        return [r for r in reports if r.point is not None and r.point.q == 2]
+
+    assert at_2([F(1, 2), F(2)]) == at_2([F(2)])
 
 
 def _live_points():
@@ -156,8 +195,7 @@ def _live_points():
 def test_per_point_ladders_stay_bounded_and_change_no_later_run():
     """The ladders live in their points, so the number of live points does
     not grow with the number of points used; and a second run in the same
-    process, which finds the first run's points and their filled ladders in
-    the recurrence memos, gives the same reports."""
+    process gives the same reports."""
 
     def use(points):
         for i in points:
