@@ -5,6 +5,9 @@ registry of standalone identities.
 A weight series, a series in x with rational coefficients, is an XsPoly free
 of s, cut by mod_x after each product and at the order where it is compared;
 the Rodrigues checks compare it with a family member with s substituted.
+Their 1/h needs no series inversion: by the q-binomial theorem
+h(t) = (qt;q^2)_inf / (t;q^2)_inf, so 1/h is a sum of the same shape as h,
+built by the same integer walk (inverse_h_of_x_squared).
 The generating functions are series in z whose coefficients
 are polynomials in x and s, TruncSeries.
 """
@@ -12,7 +15,7 @@ are polynomials in x and s, TruncSeries.
 from fractions import Fraction
 
 from . import families
-from .polyring import S, TruncSeries, X, XsPoly, ZERO
+from .polyring import ONE, S, TruncSeries, X, XsPoly, ZERO
 from .qkernel import as_rational, binom2, q_int
 
 
@@ -111,20 +114,27 @@ class SeriesContext:
 
 def h_coeffs(count: int, q) -> list:
     """The first count coefficients of h, h_k = (q;q^2)_k / (q^2;q^2)_k."""
-    return [Fraction(num, den) for num, den in _h_pairs(count, q)]
+    return [Fraction(num, den) for num, den in _poch_ratio_pairs(count, 1, q)]
 
 
-def _h_pairs(count: int, q):
-    """h_0 .. h_(count-1) as integer pairs (numerator, denominator), not in
-    lowest terms: at q = a/c, h_k is h_(k-1) times the factor
-    (1 - q^(2k-1)) / (1 - q^(2k)) = c (c^(2k-1) - a^(2k-1)) / (c^(2k) - a^(2k))."""
+def _poch_ratio_pairs(count: int, e: int, q):
+    """(q^e;q^2)_k / (q^2;q^2)_k for 0 <= k < count, e <= 2, as integer pairs
+    (numerator, denominator), not in lowest terms: at q = a/c, term k is term
+    k-1 times (1 - q^m) / (1 - q^(2k)), m = 2k + e - 2, which is
+    c^(2-e) (c^m - a^m) / (c^(2k) - a^(2k)), or, where m < 0,
+    c^(2k) (a^-m - c^-m) / (a^-m (c^(2k) - a^(2k)))."""
     q = as_rational(q)
     a, c = q.numerator, q.denominator
     num = den = 1
     for k in range(count):
         if k:
-            num *= c * (c ** (2 * k - 1) - a ** (2 * k - 1))
-            den *= c ** (2 * k) - a ** (2 * k)
+            m = 2 * k + e - 2
+            if m >= 0:
+                num *= c ** (2 - e) * (c**m - a**m)
+                den *= c ** (2 * k) - a ** (2 * k)
+            else:
+                num *= c ** (2 * k) * (a**-m - c**-m)
+                den *= a**-m * (c ** (2 * k) - a ** (2 * k))
         yield num, den
 
 
@@ -135,27 +145,43 @@ def h_series(ctx: SeriesContext) -> XsPoly:
 
 def h_functional_equation_check(ctx: SeriesContext):
     """h(t)(1 - t) = (1 - qt) h(q^2 t), the finite substitute for the
-    infinite-product form of h, compared once, at the series order."""
+    infinite-product form of h, then h(t) (1/h)(t) = 1 at t = x^2, which
+    checks the closed form of 1/h against h; each compared once, at the
+    series order."""
 
     def sides(_):
         h, q = h_series(ctx), ctx.q
         lhs = (h * (1 - X)).mod_x(ctx.order)
         yield lhs, ((1 - X.scale(q)) * h.dilate(q, 2, 0)).mod_x(ctx.order)
+        yield (h_of_x_squared(1, ctx) * inverse_h_of_x_squared(1, ctx)).mod_x(ctx.order), ONE
 
     return [ctx.order], sides, (0, ctx.order)
 
 
-def h_of_x_squared(c: Fraction, ctx: SeriesContext) -> XsPoly:
-    """h(c * x^2) to ctx.order: the coefficient of x^(2k) is h_k c^k, one
-    Fraction made from integers each."""
+def _poch_ratio_of_x_squared(e: int, c: Fraction, ctx: SeriesContext) -> XsPoly:
+    """sum_k (q^e;q^2)_k / (q^2;q^2)_k c^k x^(2k) to ctx.order, one Fraction
+    made from integers each."""
     coeffs = {}
     u, v = c.numerator, c.denominator
     u_k = v_k = 1
-    for k, (num, den) in enumerate(_h_pairs((ctx.order + 1) // 2, ctx.q)):
+    for k, (num, den) in enumerate(_poch_ratio_pairs((ctx.order + 1) // 2, e, ctx.q)):
         coeffs[(2 * k, 0)] = Fraction(num * u_k, den * v_k)
         u_k *= u
         v_k *= v
     return XsPoly(coeffs)
+
+
+def h_of_x_squared(c: Fraction, ctx: SeriesContext) -> XsPoly:
+    """h(c * x^2) to ctx.order: the coefficient of x^(2k) is h_k c^k."""
+    return _poch_ratio_of_x_squared(1, c, ctx)
+
+
+def inverse_h_of_x_squared(c: Fraction, ctx: SeriesContext) -> XsPoly:
+    """1/h(c * x^2) to ctx.order, in closed form.  By the q-binomial theorem
+    (Gasper-Rahman, Basic Hypergeometric Series, 2nd ed., eq. (1.3.2)),
+    h(t) = (qt;q^2)_inf / (t;q^2)_inf, so
+    1/h(t) = (t;q^2)_inf / (qt;q^2)_inf = sum_k (q^-1;q^2)_k / (q^2;q^2)_k (qt)^k."""
+    return _poch_ratio_of_x_squared(-1, ctx.q * c, ctx)
 
 
 def weight_series(ctx: SeriesContext) -> XsPoly:
@@ -177,7 +203,8 @@ def pearson_check(ctx: SeriesContext):
 
 def rodrigues_t(n: int, ctx: SeriesContext):
     """T_n = q^(n(n+1)) / ([1][3]...[2n-1]) * (1/h(-x^2/s))
-    * D^n( h(-x^2/(q^(2n) s)) prod_{k=1}^n (x^2/q^(2k+1) + s/q) )."""
+    * D^n( h(-x^2/(q^(2n) s)) prod_{k=1}^n (x^2/q^(2k+1) + s/q) ), with
+    1/h in closed form by the q-binomial theorem (inverse_h_of_x_squared)."""
     if ctx.order < 2 * n + 10:
         raise ValueError("series order too small for a degree-n Rodrigues check")
     q, s, order = ctx.q, ctx.s_val, ctx.order
@@ -190,18 +217,19 @@ def rodrigues_t(n: int, ctx: SeriesContext):
     for j in range(1, n + 1):
         pref /= q_int(2 * j - 1, q)
     # n applications of the q-derivative lose the top n coefficients
-    rhs = (weight_series(ctx).inverse_mod_x(order - n) * inner).mod_x(order - n).scale(pref)
+    rhs = (inverse_h_of_x_squared(Fraction(-1) / s, ctx) * inner).mod_x(order - n).scale(pref)
     lhs = families.cheb_t(n, q).subs_s(s).mod_x(order - n)
     return [n], lambda _: [(rhs, lhs)]
 
 
 def rodrigues_u(n: int, ctx: SeriesContext):
     """U_n = q^(n(n+1)) [n+1] / ([3][5]...[2n+1]) * h(-q x^2/s)
-    * D^n( (1/h(-x^2/(q^(2n-1) s))) prod_{k=1}^n (x^2/q^(2k-1) + s/q) )."""
+    * D^n( (1/h(-x^2/(q^(2n-1) s))) prod_{k=1}^n (x^2/q^(2k-1) + s/q) ), with
+    1/h in closed form by the q-binomial theorem (inverse_h_of_x_squared)."""
     if ctx.order < 2 * n + 10:
         raise ValueError("series order too small for a degree-n Rodrigues check")
     q, s, order = ctx.q, ctx.s_val, ctx.order
-    inner = h_of_x_squared(Fraction(-1) / (q ** (2 * n - 1) * s), ctx).inverse_mod_x(order)
+    inner = inverse_h_of_x_squared(Fraction(-1) / (q ** (2 * n - 1) * s), ctx)
     for k in range(1, n + 1):
         inner = (inner * (XsPoly.monomial(q ** (1 - 2 * k), 2, 0) + s / q)).mod_x(order)
     for _ in range(n):

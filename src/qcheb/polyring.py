@@ -3,7 +3,6 @@ q-dilation substitution, q-derivative, 2x2 matrices and truncated power series
 in a second variable z with polynomial coefficients.
 """
 
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -208,7 +207,7 @@ class XsPoly:
     def __hash__(self):
         # a constant hashes as its Fraction, since it compares equal to it
         if self.num.keys() <= {(0, 0)}:
-            return hash(self.constant())
+            return hash(Fraction(self.num.get((0, 0), 0), self.den))
         return hash((frozenset(self.num.items()), self.den))
 
     def is_zero(self) -> bool:
@@ -222,9 +221,6 @@ class XsPoly:
         den = self.den
         return {k: Fraction(c, den) for k, c in self.num.items()}
 
-    def coeff(self, dx: int, ds: int) -> Fraction:
-        return Fraction(self.num.get((dx, ds), 0), self.den)
-
     def x_degree(self) -> int:
         """Degree in x; -1 for the zero polynomial."""
         return max((dx for dx, _ in self.num), default=-1)
@@ -235,12 +231,6 @@ class XsPoly:
         for (dx, ds), c in self.num.items():
             out.setdefault(dx, {})[(0, ds)] = c
         return {dx: XsPoly._reduced(t, self.den) for dx, t in out.items()}
-
-    def constant(self) -> Fraction:
-        """The value when the polynomial is constant; error otherwise."""
-        if self.num.keys() <= {(0, 0)}:
-            return Fraction(self.num.get((0, 0), 0), self.den)
-        raise ValueError("polynomial is not constant")
 
     # -- substitutions and derivatives --------------------------------
 
@@ -275,18 +265,10 @@ class XsPoly:
         q_ints = [0]
         for i in range(top):
             q_ints.append(q_ints[-1] + weights[i])
-        return self._lower_x(q_ints, d)
-
-    def deriv(self):
-        """Ordinary derivative in x."""
-        return self._lower_x(range(self.x_degree() + 1), 1)
-
-    def _lower_x(self, factors, d):
-        """sum of factors[k] / d * c x^(k-1) s^j over the terms c x^k s^j, k >= 1."""
         num = {}
         for (dx, ds), c in self.num.items():
-            if dx and factors[dx]:
-                num[(dx - 1, ds)] = c * factors[dx]
+            if dx and q_ints[dx]:
+                num[(dx - 1, ds)] = c * q_ints[dx]
         return XsPoly._reduced(num, self.den * d)
 
     def subs_s(self, s_val):
@@ -314,36 +296,6 @@ class XsPoly:
         if len(num) == len(self.num):
             return self
         return XsPoly._reduced(num, self.den)
-
-    def inverse_mod_x(self, order: int):
-        """The inverse of self modulo x^order, for self a polynomial in x
-        alone with an invertible constant term.  Modulo x^0 every polynomial
-        is 0, so order 0 gives 0.
-
-        With the coefficients A_j = a_j / D of self, the inverse has the
-        coefficients D b_k / a_0^(k+1), from the integers b_0 = 1 and
-        b_k = -sum over 1 <= j <= k of a_j a_0^(j-1) b_(k-j)."""
-        if any(ds for _, ds in self.num):
-            raise ValueError("inverse_mod_x needs a polynomial in x alone")
-        if not order:
-            return XsPoly._of({}, 1)
-        a, den = [self.num.get((j, 0), 0) for j in range(order)], self.den
-        if not a[0]:
-            raise ZeroDivisionError("constant term is not invertible")
-        weights, power = [0], 1  # weights[j] = a_j a_0^(j-1)
-        for j in range(1, order):
-            weights.append(a[j] * power)
-            power *= a[0]
-        b = [1]
-        for k in range(1, order):
-            b.append(-sum(weights[j] * b[k - j] for j in range(1, k + 1) if weights[j]))
-        # D b_k / a_0^(k+1) = D b_k a_0^(order-1-k) / a_0^order
-        num, power = {}, 1
-        for k in range(order - 1, -1, -1):
-            if b[k]:
-                num[(k, 0)] = den * b[k] * power
-            power *= a[0]
-        return XsPoly._reduced(num, power)
 
     def as_poly(self):
         """self, checked to be a polynomial in s: no negative s exponent."""
@@ -376,23 +328,6 @@ class XsPoly:
 
     def to_json(self):
         return {"terms": list(self.json_terms())}
-
-    @staticmethod
-    def from_json(data):
-        """The polynomial to_json wrote.  A coefficient with a numerator or
-        denominator longer than Python's int-to-str digit limit is rejected
-        with a ValueError naming its term."""
-        limit = sys.get_int_max_str_digits()
-        terms = {}
-        for t in data["terms"]:
-            key = (int(t["dx"]), int(t["ds"]))
-            if limit and max(map(len, t["c"].lstrip("-").split("/"))) > limit:
-                raise ValueError(
-                    f"coefficient of term (dx, ds) = {key} has more than {limit} digits;"
-                    " such coefficients are rejected"
-                )
-            terms[key] = Fraction(t["c"])
-        return XsPoly(terms)
 
     def str_pieces(self):
         """str(self) in pieces, one per term, as they are reached: the first
@@ -452,13 +387,6 @@ class Mat2:
             self.a21 * other.a11 + self.a22 * other.a21,
             self.a21 * other.a12 + self.a22 * other.a22,
         )
-
-    @staticmethod
-    def identity():
-        return Mat2(1, 0, 0, 1)
-
-    def det(self) -> XsPoly:
-        return self.a11 * self.a22 - self.a12 * self.a21
 
     def trace(self) -> XsPoly:
         return self.a11 + self.a22

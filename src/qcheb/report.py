@@ -21,10 +21,6 @@ class IdentityReport(NamedTuple):
     witness: Optional[dict] = None
     reason: Optional[str] = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
     def sort_key(self):
         q = format_rational(self.point.q) if self.point else ""
         b = format_rational(self.point.b) if self.point else ""

@@ -23,7 +23,7 @@ NEG_POINTS = [p for p in POINTS if p.is_pole_free(range(-12, 0))]
 
 def holds(check):
     """Whether check_range finds every (lhs, rhs) pair of a check's sides equal."""
-    return check_range("", None, *check).passed
+    return check_range("", None, *check).status == "pass"
 
 
 def _report(criterion, label, ok):

@@ -23,7 +23,7 @@ CONTEXTS = [
 
 def holds(check):
     """Whether check_range finds every (lhs, rhs) pair of a check's sides equal."""
-    return check_range("", None, *check).passed
+    return check_range("", None, *check).status == "pass"
 
 
 @pytest.mark.parametrize("q", QS)
@@ -92,8 +92,50 @@ def test_h_coefficients_match_the_fraction_loop(q, count, c):
         ctx = analysis.SeriesContext(q, F(1), 2 * count + 2)
         series = analysis.h_of_x_squared(c, ctx)
         want = [h * c**k for k, h in enumerate(_h_reference(count + 1, q))]
-        assert [series.coeff(2 * k, 0) for k in range(count + 1)] == want
-        assert all(ds == 0 and dx % 2 == 0 and dx <= 2 * count for dx, ds in series.terms)
+        assert series == _x_squared_series(want)
+
+
+def _x_squared_series(coeffs):
+    """sum coeffs[k] x^(2k) as an XsPoly."""
+    return XsPoly({(2 * k, 0): c for k, c in enumerate(coeffs)})
+
+
+def ref_series_recip(coeffs):
+    """The reciprocal of the series sum coeffs[k] t^k to t^len(coeffs), by
+    the term loop every series inversion ran before 1/h had a closed form,
+    kept as the oracle for that closed form."""
+    if coeffs[0] == 0:
+        raise ZeroDivisionError("constant term is not invertible")
+    inv0 = 1 / F(coeffs[0])
+    out = [inv0]
+    for k in range(1, len(coeffs)):
+        acc = None
+        for j in range(1, k + 1):
+            term = coeffs[j] * out[k - j]
+            acc = term if acc is None else acc + term
+        out.append(-(inv0 * acc))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+    st.integers(0, 12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+def test_inverse_h_matches_the_series_reciprocal(q, count, c):
+    """The closed form of 1/h(c x^2) has the coefficients of the term-loop
+    reciprocal of h(c x^2), and at q = +-1 raises a ZeroDivisionError, as h
+    does."""
+    ctx = analysis.SeriesContext(q, F(1), 2 * count + 2)
+    if abs(q) == 1 and count >= 1:
+        with pytest.raises(ZeroDivisionError):
+            analysis.h_of_x_squared(c, ctx)
+        with pytest.raises(ZeroDivisionError):
+            analysis.inverse_h_of_x_squared(c, ctx)
+        return
+    h = [h_k * c**k for k, h_k in enumerate(_h_reference(count + 1, q))]
+    assert analysis.inverse_h_of_x_squared(c, ctx) == _x_squared_series(ref_series_recip(h))
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,15 +151,38 @@ def test_h_functional_equation(ctx):
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=str)
+def test_inverse_h_inverts_h_to_a_high_order(ctx):
+    """At the arguments the Rodrigues rows use, to x^58."""
+    q, s = ctx.q, ctx.s_val
+    ctx = analysis.SeriesContext(q, s, 58)
+    for c in (-1 / s, -1 / (q**7 * s), -q / s):
+        product = analysis.h_of_x_squared(c, ctx) * analysis.inverse_h_of_x_squared(c, ctx)
+        assert product.mod_x(58) == 1
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=str)
 def test_pearson_equation(ctx):
     assert holds(analysis.pearson_check(ctx))
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=str)
 def test_rodrigues_formulae(ctx):
-    for n in range(6):
+    ctx = analysis.SeriesContext(ctx.q, ctx.s_val, 2 * 12 + 10)
+    for n in range(13):
         assert holds(analysis.rodrigues_t(n, ctx))
         assert holds(analysis.rodrigues_u(n, ctx))
+
+
+def test_a_wrong_inverse_h_fails_every_row_that_reads_it(monkeypatch):
+    """1/h(c x^2) with its coefficient of x^2 off by one fails h-functional-eq
+    and both Rodrigues rows at both weight contexts, and no other row."""
+    original = analysis.inverse_h_of_x_squared
+    wrong = lambda c, ctx: original(c, ctx) + XsPoly.monomial(1, 2, 0)
+    monkeypatch.setattr(analysis, "inverse_h_of_x_squared", wrong)
+    reports = suites.run_suite("all", qs=[F(2)], bs=[F(3, 7)], bounds=suites.bounds_for(4))
+    failing = {(r.identity_id, r.point.q) for r in reports if r.status == "fail"}
+    rows = ("h-functional-eq", "eq-5.25", "eq-5.26")
+    assert failing == {(row, q) for row in rows for q, _ in suites.WEIGHT_CONTEXTS}
 
 
 def test_rodrigues_needs_enough_order():
@@ -164,7 +229,7 @@ def test_generating_functions(q):
 def test_registry_identities(name):
     for q in (F(2), F(1, 2)):
         report = check_range(name, None, *analysis.REGISTRY[name](10, q))
-        assert report.passed, (name, q, report.witness)
+        assert report.status == "pass", (name, q, report.witness)
 
 
 def test_registry_run_aggregates():
@@ -172,6 +237,6 @@ def test_registry_run_aggregates():
     reports = suites.run_suite("core", qs=(F(2),), bounds=bounds)
     registry = [r for r in reports if r.identity_id in analysis.REGISTRY]
     assert len(registry) == len(analysis.REGISTRY)
-    assert all(r.passed and r.index_range[1] in (3, 6) for r in registry)
+    assert all(r.status == "pass" and r.index_range[1] in (3, 6) for r in registry)
     # each report is tagged with its q sample (b plays no role)
     assert {(r.point.q, r.point.b) for r in registry} == {(F(2), F(0))}

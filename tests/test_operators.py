@@ -17,7 +17,7 @@ WORD_POINTS = [ParamPoint(q, F(3, 7)) for q in (F(2), F(1, 2), F(3, 5))]
 
 def holds(check):
     """Whether check_range finds every (lhs, rhs) pair of a check's sides equal."""
-    return check_range("", None, *check).passed
+    return check_range("", None, *check).status == "pass"
 
 
 def test_opstate_single_letters():

@@ -145,12 +145,11 @@ def test_kernel_matches_fraction_reference(a, b, q, m_x, m_s, k):
     assert_matches(p * r, ref_mul(a, b))
     assert_matches(p * r - r * p, {})
     assert_matches(p.scale(q), ref_scale(a, q))
-    assert_matches(p.deriv(), ref_lower_x(a, lambda dx: dx))
+    assert_matches(p.q_deriv(F(1)), ref_lower_x(a, lambda dx: dx))
     assert_matches(p.q_deriv(q), ref_lower_x(a, lambda dx: q_int(dx, q)))
     assert_matches(p.shift_s(k), {(dx, ds + k): c for (dx, ds), c in a.items()})
     matches_or_both_raise(lambda: p.dilate(q, m_x, m_s), lambda: ref_dilate(a, q, m_x, m_s))
     matches_or_both_raise(lambda: p.subs_s(q), lambda: ref_subs_s(a, q))
-    assert XsPoly.from_json(p.to_json()) == p
     for x_deg, coeff in p.x_coeffs().items():
         assert_matches(coeff, {(0, ds): c for (dx, ds), c in a.items() if dx == x_deg})
 
@@ -202,7 +201,7 @@ def test_equal_values_hash_equal(a, b):
     same = p + r - r
     assert same == p and hash(same) == hash(p)
     if set(p.num) <= {(0, 0)}:
-        assert hash(p) == hash(p.constant())
+        assert hash(p) == hash(p.terms.get((0, 0), F(0)))
 
 
 def test_hash_agrees_with_eq():
@@ -276,7 +275,7 @@ def test_q_deriv_monomials():
     assert S.q_deriv(q) == ZERO
     assert ONE.q_deriv(q) == ZERO
     # classical at q = 1
-    assert (X * X).q_deriv(F(1)) == X.scale(2) == (X * X).deriv()
+    assert (X * X).q_deriv(F(1)) == X.scale(2)
 
 
 @settings(max_examples=40)
@@ -289,22 +288,21 @@ def test_q_leibniz_rule(p, r):
     assert lhs == rhs
 
 
+def _read_json(data):
+    """The polynomial a to_json dict lists, read back term by term."""
+    return XsPoly({(t["dx"], t["ds"]): F(t["c"]) for t in data["terms"]})
+
+
 @settings(max_examples=40)
 @given(laurent)
 def test_json_round_trip(p):
-    assert XsPoly.from_json(p.to_json()) == p
+    assert _read_json(p.to_json()) == p
 
 
 def test_json_round_trip_negative_s_power():
     p = X.shift_s(-2).scale(F(-3, 4)) + S
     assert p.to_json()["terms"][0] == {"dx": 1, "ds": -2, "c": "-3/4"}
-    assert XsPoly.from_json(p.to_json()) == p
-
-
-def test_from_json_rejects_a_coefficient_past_the_digit_limit():
-    data = {"terms": [{"dx": 0, "ds": 0, "c": "1"}, {"dx": 1, "ds": 2, "c": "7" * 5000 + "/3"}]}
-    with pytest.raises(ValueError, match=r"^coefficient of term \(dx, ds\) = \(1, 2\) .* rejected$"):
-        XsPoly.from_json(data)
+    assert _read_json(p.to_json()) == p
 
 
 def test_subs_and_eval():
@@ -382,9 +380,8 @@ def test_mat2():
     m = Mat2(ONE, X, ZERO, ONE)
     n = Mat2(ONE, S, ZERO, ONE)
     assert (m * n).a12 == X + S
-    assert m.det() == ONE
     assert m.trace() == XsPoly.const(2)
-    assert Mat2.identity() * m == m
+    assert Mat2(1, 0, 0, 1) * m == m
 
 
 def test_series_basic():
@@ -400,14 +397,6 @@ def test_series_basic():
 def _x_series(coeffs):
     """sum coeffs[k] x^k as an XsPoly."""
     return XsPoly({(k, 0): c for k, c in enumerate(coeffs)})
-
-
-def test_series_recip():
-    assert (ONE - X).inverse_mod_x(6) == _x_series([1] * 6)
-    u = _x_series([F(2), F(1), F(3)])
-    assert (u * u.inverse_mod_x(6)).mod_x(6) == ONE
-    with pytest.raises(ValueError, match="^inverse_mod_x needs a polynomial in x alone$"):
-        (ONE + S).inverse_mod_x(3)
 
 
 def test_series_qderiv_and_dilate():
@@ -463,7 +452,6 @@ def _padded(coeffs, order):
 def test_scalar_series_products_match_the_pair_loop(a, b, order):
     product = (_x_series(a) * _x_series(b)).mod_x(order)
     expected = ref_series_mul(_padded(a, order), _padded(b, order))
-    assert [product.coeff(k, 0) for k in range(order)] == expected
     assert product.x_degree() < order and product == _x_series(expected)
 
 
@@ -474,44 +462,3 @@ def test_scalar_series_products_of_int_coefficients():
     assert str(product) == "-2*x^2 + 5*x + 3"
     assert (_x_series([1, 2]) * X).mod_x(0) == ZERO
     assert (TruncSeries([], 0) * TruncSeries([], 0)).coeffs == []
-
-
-def ref_series_recip(coeffs):
-    """The inverse by the term loop every TruncSeries ran before scalar
-    series used integer numerators over one denominator, kept as the oracle
-    for inverse_mod_x."""
-    if coeffs[0] == 0:
-        raise ZeroDivisionError("constant term is not invertible")
-    inv0 = 1 / F(coeffs[0])
-    out = [inv0]
-    for k in range(1, len(coeffs)):
-        acc = None
-        for j in range(1, k + 1):
-            term = coeffs[j] * out[k - j]
-            acc = term if acc is None else acc + term
-        out.append(-(inv0 * acc))
-    return out
-
-
-@settings(max_examples=100)
-@given(series_coeffs, st.integers(1, 7))
-def test_scalar_series_recip_matches_the_term_loop(a, order):
-    """Terms of x-degree order and above, which a may hold, play no part."""
-    series, a = _x_series(a), _padded(a, order)
-    if a[0] == 0:
-        with pytest.raises(ZeroDivisionError, match="^constant term is not invertible$"):
-            series.inverse_mod_x(order)
-        return
-    inverse = series.inverse_mod_x(order)
-    assert [inverse.coeff(k, 0) for k in range(order)] == ref_series_recip(a)
-    assert inverse.x_degree() < order
-    assert (series * inverse).mod_x(order) == ONE
-
-
-def test_series_recip_at_order_0_is_the_unit():
-    """Modulo x^0 every polynomial is 0, which is there the unit, whatever
-    the polynomial holds."""
-    for poly in (ZERO, X, ONE + X):
-        assert poly.inverse_mod_x(0) == ZERO
-    with pytest.raises(ZeroDivisionError, match="^constant term is not invertible$"):
-        X.inverse_mod_x(2)

@@ -30,7 +30,8 @@ def test_first_unequal_pair_is_the_witness_and_later_pairs_are_not_evaluated():
 
 
 def test_equal_pairs_pass_and_an_error_in_a_pair_propagates():
-    assert check_range("id", None, range(1, 4), lambda n: [(n, n), (2 * n, 2 * n)]).passed
+    report = check_range("id", None, range(1, 4), lambda n: [(n, n), (2 * n, 2 * n)])
+    assert report.status == "pass"
     assert check_range("id", None, [], lambda n: [(0, 1)]).index_range == (0, 0)
     # a check whose indices are not its range names the range itself
     report = check_range("id", None, [("a", 1)], lambda n: [(0, 1)], (0, 9))
