@@ -9,6 +9,6 @@ q-analysis relations.
 __version__ = "1.0.0"
 
 from .qkernel import ParamPoint, PoleError  # noqa: F401
-from .polyring import Mat2, TruncSeries, XsPoly  # noqa: F401
+from .polyring import Mat2, XsPoly  # noqa: F401
 from .families import FamilyId, family_poly  # noqa: F401
 from .report import IdentityReport  # noqa: F401

@@ -1,6 +1,6 @@
 """q-derivative relations, q-differential equations, the weight series and
 Pearson equation, Rodrigues-type formulae, generating functions, and the
-registry of standalone identities.
+pairs of the standalone identities.
 
 A weight series, a series in x with rational coefficients, is an XsPoly free
 of s, cut by mod_x after each product and at the order where it is compared;
@@ -8,14 +8,17 @@ the Rodrigues checks compare it with a family member with s substituted.
 Their 1/h needs no series inversion: by the q-binomial theorem
 h(t) = (qt;q^2)_inf / (t;q^2)_inf, so 1/h is a sum of the same shape as h,
 built by the same integer walk (inverse_h_of_x_squared).
-The generating functions are series in z whose coefficients
-are polynomials in x and s, TruncSeries.
+The generating functions are series in z, but z need not be kept: with x of
+weight 1 and s of weight 2, every monomial x^i s^j z^n of the sums has
+n = i + 2j (z comes once with each x and twice with each s), as U_n and T_n
+are homogeneous of weight n.  So a sum is one XsPoly at z = 1, cut below
+weight order by mod_weight, and its z^n coefficient is its weight-n part.
 """
 
 from fractions import Fraction
 
 from . import families
-from .polyring import ONE, S, TruncSeries, X, XsPoly, ZERO
+from .polyring import ONE, S, X, XsPoly, ZERO
 from .qkernel import as_rational, binom2, q_int
 
 
@@ -246,66 +249,46 @@ def rodrigues_u(n: int, ctx: SeriesContext):
 # -- generating functions ----------------------------------------------
 
 
-def genfun_u(order: int, q) -> TruncSeries:
-    """Right side of the U generating function as a series in z:
-    sum_k q^C(k+1,2) z^k prod_{j<k} (x + q^j s z) / prod_{j<=k} (1 - q^j x z).
-    Term k is term k-1 times q^k z (x + q^(k-1) s z) / (1 - q^k x z)."""
+def _genfun(order: int, q, shift: int) -> XsPoly:
+    """Right side of the U (shift 1) or T (shift 0) generating function,
+    sum_k q^C(k+shift,2) z^k prod_{j<k} (x + q^(j+1-shift) s z)
+    / prod_{j<k+shift} (1 - q^j x z), at z = 1 and cut below weight order.
+    Term k is term k-1 times q^e z (x + q^(k-shift) s z) / (1 - q^e x z),
+    e = k - 1 + shift; term 0 has the factor 1 / (1 - x z) at shift 1.  Each
+    1 / (1 - c x z) is applied as the running sum t + (cx) t + (cx)^2 t + ...,
+    every product one term, cut at the order."""
     q = as_rational(q)
-    term = total = TruncSeries.geom(X, order)
-    for k in range(1, order):
-        step = TruncSeries([0, X.scale(q**k), S.scale(q ** (2 * k - 1))], order)
-        term = step * term * TruncSeries.geom(X.scale(q**k), order)
-        total = total + term
-    return total
-
-
-def genfun_t(order: int, q) -> TruncSeries:
-    """Right side of the T generating function as a series in z:
-    sum_k q^C(k,2) z^k prod_{j<k} (x + q^(j+1) s z) / prod_{j<k} (1 - q^j x z).
-    Term k is term k-1 times q^(k-1) z (x + q^k s z) / (1 - q^(k-1) x z)."""
-    q = as_rational(q)
-    term = total = TruncSeries.one(order)
-    for k in range(1, order):
-        step = TruncSeries([0, X.scale(q ** (k - 1)), S.scale(q ** (2 * k - 1))], order)
-        term = step * term * TruncSeries.geom(X.scale(q ** (k - 1)), order)
+    term, total = ONE.mod_weight(order), ZERO
+    for k in range(order):
+        e = k - 1 + shift
+        if k:
+            term = ((X.scale(q**e) + S.scale(q ** (2 * k - 1))) * term).mod_weight(order)
+        if e >= 0:
+            c_x, power = X.scale(q**e), term
+            while not power.is_zero():
+                power = (c_x * power).mod_weight(order)
+                term = term + power
         total = total + term
     return total
 
 
 def genfun_check(order: int, q):
-    """z-coefficients of the generating-function sums match the families."""
+    """z-coefficients of the generating-function sums match the families:
+    the z^n coefficient is the weight-n part of the sum."""
     q = as_rational(q)
-    u_series = genfun_u(order, q)
-    t_series = genfun_t(order, q)
+    u_parts = _genfun(order, q, 1).weight_parts()
+    t_parts = _genfun(order, q, 0).weight_parts()
 
     def sides(n):
-        yield u_series.coeffs[n], families.cheb_u(n, q)
-        yield t_series.coeffs[n], families.cheb_t(n, q)
+        yield u_parts.get(n, ZERO), families.cheb_u(n, q)
+        yield t_parts.get(n, ZERO), families.cheb_t(n, q)
 
     return range(order), sides
 
 
-# -- identity registry -------------------------------------------------
-
-
-REGISTRY = {}  # id -> check(max_n, q) of each registered identity
-
-
-def _registered(*names, halved=False):
-    """Register pairs(n, q), the (lhs, rhs) pairs at index n and rational q,
-    as the check of each named identity over 0 <= n <= max_n, or up to
-    max_n // 2 where it is halved: it consumes n as the free index of its
-    paired-index display."""
-
-    def register(pairs):
-        def check(max_n: int, q):
-            q = as_rational(q)
-            return range((max_n // 2 if halved else max_n) + 1), lambda n: pairs(n, q)
-
-        REGISTRY.update(dict.fromkeys(names, check))
-        return pairs
-
-    return register
+# -- standalone identities ---------------------------------------------
+# Each yields the (lhs, rhs) pairs of one identity at index n and rational q;
+# its row in suites.checks() names the identity and bounds n.
 
 
 def _u(m, q):
@@ -316,48 +299,40 @@ def _gen_lucas(m, q):
     return families.gen_lucas(m, q) if m >= 1 else XsPoly.const(2)
 
 
-@_registered("eq-2.28")
-def _hypergeom_fib(n, q):
+def hypergeom_fib_pairs(n, q):
     yield families.hypergeom_gen_fib(n, q), families.gen_fib(n + 1, q)
 
 
-@_registered("eq-4.3")
-def _hypergeom_lucas(n, q):
+def hypergeom_lucas_pairs(n, q):
     if n >= 1:
         yield families.hypergeom_gen_lucas(n, q), families.gen_lucas(n, q)
 
 
-@_registered("eq-4.4")
-def _lucas_from_fib(n, q):
+def lucas_from_fib_pairs(n, q):
     f = families.gen_fib
     yield _gen_lucas(n, q), f(n + 1, q).scale(1 + q**n) - X.scale(q**n) * f(n, q)
 
 
-@_registered("eq-4.5")
-def _lucas_from_dilated_fib(n, q):
+def lucas_from_dilated_fib_pairs(n, q):
     f = lambda m: families.gen_fib(m, q).dilate(q, 0, 2)
     yield _gen_lucas(n, q).scale(q**n), f(n + 1).scale(1 + q**n) - X * f(n)
 
 
-@_registered("eq-5.9", "eq-5.27")
-def _t_from_u(n, q):
+def t_from_u_pairs(n, q):
     yield families.cheb_t(n, q), families.cheb_u(n, q) - X.scale(q**n) * _u(n - 1, q)
 
 
-@_registered("eq-5.10")
-def _t_step(n, q):
+def t_step_pairs(n, q):
     t = families.cheb_t
     yield t(n + 1, q), X.scale(q**n) * t(n, q) + _xsq_plus(q) * _u(n - 1, q).dilate(q, 0, 2)
 
 
-@_registered("eq-5.11")
-def _lucas_step(n, q):
+def lucas_step_pairs(n, q):
     lhs = _gen_lucas(n + 1, q).scale(1 + q**n) - X.scale(q**n) * _gen_lucas(n, q)
     yield lhs, _xsq_plus(q) * families.gen_fib(n, q).dilate(q, 0, 2)
 
 
-@_registered("eq-5.28")
-def _u_as_t_sum(n, q):
+def u_as_t_sum_pairs(n, q):
     # exponent resolved by brute-force match: kn - C(k,2), not the printed C(kn,2)
     total = ZERO
     for k in range(n + 1):
@@ -366,8 +341,7 @@ def _u_as_t_sum(n, q):
     yield families.cheb_u(n, q), total
 
 
-@_registered("eq-5.29")
-def _u_step(n, q):
+def u_step_pairs(n, q):
     u = families.cheb_u
     first = u(n + 1, q) - X.scale(q ** (n + 1)) * u(n, q)
     second = X * u(n, q) + S.scale(q**n) * _u(n - 1, q)
@@ -375,15 +349,13 @@ def _u_step(n, q):
     yield families.cheb_t(n + 1, q), second
 
 
-@_registered("eq-5.30")
-def _t_from_u_pair(n, q):
+def t_from_two_u_pairs(n, q):
     if n >= 1:
         rhs = families.cheb_u(n, q) + S.scale(q ** (2 * n - 1)) * _u(n - 2, q)
         yield families.cheb_t(n, q).scale(1 + q**n), rhs
 
 
-@_registered("eq-5.31", halved=True)
-def _odd_u_as_t_sum(n, q):
+def odd_u_pairs(n, q):
     total = ZERO
     for k in range(n + 1):
         c = Fraction(-1) ** k * q ** (4 * k * n + 3 * k - 2 * k * k)
@@ -392,8 +364,7 @@ def _odd_u_as_t_sum(n, q):
     yield families.cheb_u(2 * n + 1, q), total
 
 
-@_registered("eq-5.32", halved=True)
-def _even_u_as_t_sum(n, q):
+def even_u_pairs(n, q):
     total = XsPoly.monomial(Fraction(-1) ** n * q ** (2 * n * n + n), 0, n)
     for k in range(n):
         c = Fraction(-1) ** k * q ** (4 * k * n + k - 2 * k * k)
@@ -402,27 +373,23 @@ def _even_u_as_t_sum(n, q):
     yield families.cheb_u(2 * n, q), total
 
 
-@_registered("eq-5.33")
-def _t_s_difference(n, q):
+def t_s_difference_pairs(n, q):
     t = families.cheb_t(n, q)
     yield t.dilate(q, 0, 2) - t, S.scale((q**n - 1) * q) * _u(n - 2, q).dilate(q, 0, 2)
 
 
-@_registered("eq-5.34")
-def _t_from_dilated_u(n, q):
+def t_from_dilated_u_pairs(n, q):
     if n >= 1:
         rhs = families.cheb_u(n, q).dilate(q, 0, 2) + S.scale(q) * _u(n - 2, q).dilate(q, 0, 2)
         yield families.cheb_t(n, q).scale(1 + q**n), rhs
 
 
-@_registered("eq-5.35")
-def _t_x_difference(n, q):
+def t_x_difference_pairs(n, q):
     t = families.cheb_t
     yield t(n + 1, q) - X * t(n, q), (X * X + S).scale(q**n) * _u(n - 1, q)
 
 
-@_registered("eq-5.36")
-def _t_and_u_steps(n, q):
+def t_and_u_step_pairs(n, q):
     t = families.cheb_t
     yield t(n + 1, q), X * t(n, q) + (X * X + S).scale(q**n) * _u(n - 1, q)
     yield families.cheb_u(n, q), t(n, q) + X.scale(q**n) * _u(n - 1, q)

@@ -291,20 +291,10 @@ def cmd_moments(args, out) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     name = args.family.upper()
-    if name == "CLASSICAL":
-        spec = moments.classical_spec()
-    elif name == "GEN_FIB":
-        spec = moments.gen_fib_spec(q)
-    elif name == "GEN_LUCAS":
-        spec = moments.gen_lucas_spec(q)
-    elif name == "CARLITZ":
-        spec = moments.carlitz_spec(q)
-    else:
-        raise UsageError(
-            f"unknown moment family {args.family!r}; "
-            "choose GEN_FIB, GEN_LUCAS, CARLITZ or CLASSICAL"
-        )
-    values = moments.moments_from_recurrence(spec, args.n + 1)
+    if name not in moments.SPECS:
+        valid = ", ".join(moments.SPECS)
+        raise UsageError(f"unknown moment family {args.family!r}; choose from {valid}")
+    values = moments.moments_from_recurrence(moments.SPECS[name](q), args.n + 1)
     if args.format == "json":
         pieces = _json_pieces(
             {"family": name, "q": format_rational(q), "rows": [None]},

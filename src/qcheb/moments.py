@@ -66,6 +66,15 @@ def classical_spec() -> RecurrenceSpec:
     return RecurrenceSpec("classical", lambda k: S)
 
 
+# The spec of each `moments --family` name at q.
+SPECS = {
+    "GEN_FIB": gen_fib_spec,
+    "GEN_LUCAS": gen_lucas_spec,
+    "CARLITZ": carlitz_spec,
+    "CLASSICAL": lambda q: classical_spec(),
+}
+
+
 def moments_from_recurrence(spec: RecurrenceSpec, count: int):
     """Moments of the functional determined by the basis: expand x^m in the
     p_k via x p_k = p_(k+1) - t(k+1) p_(k-1); the p_0 coefficient is the

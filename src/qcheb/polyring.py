@@ -1,6 +1,6 @@
 """Sparse polynomials in x, Laurent in s, over exact rationals, plus the
-q-dilation substitution, q-derivative, 2x2 matrices and truncated power series
-in a second variable z with polynomial coefficients.
+q-dilation substitution, q-derivative, truncation by x-degree or by weight
+(x of weight 1, s of weight 2) and 2x2 matrices.
 """
 
 from fractions import Fraction
@@ -232,6 +232,13 @@ class XsPoly:
             out.setdefault(dx, {})[(0, ds)] = c
         return {dx: XsPoly._reduced(t, self.den) for dx, t in out.items()}
 
+    def weight_parts(self):
+        """Map weight -> the terms of that weight, x of weight 1, s of weight 2."""
+        out = {}
+        for (dx, ds), c in self.num.items():
+            out.setdefault(dx + 2 * ds, {})[(dx, ds)] = c
+        return {w: XsPoly._reduced(t, self.den) for w, t in out.items()}
+
     # -- substitutions and derivatives --------------------------------
 
     def dilate(self, q, m_x: int, m_s: int):
@@ -293,6 +300,13 @@ class XsPoly:
     def mod_x(self, order: int):
         """self modulo x^order: the terms of x-degree below order."""
         num = {k: c for k, c in self.num.items() if k[0] < order}
+        if len(num) == len(self.num):
+            return self
+        return XsPoly._reduced(num, self.den)
+
+    def mod_weight(self, order: int):
+        """The terms of weight below order, x of weight 1 and s of weight 2."""
+        num = {k: c for k, c in self.num.items() if k[0] + 2 * k[1] < order}
         if len(num) == len(self.num):
             return self
         return XsPoly._reduced(num, self.den)
@@ -399,62 +413,3 @@ class Mat2:
 
     def __repr__(self):
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"
-
-
-class TruncSeries:
-    """Truncated power series in z with XsPoly coefficients: powers
-    0 .. order-1 of z, exact modulo z^order.  These are the generating
-    functions' series, whose coefficients are polynomials in x and s; a
-    series in x with rational coefficients is an XsPoly cut by mod_x.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        coeffs = [XsPoly._coerce(c) for c in list(coeffs)[:order]]
-        coeffs += [ZERO] * (order - len(coeffs))
-        self.order = order
-        self.coeffs = coeffs
-
-    @staticmethod
-    def one(order: int):
-        return TruncSeries([ONE], order)
-
-    @staticmethod
-    def geom(c, order: int):
-        """1 / (1 - c * z) = sum c^k z^k."""
-        coeffs = []
-        power = ONE
-        for _ in range(order):
-            coeffs.append(power)
-            power = power * c
-        return TruncSeries(coeffs, order)
-
-    def _check(self, other):
-        if self.order != other.order:
-            raise ValueError("truncation orders differ")
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __mul__(self, other):
-        self._check(other)
-        coeffs = [ZERO] * self.order
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order - i):
-                coeffs[i + j] = coeffs[i + j] + a * other.coeffs[j]
-        return TruncSeries(coeffs, self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check(other)
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __repr__(self):
-        return f"TruncSeries({self.coeffs!r}, order={self.order})"

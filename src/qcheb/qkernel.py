@@ -5,7 +5,7 @@ recurrence, kept for one q sample of a run by a memo_scope, none outside one.
 A ParamPoint (q, b) owns its b-ladder: the levels 1 - q^j b and the
 Pochhammer symbols (q^s b;q)_m that the (q,b) families multiply and divide
 by, each computed once per ladder.  q_poch is the
-general, uncached Pochhammer symbol for every other base.
+general, uncached Pochhammer symbol of order n >= 0 for every other base.
 
 Nothing here ever rounds.  The arithmetic is in integers: at q = a/c a level
 is an integer pair read by ParamPoint.level_pair, q_poch and q_int multiply
@@ -150,8 +150,8 @@ class ParamPoint:
         For m >= 0 it is the product of the levels s .. s+m-1, any of which
         may be 0; it is kept once asked for, and extends a kept (s, m-1) by
         one level.  For m < 0 it is the reciprocal of the product of the
-        levels s+m .. s-1, which is not kept, and raises q_poch's PoleError at
-        the first of them that vanishes."""
+        levels s+m .. s-1, which is not kept, and raises _poch_pole's
+        PoleError at the first of them that vanishes."""
         if m < 0:
             num = den = 1
             for j in range(s + m, s):
@@ -308,36 +308,26 @@ q_binom.cache_info, q_binom.cache_clear = q_pascal.cache_info, q_pascal.cache_cl
 
 
 def q_poch(a, q, n: int) -> Fraction:
-    """(a; q)_n = (1-a)(1-qa)...(1-q^(n-1)a), extended to negative n by
-    (a; q)_(-n) = 1 / (q^(-n) a; q)_n.
+    """(a; q)_n = (1-a)(1-qa)...(1-q^(n-1)a), n >= 0; negative orders are
+    ParamPoint._poch_pair's.
 
     At a = u/v and q = p/r the factor 1 - q^i a is (r^i v - p^i u) / (r^i v),
-    with p and r swapped for i < 0, so the product is one integer numerator
-    over one integer denominator and a single Fraction is made."""
+    so the product is one integer numerator over one integer denominator and
+    a single Fraction is made."""
+    if n < 0:
+        raise ValueError("q_poch needs n >= 0")
     a = as_rational(a)
     q = as_rational(q)
     u, v, p, r = a.numerator, a.denominator, q.numerator, q.denominator
     num = den = 1
-    if n >= 0:
-        p_i = r_i = 1
-        for _ in range(n):
-            d = r_i * v
-            num *= d - p_i * u
-            den *= d
-            p_i *= p
-            r_i *= r
-        return Fraction(num, den)
-    if not p:
-        q**n  # raises the ZeroDivisionError of 0 to a negative power
-    # negative order: reciprocal of the product of the factors i = n .. -1
-    for i in range(-n, 0, -1):
-        d = p**i * v
-        term = d - r**i * u
-        if not term:
-            raise _poch_pole(n)
-        num *= term
+    p_i = r_i = 1
+    for _ in range(n):
+        d = r_i * v
+        num *= d - p_i * u
         den *= d
-    return Fraction(den, num)
+        p_i *= p
+        r_i *= r
+    return Fraction(num, den)
 
 
 def _poch_pole(n: int) -> PoleError:

@@ -347,6 +347,11 @@ def _rodrigues(check):
     return lambda n_max, w, n: check(n, analysis.SeriesContext(*w, 2 * n_max + 10))
 
 
+def _pairs(fn, n_max, q):
+    """A check of the pairs fn(n, q) of a standalone identity, 0 <= n <= n_max."""
+    return range(n_max + 1), partial(fn, q=q)
+
+
 def checks():
     """The table of checks as (core rows, extended rows): the one place each
     identity is named."""
@@ -395,7 +400,25 @@ def checks():
         Check("eq-5.20-5.22", "q", analysis.qode_check_t, "qode"),
         Check("eq-5.21-5.23", "q", analysis.qode_check_u, "qode"),
         Check("eq-5.37-5.38", "q", analysis.genfun_check, "genfun"),
-        *(Check(name, "q", check, "registry") for name, check in analysis.REGISTRY.items()),
+        # standalone identities; eq-5.31 and eq-5.32 take n as the free index of
+        # their paired-index display, U_(2n+1) and U_(2n), so they run to half the bound
+        Check("eq-2.28", "q", partial(_pairs, analysis.hypergeom_fib_pairs), "registry"),
+        Check("eq-4.3", "q", partial(_pairs, analysis.hypergeom_lucas_pairs), "registry"),
+        Check("eq-4.4", "q", partial(_pairs, analysis.lucas_from_fib_pairs), "registry"),
+        Check("eq-4.5", "q", partial(_pairs, analysis.lucas_from_dilated_fib_pairs), "registry"),
+        Check("eq-5.9", "q", partial(_pairs, analysis.t_from_u_pairs), "registry"),
+        Check("eq-5.27", "q", partial(_pairs, analysis.t_from_u_pairs), "registry"),
+        Check("eq-5.10", "q", partial(_pairs, analysis.t_step_pairs), "registry"),
+        Check("eq-5.11", "q", partial(_pairs, analysis.lucas_step_pairs), "registry"),
+        Check("eq-5.28", "q", partial(_pairs, analysis.u_as_t_sum_pairs), "registry"),
+        Check("eq-5.29", "q", partial(_pairs, analysis.u_step_pairs), "registry"),
+        Check("eq-5.30", "q", partial(_pairs, analysis.t_from_two_u_pairs), "registry"),
+        Check("eq-5.31", "q", lambda m, q: _pairs(analysis.odd_u_pairs, m // 2, q), "registry"),
+        Check("eq-5.32", "q", lambda m, q: _pairs(analysis.even_u_pairs, m // 2, q), "registry"),
+        Check("eq-5.33", "q", partial(_pairs, analysis.t_s_difference_pairs), "registry"),
+        Check("eq-5.34", "q", partial(_pairs, analysis.t_from_dilated_u_pairs), "registry"),
+        Check("eq-5.35", "q", partial(_pairs, analysis.t_x_difference_pairs), "registry"),
+        Check("eq-5.36", "q", partial(_pairs, analysis.t_and_u_step_pairs), "registry"),
         Check(
             "h-functional-eq", "weight",
             _series(analysis.h_functional_equation_check), "series_order",

@@ -1,5 +1,5 @@
 """q-derivative relations, q-ODEs, weight series, Rodrigues formulae,
-generating functions and the standalone identity registry."""
+generating functions and the pairs of the standalone identities."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcheb import analysis, families, suites
-from qcheb.polyring import S, TruncSeries, X, XsPoly
+from qcheb.polyring import ONE, S, X, XsPoly, ZERO
 from qcheb.qkernel import binom2, q_poch
 from qcheb.report import check_range
 
@@ -193,31 +193,64 @@ def test_rodrigues_needs_enough_order():
 
 def test_genfun_low_coefficients():
     q = F(2)
-    u = analysis.genfun_u(4, q)
-    assert XsPoly._coerce(u.coeffs[0]) == families.cheb_u(0, q)
-    assert XsPoly._coerce(u.coeffs[1]) == families.cheb_u(1, q)
+    u = analysis._genfun(4, q, 1).weight_parts()
+    assert u[0] == families.cheb_u(0, q)
+    assert u[1] == families.cheb_u(1, q)
+
+
+def _z_series_mul(a, b):
+    """The product of two series in z, each a list of its z-coefficients
+    (XsPolys), by the plain convolution, cut at the length of a: the pair
+    loop of test_polyring.ref_series_mul over XsPoly coefficients."""
+    coeffs = [ZERO] * len(a)
+    for i, c in enumerate(a):
+        for j in range(len(a) - i):
+            coeffs[i + j] = coeffs[i + j] + c * b[j]
+    return coeffs
+
+
+def _geom(c, order):
+    """1 / (1 - c z) to z^order: the z-coefficients c^k."""
+    coeffs = [ONE]
+    while len(coeffs) < order:
+        coeffs.append(coeffs[-1] * c)
+    return coeffs[:order]
 
 
 def _genfun_reference(order, q, shift):
-    """sum_k q^C(k+shift,2) z^k prod_{j<k} (x + q^(j+1-shift) s z) /
-    prod_{j<k+shift} (1 - q^j x z), each term built from its own factors:
-    the U sum at shift 1, the T sum at shift 0."""
-    total = TruncSeries([], order)
+    """The z-coefficients of sum_k q^C(k+shift,2) z^k prod_{j<k} (x + q^(j+1-shift) s z) /
+    prod_{j<k+shift} (1 - q^j x z), each term built from its own factors as
+    lists of XsPolys: the U sum at shift 1, the T sum at shift 0."""
+    total = [ZERO] * order
     for k in range(order):
-        term = TruncSeries([0] * k + [q ** binom2(k + shift)], order)
+        term = ([ZERO] * k + [XsPoly.const(q ** binom2(k + shift))] + [ZERO] * order)[:order]
         for j in range(k):
-            term = term * TruncSeries([X, S.scale(q ** (j + 1 - shift))], order)
+            term = _z_series_mul(term, [X, S.scale(q ** (j + 1 - shift))] + [ZERO] * order)
         for j in range(k + shift):
-            term = term * TruncSeries.geom(X.scale(q**j), order)
-        total = total + term
+            term = _z_series_mul(term, _geom(X.scale(q**j), order))
+        total = [a + b for a, b in zip(total, term)]
     return total
 
 
 @pytest.mark.parametrize("q", QS + (F(-2, 3), F(1)), ids=str)
 def test_generating_function_sums_match_their_termwise_definition(q):
+    """The z^n coefficient of each sum is the weight-n part of _genfun, and
+    _genfun has no part of weight order or more."""
     for order in (1, 2, 7):
-        assert analysis.genfun_u(order, q) == _genfun_reference(order, q, 1)
-        assert analysis.genfun_t(order, q) == _genfun_reference(order, q, 0)
+        for shift in (1, 0):
+            parts = analysis._genfun(order, q, shift).weight_parts()
+            assert set(parts) <= set(range(order))
+            assert [parts.get(n, ZERO) for n in range(order)] == _genfun_reference(order, q, shift)
+
+
+@pytest.mark.parametrize("q", (F(2), F(-2, 3), F(1)), ids=str)
+def test_the_weight_cut_changes_no_coefficient_below_the_order(q):
+    """Cutting each product at the order drops only what the uncut sum,
+    taken to a higher order, has at weight order or more."""
+    for order in (1, 5, 9):
+        for shift in (1, 0):
+            cut = analysis._genfun(order, q, shift)
+            assert cut == analysis._genfun(order + 4, q, shift).mod_weight(order)
 
 
 @pytest.mark.parametrize("q", (F(2), F(1, 2)))
@@ -225,18 +258,40 @@ def test_generating_functions(q):
     assert holds(analysis.genfun_check(10, q))
 
 
-@pytest.mark.parametrize("name", sorted(analysis.REGISTRY))
-def test_registry_identities(name):
+def test_a_wrong_weight_part_of_the_u_sum_fails_the_generating_function_row(monkeypatch):
+    """The U sum with its weight-3 part off by x^3 fails eq-5.37-5.38 through
+    check_range, with the witness at n = 3."""
+    original = analysis._genfun
+    # x^3 times shift: added to the U sum (shift 1), nothing added to the T sum
+    wrong = lambda order, q, shift: original(order, q, shift) + XsPoly.monomial(shift, 3, 0)
+    monkeypatch.setattr(analysis, "_genfun", wrong)
+    report = check_range("eq-5.37-5.38", None, *analysis.genfun_check(8, F(2)))
+    assert report.status == "fail" and report.witness["n"] == 3
+    assert report.witness["lhs"] == families.cheb_u(3, F(2)) + XsPoly.monomial(1, 3, 0)
+    reports = suites.run_suite("core", qs=[F(2)], bs=[F(3, 7)], bounds=suites.bounds_for(4))
+    assert {r.identity_id for r in reports if r.status == "fail"} == {"eq-5.37-5.38"}
+
+
+def _registry_rows():
+    core, _ = suites.checks()
+    return [row for row in core if row.bound == "registry"]
+
+
+@pytest.mark.parametrize("row", _registry_rows(), ids=lambda row: row.id)
+def test_registry_identities(row):
     for q in (F(2), F(1, 2)):
-        report = check_range(name, None, *analysis.REGISTRY[name](10, q))
-        assert report.status == "pass", (name, q, report.witness)
+        report = check_range(row.id, None, *row.fn(10, q))
+        assert report.status == "pass", (row.id, q, report.witness)
 
 
 def test_registry_run_aggregates():
     bounds = dict(suites.bounds_for(2), registry=6)
     reports = suites.run_suite("core", qs=(F(2),), bounds=bounds)
-    registry = [r for r in reports if r.identity_id in analysis.REGISTRY]
-    assert len(registry) == len(analysis.REGISTRY)
+    ids = {row.id for row in _registry_rows()}
+    registry = [r for r in reports if r.identity_id in ids]
+    assert len(registry) == len(ids) == 17
+    # eq-5.31 and eq-5.32 run to half the bound
     assert all(r.status == "pass" and r.index_range[1] in (3, 6) for r in registry)
+    assert {r.identity_id for r in registry if r.index_range[1] == 3} == {"eq-5.31", "eq-5.32"}
     # each report is tagged with its q sample (b plays no role)
     assert {(r.point.q, r.point.b) for r in registry} == {(F(2), F(0))}

@@ -141,6 +141,17 @@ def test_moments_classical():
     assert "moment(x^4) = 2*s^2" in text
 
 
+def test_an_unknown_moment_family_exits_2_naming_the_table(capsys):
+    from qcheb import moments
+
+    code, text = run_cli(["moments", "--family", "NOPE", "--n", "2"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: unknown moment family 'NOPE'; choose from " + ", ".join(moments.SPECS) + "\n"
+    )
+    assert list(moments.SPECS) == ["GEN_FIB", "GEN_LUCAS", "CARLITZ", "CLASSICAL"]
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_carlitz_moments_at_q_1_are_the_classical_rows(fmt):
     """carlitz_spec(1) is the classical recurrence t(k) = s."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcheb.polyring import ONE, S, TruncSeries, X, XsPoly, ZERO, Mat2, format_rational
+from qcheb.polyring import ONE, S, X, XsPoly, ZERO, Mat2, format_rational
 from qcheb.qkernel import q_int
 
 F = Fraction
@@ -384,16 +384,6 @@ def test_mat2():
     assert Mat2(1, 0, 0, 1) * m == m
 
 
-def test_series_basic():
-    t = TruncSeries([F(1), F(2), F(3)], 5)
-    assert (t + t).coeffs[:3] == [2, 4, 6]
-    assert (t * TruncSeries.one(5)) == t
-    geom = TruncSeries.geom(F(2), 4)
-    assert geom.coeffs == [1, 2, 4, 8]
-    # every coefficient is an XsPoly, whatever it was given as
-    assert {type(c) for c in t.coeffs + geom.coeffs} == {XsPoly}
-
-
 def _x_series(coeffs):
     """sum coeffs[k] x^k as an XsPoly."""
     return XsPoly({(k, 0): c for k, c in enumerate(coeffs)})
@@ -418,17 +408,28 @@ def test_series_truncate():
     assert (cut.num, cut.den) == ({(0, 0): 1}, 2)
 
 
-def test_series_order_mismatch():
-    with pytest.raises(ValueError):
-        TruncSeries.one(3) + TruncSeries.one(4)
-    with pytest.raises(ValueError, match="^truncation orders differ$"):
-        TruncSeries.one(3) * TruncSeries([F(1, 2), 2], 4)
+@settings(max_examples=100)
+@given(laurent_dicts, st.integers(-8, 14))
+def test_weight_cut_and_parts(terms, order):
+    """With x of weight 1 and s of weight 2, mod_weight keeps exactly the
+    terms of weight below order and weight_parts splits by weight; every
+    result is the XsPoly its Fraction terms build, so in canonical form."""
+    p = XsPoly(terms)
+    weight = lambda key: key[0] + 2 * key[1]
+    cut = p.mod_weight(order)
+    assert cut.terms == {k: c for k, c in p.terms.items() if weight(k) < order}
+    assert (cut.num, cut.den) == (XsPoly(cut.terms).num, XsPoly(cut.terms).den)
+    parts = p.weight_parts()
+    assert sum(parts.values(), ZERO) == p
+    for w, part in parts.items():
+        assert part.terms and {weight(k) for k in part.terms} == {w}
+        assert (part.num, part.den) == (XsPoly(part.terms).num, XsPoly(part.terms).den)
 
 
 def ref_series_mul(a, b):
     """The term-by-term product of two scalar series of one order, as every
-    TruncSeries product ran before scalar series convolved integer
-    numerators, kept as the oracle for products cut by mod_x."""
+    series product ran before scalar series convolved integer numerators,
+    kept as the oracle for products cut by mod_x."""
     coeffs = [F(0)] * len(a)
     for i, c in enumerate(a):
         if isinstance(c, Fraction) and c == 0:
@@ -461,4 +462,3 @@ def test_scalar_series_products_of_int_coefficients():
     product = (_x_series([1, 2]) * _x_series([3, -1])).mod_x(3)
     assert str(product) == "-2*x^2 + 5*x + 3"
     assert (_x_series([1, 2]) * X).mod_x(0) == ZERO
-    assert (TruncSeries([], 0) * TruncSeries([], 0)).coeffs == []

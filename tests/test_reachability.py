@@ -2,8 +2,8 @@
 commands, or is on a short allowlist with the reason it is not.
 
 The commands run in one fresh interpreter under sys.setprofile, installed
-before qcheb is imported, so import-time code (the registry decorators, the
-sequences' inner functions) counts as reached.  The defs are found by code
+before qcheb is imported, so import-time code (the sequences' inner
+functions) counts as reached.  The defs are found by code
 object, from the modules' functions and class members (decorators unwrapped)
 and the defs nested in them, so a decorated def is matched by its own code
 and not by a line number.
@@ -25,8 +25,6 @@ ALLOWLIST = {
     "analysis.SeriesContext.__repr__": "dunder: the parametrized test id",
     "polyring.Mat2.__eq__": "dunder: compares transfer matrices in tests",
     "polyring.Mat2.__repr__": "dunder: shown in tests and tracebacks",
-    "polyring.TruncSeries.__eq__": "dunder: compares generating functions in tests",
-    "polyring.TruncSeries.__repr__": "dunder: shown in tests and tracebacks",
     "polyring.XsPoly.terms": "read by perfbench/tracer.py",
     "polyring.XsPoly.to_json": "timed by perfbench/micro.py; gen writes json_terms",
 }
@@ -127,7 +125,7 @@ def test_every_def_is_reached_by_a_command_or_allowlisted():
         isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for tree in source for node in ast.walk(tree)
     )
-    assert {"qkernel.sequence.<locals>.fn", "analysis._registered.<locals>.register",
+    assert {"qkernel.sequence.<locals>.fn", "qkernel.sequence.<locals>.members",
             "polyring.XsPoly._of", "qkernel.memo_scope"} <= set(run["defs"])
     assert set(ALLOWLIST) <= set(run["defs"]), "an allowlist entry names no def"
     unexpected = sorted(set(run["unreached"]) - set(ALLOWLIST))
