@@ -294,10 +294,11 @@ def cmd_moments(args, out) -> int:
     if name not in moments.SPECS:
         valid = ", ".join(moments.SPECS)
         raise UsageError(f"unknown moment family {args.family!r}; choose from {valid}")
-    values = moments.moments_from_recurrence(moments.SPECS[name](q), args.n + 1)
+    spec = moments.SPECS[name](q)
+    values = moments.moments_from_recurrence(spec, args.n + 1)
     if args.format == "json":
         pieces = _json_pieces(
-            {"family": name, "q": format_rational(q), "rows": [None]},
+            {"family": name, "q": format_rational(spec.q), "rows": [None]},
             ({"m": m, "moment": v.to_json()} for m, v in enumerate(values)),
         )
     elif args.format == "csv":

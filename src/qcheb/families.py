@@ -12,9 +12,9 @@ none outside a scope; family_walk walks them without the memo, two members at
 a time; the closed forms (beyond the q-Pascal rows they read) and the dilated
 (q,b) and backward routes keep no memo.
 
-The closed-form sums (fib_carlitz, fib_qb_closed, lucas_trace_closed,
-lucas_qb_closed, cheb_u_closed, cheb_t_closed and the hypergeometric forms)
-work in integers at q = a/c.  Term k is an integer numerator over a power of
+The closed-form sums (fib_qb_closed, which is fib_carlitz at b = 0,
+lucas_trace_closed, lucas_qb_closed, cheb_u_closed, cheb_t_closed and the
+hypergeometric forms) work in integers at q = a/c.  Term k is an integer numerator over a power of
 c times a product that gains one integer factor per k; its Gaussian
 binomials are entries of the rows qkernel.q_pascal(m, a, c), and the (q,b)
 forms take each factor 1 - q^j b from ParamPoint.level_pair(j), in the order
@@ -87,15 +87,9 @@ def _lucas_weight(m: int, k: int, a: int, c: int) -> int:
 
 
 def fib_carlitz(n: int, q) -> XsPoly:
-    """Closed-form sum over k of q^(k^2) [n-1-k over k] s^k x^(n-1-2k): at
-    q = a/c, term k is a^(k^2) G(n-1-k, k) / c^(k(n-1-k))."""
-    q = as_rational(q)
-    a, c = q.numerator, q.denominator
-    terms = []
-    for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
-        m = n - 1 - k
-        terms.append(((m - k, k), a ** (k * k) * q_pascal(m, a, c)[k], k * m, 1))
-    return _one_denominator(terms, c)
+    """Closed-form sum over k of q^(k^2) [n-1-k over k] s^k x^(n-1-2k): the
+    b = 0 member of the (q,b)-Fibonacci family, by fib_qb_closed."""
+    return fib_qb_closed(n, ParamPoint(q, 0))
 
 
 def fib_carlitz_rec(n: int, q) -> XsPoly:
@@ -198,20 +192,25 @@ def fib_qb_ext(n: int, point: ParamPoint) -> XsPoly:
     """
     if n >= 0:
         return fib_qb(n, point)
-    m = -n
-    scalar = _reflection(point, m, m - 1)
-    inner = fib_qb(m, point.shift_b(-m)).dilate(point.q, 0, -m)
-    return inner._times_term(0, -m, *scalar)
+    return _reflected(fib_qb, -n, -n - 1, point)
 
 
-def _reflection(point: ParamPoint, m: int, sign: int):
-    """(-1)^sign q^C(m+1,2) (b/q^m;q)_m (b/q^(m-1);q)_m, the scalar of the
-    negative-index extensions, as a lowest-terms integer pair."""
+def fib_qb_up(m: int, point: ParamPoint) -> XsPoly:
+    """F_m(x, qb, qs) for any integer m, the shifted member that the
+    trace-Lucas, transfer-matrix, Cassini and Cassini-Euler identities read."""
+    return fib_qb_ext(m, point.shift_b(1)).dilate(point.q, 0, 1)
+
+
+def _reflected(route, m: int, sign: int, point: ParamPoint) -> XsPoly:
+    """The negative-index extensions of F and l, m > 0:
+    (-1)^sign q^C(m+1,2) (b/q^m;q)_m (b/q^(m-1);q)_m route(m)(x, b/q^m, s/q^m) / s^m."""
     a, c = point.q.numerator, point.q.denominator
     e = binom2(m + 1)
     n1, d1 = point._poch_pair(-m, m)
     n2, d2 = point._poch_pair(1 - m, m)
-    return _lowest((-1 if sign % 2 else 1) * a**e * n1 * n2, c**e * d1 * d2)
+    scalar = _lowest((-1 if sign % 2 else 1) * a**e * n1 * n2, c**e * d1 * d2)
+    inner = route(m, point.shift_b(-m)).dilate(point.q, 0, -m)
+    return inner._times_term(0, -m, *scalar)
 
 
 def fib_qb_backward(n: int, point: ParamPoint) -> XsPoly:
@@ -235,8 +234,8 @@ def fib_qb_backward(n: int, point: ParamPoint) -> XsPoly:
 def lucas_trace(n: int, point: ParamPoint) -> XsPoly:
     """l_n = F_(n+1)(x,b,s) + s/((1-b)(1-qb)) F_(n-1)(x,qb,qs), any integer n."""
     scalar = point._over_levels(0, 0, 1)
-    shifted = fib_qb_ext(n - 1, point.shift_b(1)).dilate(point.q, 0, 1)
-    return fib_qb_ext(n + 1, point) + shifted._times_term(0, 1, *scalar)
+    shifted = fib_qb_up(n - 1, point)._times_term(0, 1, *scalar)
+    return fib_qb_ext(n + 1, point) + shifted
 
 
 def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
@@ -268,9 +267,7 @@ def lucas_trace_neg_closed(n: int, point: ParamPoint) -> XsPoly:
     l_(-n) = (-1)^n q^C(n+1,2) / s^n (b/q^n;q)_n (b/q^(n-1);q)_n l_n(x, b/q^n, s/q^n)."""
     if n <= 0:
         raise ValueError("pass the positive n of l_(-n)")
-    scalar = _reflection(point, n, n)
-    inner = lucas_trace(n, point.shift_b(-n)).dilate(point.q, 0, -n)
-    return inner._times_term(0, -n, *scalar)
+    return _reflected(lucas_trace, n, n, point)
 
 
 # -- (q, b)-Lucas L_n --------------------------------------------------
@@ -280,7 +277,7 @@ def lucas_qb(n: int, point: ParamPoint) -> XsPoly:
     """Primary route: fixed-parameter recurrence (L_0 = 1 - b, L_1 = x),
     L_n = x L_(n-1) + q^(n-1) s / ((1 - q^(n-2) b)(1 - q^(n-1) b)) L_(n-2)."""
     if n < 0:
-        raise ValueError("use lucas_qb_ext for negative indices")
+        raise ValueError("lucas_qb needs n >= 0")
     return _lucas_qb(n, point)
 
 
@@ -452,14 +449,19 @@ def cheb_u_ext(n: int, q) -> XsPoly:
 
 def cheb_u_backward(n: int, q) -> XsPoly:
     """Backward-run recurrence oracle for negative U-indices, from
-    U_(m-2) = (U_m - (1+q^m) x U_(m-1)) q^(1-m) / s,
-    walked in one loop from (U_1, U_0) down to U_n."""
+    U_(m-2) = (U_m - (1+q^m) x U_(m-1)) q^(1-m) / s."""
+    return _cheb_backward(n, q, cheb_u, 0)
+
+
+def _cheb_backward(n: int, q, route, shift: int) -> XsPoly:
+    """P_(m-2) = (P_m - (1+q^(m-shift)) x P_(m-1)) q^(1-m) / s, walked in one
+    loop from route(1, q) and route(0, q) down to P_n, in Fraction steps."""
     q = as_rational(q)
     if n >= 0:
-        return cheb_u(n, q)
-    hi, mid = cheb_u(1, q), cheb_u(0, q)
+        return route(n, q)
+    hi, mid = route(1, q), route(0, q)
     for m in range(1, n + 1, -1):
-        step = hi - X.scale(1 + q**m) * mid
+        step = hi - X.scale(1 + q ** (m - shift)) * mid
         hi, mid = mid, step.scale(q ** (1 - m)).shift_s(-1)
     return mid
 
@@ -522,16 +524,8 @@ def cheb_t_ext(n: int, q) -> XsPoly:
 
 def cheb_t_backward(n: int, q) -> XsPoly:
     """Backward-run recurrence oracle for negative T-indices, from
-    T_(m-2) = (T_m - (1+q^(m-1)) x T_(m-1)) q^(1-m) / s,
-    walked in one loop from (T_1, T_0) down to T_n."""
-    q = as_rational(q)
-    if n >= 0:
-        return cheb_t(n, q)
-    hi, mid = cheb_t(1, q), cheb_t(0, q)
-    for m in range(1, n + 1, -1):
-        step = hi - X.scale(1 + q ** (m - 1)) * mid
-        hi, mid = mid, step.scale(q ** (1 - m)).shift_s(-1)
-    return mid
+    T_(m-2) = (T_m - (1+q^(m-1)) x T_(m-1)) q^(1-m) / s."""
+    return _cheb_backward(n, q, cheb_t, 1)
 
 
 # -- hypergeometric forms (b = -1 families) ---------------------------

@@ -27,15 +27,9 @@ def fib_matrix_product(n: int, point: ParamPoint) -> Mat2:
 
 def fib_matrix_expected(n: int, point: ParamPoint) -> Mat2:
     """Entrywise family expressions for the product of n Fibonacci factors."""
-    q = point.q
-    shifted = point.shift_b(1)
     scalar = point._over_levels(0, 0, 1)
-
-    def upshift(m):
-        return families.fib_qb_ext(m, shifted).dilate(q, 0, 1)
-
-    a11 = upshift(n - 1)._times_term(0, 1, *scalar).as_poly()
-    a21 = upshift(n)._times_term(0, 1, *scalar).as_poly()
+    a11 = families.fib_qb_up(n - 1, point)._times_term(0, 1, *scalar).as_poly()
+    a21 = families.fib_qb_up(n, point)._times_term(0, 1, *scalar).as_poly()
     return Mat2(a11, families.fib_qb(n, point), a21, families.fib_qb(n + 1, point))
 
 
@@ -43,15 +37,8 @@ def cassini_sides(n: int, point: ParamPoint):
     """Both sides of the (q,b)-Cassini identity:
     F_(n-1)(x,qb,qs) F_(n+1)(x,b,s) - F_n(x,b,s) F_n(x,qb,qs)
       = (-1)^n q^C(n,2) s^(n-1) / ((qb;q)_(n-1) (q^2 b;q)_(n-1)); valid on all of Z."""
-    q = point.q
-    shifted = point.shift_b(1)
-
-    def up(m):
-        return families.fib_qb_ext(m, shifted).dilate(q, 0, 1)
-
-    lhs = up(n - 1) * families.fib_qb_ext(n + 1, point) - families.fib_qb_ext(
-        n, point
-    ) * up(n)
+    f, up = families.fib_qb_ext, families.fib_qb_up
+    lhs = up(n - 1, point) * f(n + 1, point) - f(n, point) * up(n, point)
     return lhs, XsPoly._monomial(*_cassini_scalar(n, 1, n - 1, point), 0, n - 1)
 
 
@@ -69,17 +56,12 @@ def cassini_euler_sides(n: int, k: int, point: ParamPoint):
     """Both sides of the (q,b)-Cassini-Euler identity: d(n,k,b,s) built from
     family values equals
     q^C(n,2) (-s)^n / ((b;q)_n (qb;q)_n) F_k(x, q^n b, q^n s)."""
-    q = point.q
-    shifted = point.shift_b(1)
-
-    def up(m):
-        return families.fib_qb_ext(m, shifted).dilate(q, 0, 1)
-
-    f = lambda m: families.fib_qb_ext(m, point)
+    f, up = families.fib_qb_ext, families.fib_qb_up
     inverse = point._over_levels(0, 0, 1)
-    d = (up(n - 1) * f(n + k) - up(n + k - 1) * f(n))._times_term(0, 1, *inverse)
+    d = up(n - 1, point) * f(n + k, point) - up(n + k - 1, point) * f(n, point)
+    d = d._times_term(0, 1, *inverse)
     scalar = _cassini_scalar(n, 0, n, point)
-    inner = families.fib_qb_ext(k, point.shift_b(n)).dilate(q, 0, n)
+    inner = f(k, point.shift_b(n)).dilate(point.q, 0, n)
     return d, inner._times_term(0, n, *scalar)
 
 

@@ -4,6 +4,7 @@ q-Catalan connection and the trace-Lucas non-orthogonality witness.
 """
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import families
@@ -20,6 +21,7 @@ class RecurrenceSpec(NamedTuple):
     """
 
     name: str
+    q: Fraction  # the q the spec was built at, which `qcheb moments` writes
     t: Callable[[int], XsPoly]
 
     def basis(self, count: int):
@@ -36,6 +38,7 @@ def gen_fib_spec(q) -> RecurrenceSpec:
     point = ParamPoint(q, -1)
     return RecurrenceSpec(
         "gen_fib",
+        point.q,
         lambda k: S._times_term(0, 0, *point._over_levels(k - 1, k - 1, k)),
     )
 
@@ -52,26 +55,23 @@ def gen_lucas_spec(q) -> RecurrenceSpec:
             return S.scale(point.q / point.level(1))
         return S._times_term(0, 0, *point._over_levels(k - 1, k - 2, k - 1))
 
-    return RecurrenceSpec("gen_lucas", t)
+    return RecurrenceSpec("gen_lucas", point.q, t)
 
 
 def carlitz_spec(q) -> RecurrenceSpec:
-    """Basis p_k = F_(k+1)(x,s,q) (Carlitz, b = 0): t(k) = q^(k-1) s."""
+    """Basis p_k = F_(k+1)(x,s,q) (Carlitz, b = 0): t(k) = q^(k-1) s.  At
+    q = 1 it is the classical Fibonacci basis, t(k) = s."""
     q = as_rational(q)
-    return RecurrenceSpec("carlitz", lambda k: S.scale(q ** (k - 1)))
+    return RecurrenceSpec("carlitz", q, lambda k: S.scale(q ** (k - 1)))
 
 
-def classical_spec() -> RecurrenceSpec:
-    """The q = 1 Fibonacci basis: t(k) = s."""
-    return RecurrenceSpec("classical", lambda k: S)
-
-
-# The spec of each `moments --family` name at q.
+# The spec of each `moments --family` name at q.  CLASSICAL is Carlitz at
+# q = 1, whatever q is asked for.
 SPECS = {
     "GEN_FIB": gen_fib_spec,
     "GEN_LUCAS": gen_lucas_spec,
     "CARLITZ": carlitz_spec,
-    "CLASSICAL": lambda q: classical_spec(),
+    "CLASSICAL": lambda q: carlitz_spec(1),
 }
 
 
@@ -175,6 +175,12 @@ def moments_fib_closed(n: int, q) -> XsPoly:
     return XsPoly.monomial(scalar, 0, n)
 
 
+def moments_carlitz_closed(n: int, q) -> XsPoly:
+    """Even moment of the Carlitz functional: (-qs)^n C_n(q)."""
+    q = as_rational(q)
+    return XsPoly.monomial((-q) ** n * q_catalan(n, q), 0, n)
+
+
 def moments_lucas_closed(n: int, q) -> XsPoly:
     """Even moment of the generalized q-Lucas functional:
     [2n over n] (-qs)^n / (-q;q)_n^2."""
@@ -198,26 +204,15 @@ def moment_consistency_check(spec_of, closed, n_max: int, q):
     return range(2 * n_max + 1), sides
 
 
-def carlitz_moment_check(n_max: int, q):
-    """Carlitz moments: Lambda(x^(2n)) = (-qs)^n C_n(q)."""
-    q = as_rational(q)
-    dp = moments_from_recurrence(carlitz_spec(q), 2 * n_max + 1)
-
-    def sides(m):
-        if m % 2:
-            yield dp[m], ZERO
-        else:
-            n = m // 2
-            yield dp[m], XsPoly.monomial((-q) ** n * q_catalan(n, q), 0, n)
-
-    return range(2 * n_max + 1), sides
+# Carlitz moments: Lambda(x^(2n)) = (-qs)^n C_n(q).
+carlitz_moment_check = partial(moment_consistency_check, carlitz_spec, moments_carlitz_closed)
 
 
 def classical_moment_check(n_max: int):
     """q = 1 moments: Lambda(x^(2n)) = (-s)^n C(2n,n)/(n+1), plus the exact
     classical reconstruction of x^n."""
     one = Fraction(1)
-    dp = moments_from_recurrence(classical_spec(), 2 * n_max + 1)
+    dp = moments_from_recurrence(carlitz_spec(one), 2 * n_max + 1)
 
     def sides(m):
         if m % 2:
@@ -228,7 +223,7 @@ def classical_moment_check(n_max: int):
         # reconstruction (classical limit of the b = -1 machinery at q = 1,
         # which collapses to binomial-difference coefficients)
         total = ZERO
-        basis = classical_spec().basis(m + 2)
+        basis = carlitz_spec(one).basis(m + 2)
         power = XsPoly.monomial(1, m, 0)
         for k, c in enumerate(expand_in_basis(power, basis)):
             total = total + c * basis[k]

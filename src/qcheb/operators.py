@@ -61,12 +61,17 @@ def words_with_k_y(n: int, k: int):
         yield tuple("Y" if i in positions else "X" for i in range(n))
 
 
-def word_sum_ck(n: int, k: int, point: ParamPoint) -> XsPoly:
-    """Brute-force C_k^n(X,Y) 1: the sum over all words with k Y's and n-k X's."""
+def _word_sum(words, point: ParamPoint) -> XsPoly:
+    """The sum of the words, each applied to 1."""
     total = ZERO
-    for word in words_with_k_y(n, k):
+    for word in words:
         total = total + apply_word(word, point)
     return total
+
+
+def word_sum_ck(n: int, k: int, point: ParamPoint) -> XsPoly:
+    """Brute-force C_k^n(X,Y) 1: the sum over all words with k Y's and n-k X's."""
+    return _word_sum(words_with_k_y(n, k), point)
 
 
 def ck_closed(n: int, k: int, point: ParamPoint) -> XsPoly:
@@ -109,10 +114,7 @@ def fib_words(n: int):
 
 def fib_word_sum(n: int, point: ParamPoint) -> XsPoly:
     """Brute-force Fibonacci word sum applied to 1; equals fib_qb(n, point)."""
-    total = ZERO
-    for word in fib_words(n):
-        total = total + apply_word(word, point)
-    return total
+    return _word_sum(fib_words(n), point)
 
 
 def fib_word_sum_right(n: int, point: ParamPoint) -> XsPoly:
@@ -121,12 +123,9 @@ def fib_word_sum_right(n: int, point: ParamPoint) -> XsPoly:
         return ZERO
     if n == 1:
         return ONE
-    total = ZERO
-    for word in fib_words(n - 1):
-        total = total + apply_word(word + ("X",), point)
-    for word in fib_words(n - 2):
-        total = total + apply_word(word + ("Y",), point)
-    return total
+    return _word_sum(
+        [w + ("X",) for w in fib_words(n - 1)] + [w + ("Y",) for w in fib_words(n - 2)], point
+    )
 
 
 # -- operator relation checks ------------------------------------------

@@ -140,18 +140,17 @@ def binet_sum_check(n_max, q):
 # -- matrix checks wrapped as reports ----------------------------------
 
 
-def fib_matrix_check(n_max, point):
-    return range(1, n_max + 1), lambda n: [(
-        matrixids.fib_matrix_product(n, point).entries(),
-        matrixids.fib_matrix_expected(n, point).entries(),
-    )]
+def _matrix_check(kind, n_max, at):
+    """The product of n transfer matrices, matrixids.<kind>_product(n, at),
+    against its entries matrixids.<kind>_expected(n, at), 1 <= n <= n_max;
+    both routes are looked up by name when called."""
+    product = getattr(matrixids, f"{kind}_product")
+    expected = getattr(matrixids, f"{kind}_expected")
+    return range(1, n_max + 1), lambda n: [(product(n, at).entries(), expected(n, at).entries())]
 
 
-def cheb_matrix_check(n_max, q):
-    return range(1, n_max + 1), lambda n: [(
-        matrixids.cheb_matrix_product(n, q).entries(),
-        matrixids.cheb_matrix_expected(n, q).entries(),
-    )]
+fib_matrix_check = partial(_matrix_check, "fib_matrix")  # at a point
+cheb_matrix_check = partial(_matrix_check, "cheb_matrix")  # at a q
 
 
 def tridiag_check(n_max, q):
@@ -186,20 +185,17 @@ def reconstruction_check(n_max, q):
 # -- classical (q = 1) reductions --------------------------------------
 
 
-def _classical_fib(n):
-    prev, cur = XsPoly.zero(), ONE
-    for _ in range(n - 1):
-        prev, cur = cur, X * cur + S * prev
-    return cur if n >= 1 else XsPoly.zero()
+def _classical(n, p0, p1, x):
+    """P_n, n >= 0, of the classical recurrence P_m = x P_(m-1) + s P_(m-2)
+    from P_0 = p0 and P_1 = p1."""
+    prev, cur = p0, p1
+    for _ in range(n):
+        prev, cur = cur, x * cur + S * prev
+    return prev
 
 
-def _classical_lucas(n):
-    prev, cur = XsPoly.const(2), X
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, X * cur + S * prev
-    return cur
+_classical_fib = partial(_classical, p0=XsPoly.zero(), p1=ONE, x=X)
+_classical_lucas = partial(_classical, p0=XsPoly.const(2), p1=X, x=X)
 
 
 def classical_families_check(n_max):
@@ -235,21 +231,13 @@ def classical_cheb_check(n_max):
     relations T_n(x,s) = 2^(n-1) L_n(x,s/4), U_n(x,s) = 2^n F_(n+1)(x,s/4)."""
     one = Fraction(1)
     quarter = Fraction(1, 4)
-
-    def classical_cheb(n, first_kind):
-        prev = ONE
-        cur = X if first_kind else X.scale(2)
-        if n == 0:
-            return prev
-        for _ in range(n - 1):
-            prev, cur = cur, X.scale(2) * cur + S * prev
-        return cur
+    two_x = X.scale(2)
 
     def sides(n):
         t = families.cheb_t(n, one)
-        yield t, classical_cheb(n, True)
+        yield t, _classical(n, ONE, X, two_x)
         u = families.cheb_u(n, one)
-        yield u, classical_cheb(n, False)
+        yield u, _classical(n, ONE, two_x, two_x)
         if n >= 1:
             yield t, _classical_lucas(n).dilate(quarter, 0, 1).scale(2 ** (n - 1))
         yield u, _classical_fib(n + 1).dilate(quarter, 0, 1).scale(2**n)

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, round-trips and the
 suite runner's determinism and skip behavior."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -12,8 +13,10 @@ from itertools import repeat
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcheb import cli, families, suites
+from qcheb import cli, families, moments, suites
 from qcheb.polyring import XsPoly
 from qcheb.qkernel import ParamPoint
 
@@ -141,9 +144,25 @@ def test_moments_classical():
     assert "moment(x^4) = 2*s^2" in text
 
 
-def test_an_unknown_moment_family_exits_2_naming_the_table(capsys):
-    from qcheb import moments
+@pytest.mark.parametrize("family, q, header", [
+    ("CLASSICAL", "3/5", "1"), ("CARLITZ", "3/5", "3/5"), ("GEN_FIB", "-2", "-2"),
+])
+def test_the_moments_header_names_the_q_of_its_rows(family, q, header):
+    """CLASSICAL is Carlitz at q = 1 whatever --q asks for, and says so."""
+    code, text = run_cli(["moments", "--family", family, "--n", "2", f"--q={q}",
+                          "--format", "json"])
+    assert code == 0
+    assert json.loads(text)["q"] == header
 
+
+def test_a_malformed_q_exits_2_for_every_moment_family(capsys):
+    for family in moments.SPECS:
+        code, text = run_cli(["moments", "--family", family, "--n", "2", "--q", "1/0"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: not a valid rational: '1/0'")
+
+
+def test_an_unknown_moment_family_exits_2_naming_the_table(capsys):
     code, text = run_cli(["moments", "--family", "NOPE", "--n", "2"])
     assert code == 2 and text == ""
     assert capsys.readouterr().err == (
@@ -558,3 +577,50 @@ def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+# -- the exit-code gate -------------------------------------------------
+
+GATE_COMMANDS = [
+    *(["verify", "--suite", suite, "--max-n", "4"] for suite in ("core", "extended")),
+    *(["gen", "--family", f.value, "--n", "6", "--format", fmt]
+      for f in families.FamilyId for fmt in FORMATS),
+    *(["moments", "--family", name, "--n", "6", "--format", fmt]
+      for name in moments.SPECS for fmt in FORMATS),
+    *(["catalan", "--n", "6", "--format", fmt] for fmt in FORMATS),
+]
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def gate_runs(draw):
+    """A command of GATE_COMMANDS at a small-height q (q = 1 and q = -1
+    often) and, for the commands that take one, a b that is often q^-j."""
+    argv = draw(st.sampled_from(GATE_COMMANDS))
+    q = draw(st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), small_rationals))
+    argv = [*argv, f"--q={q}"]
+    if argv[0] in ("verify", "gen"):
+        b = draw(st.one_of(small_rationals, st.integers(-3, 8).map(
+            lambda j: q**-j if q else Fraction(0))))
+        argv.append(f"--b={b}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_runs())
+def test_every_command_exits_0_1_or_2_and_exit_2_writes_only_its_error(argv):
+    """Each command exits 0, 1 or 2 without raising, and exit 2 writes
+    nothing to stdout and one "error: ..." line to stderr.
+
+    Not checked here: that every skip reason names its report's point.  At
+    --q=-1 the dual-GEN_FIB row reports at b = 0 and skips with a reason
+    read at b = -1, and labelling it with the b it runs at changes the
+    golden report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv, out=out)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")

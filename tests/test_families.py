@@ -2,10 +2,12 @@
 between families, hypergeometric forms and the dispatch surface."""
 
 import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -382,7 +384,7 @@ def test_cold_q_catalan_needs_no_recursion():
         (families.fib_carlitz_rec, (-1, 2), "a sequence index must be >= 0, got -1"),
         (families.alsalam_ismail, (-3, 1, 2, 2), "a sequence index must be >= 0, got -3"),
         (families.fib_qb, (-1, ParamPoint(2, 0)), "use fib_qb_ext for negative indices"),
-        (families.lucas_qb, (-1, ParamPoint(2, 0)), "use lucas_qb_ext for negative indices"),
+        (families.lucas_qb, (-1, ParamPoint(2, 0)), "lucas_qb needs n >= 0"),
         (families.cheb_u, (-1, 2), "use cheb_u_ext for negative indices"),
         (families.cheb_t, (-1, 2), "use cheb_t_ext for negative indices"),
         (q_catalan, (-1, 2), "q_catalan needs n >= 0"),
@@ -391,6 +393,12 @@ def test_cold_q_catalan_needs_no_recursion():
 def test_negative_index_raises_value_error(fn, args, message):
     with pytest.raises(ValueError, match=message):
         fn(*args)
+
+
+def test_every_use_message_names_a_route_that_exists():
+    """A message that sends the caller to another route names one that exists."""
+    names = re.findall(r"use (\w+) for", Path(families.__file__).read_text())
+    assert names and all(hasattr(families, name) for name in names), names
 
 
 @pytest.mark.parametrize(

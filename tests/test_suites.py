@@ -284,6 +284,22 @@ def test_failing_reports_are_pinned(monkeypatch, target):
     assert digest == PERTURBED[target]
 
 
+# The rows besides eq-3.1 that read F_m(x, qb, qs) through families.lucas_trace:
+# the rows that a wrong lucas_trace fails.
+LUCAS_TRACE_ROWS = {"dual-L_TRACE", "negative-index", "classical-fib-lucas", "nonorthogonality"}
+
+
+@pytest.mark.parametrize("target, rows", [
+    ("families.fib_qb_up@2", {"eq-2.30", "eq-2.31", "eq-2.33", "eq-3.1", *LUCAS_TRACE_ROWS}),
+    ("families.lucas_trace@2", {"eq-3.1", *LUCAS_TRACE_ROWS}),
+])
+def test_the_shifted_fibonacci_member_is_read_on_every_path(monkeypatch, target, rows):
+    """F_m(x, qb, qs) is written once, as families.fib_qb_up: made wrong at
+    one m, it fails exactly the transfer-matrix, Cassini, Cassini-Euler and
+    trace-Lucas rows, and the rows that read it through lucas_trace."""
+    assert {r["identity_id"] for r in _failing_reports(monkeypatch, target)} == rows
+
+
 def test_every_report_at_q_minus_1_carries_a_row_id():
     reports = suites.run_suite("all", qs=[F(-1)], bs=[F(3, 7)], bounds=suites.bounds_for(4))
     assert any(r.status == "skipped" for r in reports)
