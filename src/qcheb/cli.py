@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mom = sub.add_parser("moments", help="print moment values for x^0 .. x^N")
     mom.add_argument(
-        "--family", default="GEN_FIB", help="GEN_FIB, GEN_LUCAS, CARLITZ or CLASSICAL"
+        "--family", default="GEN_FIB", help="moment family; an unknown name lists the valid ones"
     )
     mom.add_argument("--n", type=int, required=True)
     mom.add_argument("--q", default="2", help='rational q as "num/den"')

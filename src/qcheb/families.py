@@ -19,9 +19,9 @@ c times a product that gains one integer factor per k; its Gaussian
 binomials are entries of the rows qkernel.q_pascal(m, a, c), and the (q,b)
 forms take each factor 1 - q^j b from ParamPoint.level_pair(j), in the order
 that raises the first vanishing one.  _one_denominator puts every term over
-the last denominator and XsPoly._reduced makes the one gcd.  No sum divides
-by [i]_q, and the hypergeometric sums divide by 1 + q^k only as a level of
-the b = -1 families, so the sums hold at q = -1 off their families' poles.
+the last denominator and takes no gcd.  No sum divides by [i]_q, and the
+hypergeometric sums divide by 1 + q^k only as a level of the b = -1
+families, so the sums hold at q = -1 off their families' poles.
 """
 
 import enum
@@ -63,8 +63,8 @@ def _one_denominator(terms, c=1) -> XsPoly:
 
     One pass from the last term multiplies each numerator by the factors
     after it and by the power of c it lacks, so that every term is over
-    c^max(e) f_0 ... f_K; XsPoly._reduced divides out their one gcd, and
-    raises a bare ZeroDivisionError where a factor is 0."""
+    c^max(e) f_0 ... f_K; XsPoly._reduced makes that denominator positive,
+    and raises a bare ZeroDivisionError where a factor is 0."""
     top = max((e for _, _, e, _ in terms), default=0)
     num, tail = {}, 1
     for key, value, e, f in reversed(terms):
@@ -147,7 +147,7 @@ def fib_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     carried = 1
     for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
         factor = 1
-        if k:
+        if k and point.b:  # at b = 0 every level is 1
             factor, den = point._level_product((k, n - k))
             carried *= den
         m = n - 1 - k

@@ -33,15 +33,11 @@ class XsPoly:
     over one shared denominator den, the layout of FLINT's fmpq_poly.
 
     deg_x >= 0; deg_s may be negative, as in the negative-index family
-    members, whose denominators are pure powers of s.  Every instance is kept
-    in one canonical form: no zero numerator is stored, den > 0 and
-    gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the
-    empty map).  So == compares the two fields.  A product with a one-term
-    operand n/d x^i s^j, and scale(n/d), shift the keys and cross-cancel with
-    at most two small gcds, as gcd(n * num, d * den) = gcd(n, den) gcd(d, *num)
-    for canonical operands (Knuth, TAOCP vol. 2, 4.5.1); every other
-    operation reduces its result with one gcd pass instead of one gcd per
-    coefficient product.  Instances are treated as immutable.
+    members, whose denominators are pure powers of s.  No zero numerator is
+    stored and den > 0, but num/den is not kept in lowest terms.  == compares
+    values by cross-multiplication; lowest terms are made only where a value
+    leaves the type: per term in sorted_terms and terms, and over the whole
+    value in __hash__.  Instances are treated as immutable.
     """
 
     __slots__ = ("num", "den")
@@ -55,14 +51,13 @@ class XsPoly:
                     if dx < 0:
                         raise ValueError("negative x exponents are not representable")
                     coeffs[(dx, ds)] = c
-        # the lcm of lowest-terms denominators leaves the numerators coprime to it
         den = lcm(*(c.denominator for c in coeffs.values()))
         self.num = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
         self.den = den
 
     @staticmethod
     def _of(num, den):
-        """The XsPoly num/den, already in canonical form."""
+        """The XsPoly num/den, for num with no zeros and den > 0."""
         out = XsPoly.__new__(XsPoly)
         out.num = num
         out.den = den
@@ -70,33 +65,21 @@ class XsPoly:
 
     @staticmethod
     def _reduced(num, den):
-        """The XsPoly num/den brought to canonical form; num holds no zeros.
-        A zero den raises a bare ZeroDivisionError, whatever num holds."""
+        """The XsPoly num/den, its sign moved to num where den < 0; num holds
+        no zeros.  A zero den raises a bare ZeroDivisionError, whatever num
+        holds."""
         if not den:
             raise ZeroDivisionError("XsPoly denominator is 0")
-        if not num:
-            return XsPoly._of(num, 1)
-        g = gcd(den, *num.values())
         if den < 0:
-            g = -g
-        if g != 1:
-            num = {k: c // g for k, c in num.items()}
-            den //= g
+            return XsPoly._of({k: -c for k, c in num.items()}, -den)
         return XsPoly._of(num, den)
 
     def _times_term(self, i, j, n, d):
-        """self * n/d x^i s^j, for n/d in lowest terms with d > 0: canonical
-        by cross-cancellation, with no gcd over the product; 0 if n is 0."""
+        """self * n/d x^i s^j, for d > 0; 0 if n is 0."""
         if not n:
             return XsPoly._of({}, 1)
-        g = gcd(n, self.den)
-        h = gcd(d, *self.num.values()) if d != 1 else 1
-        n //= g
-        if h == 1:
-            num = {(dx + i, ds + j): n * c for (dx, ds), c in self.num.items()}
-        else:
-            num = {(dx + i, ds + j): n * (c // h) for (dx, ds), c in self.num.items()}
-        return XsPoly._of(num, d // h * (self.den // g))
+        num = {(dx + i, ds + j): n * c for (dx, ds), c in self.num.items()}
+        return XsPoly._of(num, d * self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -115,7 +98,7 @@ class XsPoly:
 
     @staticmethod
     def _monomial(n: int, d: int, dx: int, ds: int):
-        """n/d x^dx s^ds, for n/d in lowest terms with d > 0."""
+        """n/d x^dx s^ds, for d > 0."""
         if not n:
             return XsPoly._of({}, 1)
         if dx < 0:
@@ -152,7 +135,7 @@ class XsPoly:
                 num[key] = new
             else:
                 del num[key]
-        return XsPoly._reduced(num, den)
+        return XsPoly._of(num, den)
 
     __radd__ = __add__
 
@@ -180,7 +163,7 @@ class XsPoly:
             for (i2, j2), c2 in other.num.items():
                 key = (i1 + i2, j1 + j2)
                 num[key] = get(key, 0) + c1 * c2
-        return XsPoly._reduced({k: c for k, c in num.items() if c}, self.den * other.den)
+        return XsPoly._of({k: c for k, c in num.items() if c}, self.den * other.den)
 
     def __rmul__(self, other):
         return self * other
@@ -202,13 +185,20 @@ class XsPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = XsPoly.const(other)
-        return self.den == other.den and self.num == other.num
+        d, e, num = self.den, other.den, other.num
+        if d == e:
+            return self.num == num
+        return num.keys() == self.num.keys() and all(
+            c * e == num[k] * d for k, c in self.num.items()
+        )
 
     def __hash__(self):
         # a constant hashes as its Fraction, since it compares equal to it
-        if self.num.keys() <= {(0, 0)}:
-            return hash(Fraction(self.num.get((0, 0), 0), self.den))
-        return hash((frozenset(self.num.items()), self.den))
+        num, den = self.num, self.den
+        if num.keys() <= {(0, 0)}:
+            return hash(Fraction(num.get((0, 0), 0), den))
+        g = gcd(den, *num.values())
+        return hash((frozenset((k, c // g) for k, c in num.items()), den // g))
 
     def is_zero(self) -> bool:
         return not self.num
@@ -230,14 +220,14 @@ class XsPoly:
         out = {}
         for (dx, ds), c in self.num.items():
             out.setdefault(dx, {})[(0, ds)] = c
-        return {dx: XsPoly._reduced(t, self.den) for dx, t in out.items()}
+        return {dx: XsPoly._of(t, self.den) for dx, t in out.items()}
 
     def weight_parts(self):
         """Map weight -> the terms of that weight, x of weight 1, s of weight 2."""
         out = {}
         for (dx, ds), c in self.num.items():
             out.setdefault(dx + 2 * ds, {})[(dx, ds)] = c
-        return {w: XsPoly._reduced(t, self.den) for w, t in out.items()}
+        return {w: XsPoly._of(t, self.den) for w, t in out.items()}
 
     # -- substitutions and derivatives --------------------------------
 
@@ -276,7 +266,7 @@ class XsPoly:
         for (dx, ds), c in self.num.items():
             if dx and q_ints[dx]:
                 num[(dx - 1, ds)] = c * q_ints[dx]
-        return XsPoly._reduced(num, self.den * d)
+        return XsPoly._of(num, self.den * d)  # d is a power of q's denominator
 
     def subs_s(self, s_val):
         """Substitute a rational value for s; the result is univariate in x."""
@@ -302,14 +292,14 @@ class XsPoly:
         num = {k: c for k, c in self.num.items() if k[0] < order}
         if len(num) == len(self.num):
             return self
-        return XsPoly._reduced(num, self.den)
+        return XsPoly._of(num, self.den)
 
     def mod_weight(self, order: int):
         """The terms of weight below order, x of weight 1 and s of weight 2."""
         num = {k: c for k, c in self.num.items() if k[0] + 2 * k[1] < order}
         if len(num) == len(self.num):
             return self
-        return XsPoly._reduced(num, self.den)
+        return XsPoly._of(num, self.den)
 
     def as_poly(self):
         """self, checked to be a polynomial in s: no negative s exponent."""

@@ -411,6 +411,18 @@ WRITER_PINS = {
         "47cc1e2c88d3941c42321e21797ce231e9b4c0dd11675b583d7866d339787c5b",
     "catalan --n 12 --q 2/3 --format json":
         "ae767ac7bffa779f6d4ad00f6f45433b55bad00fc3efc60f83d617a112556d1e",
+    # big coefficients, recorded at 801b569 while every XsPoly was kept in
+    # lowest terms: printing reduces each term, so the stored form never shows
+    "gen --family F_QB --n 110 --q=3/5 --b=3/7 --format json":
+        "011699b671742371fd35c3b237063a73a86bddfd0d368ec1d271d0d0deef5c42",
+    "gen --family L_TRACE --n 40 --q=3/5 --b=3/7 --format json":
+        "588384930877a6b30cf16f2edf3073cd4bd666b3536650e04bee43c76364f645",
+    "gen --family ALSALAM_ISMAIL --n 40 --q=3/5 --format json":
+        "86f26020d3354cf7cf900c588b540f527fe43e369e4e50bd150c3391bdc35df7",
+    "gen --family U --n 60 --q=-3/5 --format json":
+        "7be3e2538dda73c171835d337cb2bef7ddfeb518a3f5b23b85906e95fedc3517",
+    "moments --family GEN_LUCAS --n 30 --q 3/5 --format json":
+        "8a86193ffca45b70353331cad4962f77366b190a829c9c6257e31d165d99da4a",
 }
 
 

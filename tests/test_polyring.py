@@ -2,7 +2,6 @@
 serialization, negative powers of s, 2x2 matrices and truncated series."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -103,9 +102,9 @@ def ref_str(a):
 
 
 def assert_matches(poly, ref):
-    """poly is in canonical form and has the reference's value and output."""
+    """poly stores no zero over a positive denominator and has the
+    reference's value and output."""
     assert poly.den > 0 and 0 not in poly.num.values()
-    assert gcd(poly.den, *poly.num.values()) == 1
     assert poly.terms == ref
     assert poly.to_json() == ref_json(ref) and str(poly) == ref_str(ref)
 
@@ -202,6 +201,25 @@ def test_equal_values_hash_equal(a, b):
     assert same == p and hash(same) == hash(p)
     if set(p.num) <= {(0, 0)}:
         assert hash(p) == hash(p.terms.get((0, 0), F(0)))
+
+
+@settings(max_examples=100)
+@given(laurent_dicts, st.integers(2, 60), rationals)
+def test_a_value_not_in_lowest_terms_is_the_same_value(terms, k, r):
+    """num * k over den * k equals, hashes and prints as num over den, and
+    changing one numerator changes the value.  An unreduced constant equals
+    its Fraction and hashes as it, so either may key a memo."""
+    p = XsPoly(terms)
+    same = XsPoly._of({key: k * c for key, c in p.num.items()}, k * p.den)
+    assert same == p and p == same and hash(same) == hash(p)
+    assert str(same) == str(p) and same.to_json() == p.to_json()
+    for key in p.num:
+        other = dict(same.num)
+        other[key] += 1
+        assert XsPoly._of(other, same.den) != p and p != XsPoly._of(other, same.den)
+    const = XsPoly._of({(0, 0): k * r.numerator} if r else {}, k * r.denominator)
+    assert const == r and hash(const) == hash(r) and len({const, r}) == 1
+    assert const == XsPoly.const(r) and hash(const) == hash(XsPoly.const(r))
 
 
 def test_hash_agrees_with_eq():
@@ -403,9 +421,9 @@ def test_series_truncate():
     p = XsPoly({(0, 0): F(1), (1, 1): F(2), (2, 0): F(3)})
     assert p.mod_x(2) == XsPoly({(0, 0): F(1), (1, 1): F(2)})
     assert p.mod_x(3) is p and p.mod_x(0) == ZERO
-    # the terms left may share a smaller denominator; it stays canonical
+    # the term left is 1/2, over the denominator 6 it shared
     cut = _x_series([F(1, 2), F(1, 3)]).mod_x(1)
-    assert (cut.num, cut.den) == ({(0, 0): 1}, 2)
+    assert cut.terms == {(0, 0): F(1, 2)} and cut == F(1, 2)
 
 
 @settings(max_examples=100)
@@ -413,17 +431,17 @@ def test_series_truncate():
 def test_weight_cut_and_parts(terms, order):
     """With x of weight 1 and s of weight 2, mod_weight keeps exactly the
     terms of weight below order and weight_parts splits by weight; every
-    result is the XsPoly its Fraction terms build, so in canonical form."""
+    result equals the XsPoly its Fraction terms build."""
     p = XsPoly(terms)
     weight = lambda key: key[0] + 2 * key[1]
     cut = p.mod_weight(order)
     assert cut.terms == {k: c for k, c in p.terms.items() if weight(k) < order}
-    assert (cut.num, cut.den) == (XsPoly(cut.terms).num, XsPoly(cut.terms).den)
+    assert cut == XsPoly(cut.terms)
     parts = p.weight_parts()
     assert sum(parts.values(), ZERO) == p
     for w, part in parts.items():
         assert part.terms and {weight(k) for k in part.terms} == {w}
-        assert (part.num, part.den) == (XsPoly(part.terms).num, XsPoly(part.terms).den)
+        assert part == XsPoly(part.terms)
 
 
 def ref_series_mul(a, b):

@@ -58,6 +58,10 @@ PINNED = {
     # recorded while the weight series were TruncSeries of Fractions
     "verify --suite extended --max-n 8":
         "4220cdb663d84e8ec8b9c7824eee400e5729f486bc0431554b54403be84b0469",
+    # big coefficients at one point, recorded at 801b569 while every XsPoly
+    # was kept in lowest terms
+    "verify --suite core --max-n 60 --q=3/5 --b=3/7":
+        "27626fb5ae79f8af5c8a457285da0469aa30fce57cda4c4811e9d3caffc99d38",
 }
 
 
