@@ -6,11 +6,11 @@ Every family is computable by at least two independent routes (closed-form sum
 and three-term recurrence); negative indices give polynomials in x with
 negative powers of s, held in the same XsPoly type.
 
-The primary recurrences and the dilated Carlitz route are `qkernel.sequence`s,
-built bottom-up and kept for one q sample of a run by a `qkernel.memo_scope`,
-none outside a scope; family_walk walks them without the memo, two members at
-a time; the closed forms (beyond the q-Pascal rows they read) and the dilated
-(q,b) and backward routes keep no memo.
+The primary recurrences, the dilated Carlitz route, the backward walks and
+F_m(x, qb, qs) are `qkernel.sequence`s, built bottom-up and kept for one q
+sample of a run by a `qkernel.memo_scope`, none outside a scope; family_walk
+walks the primaries without the memo, two members at a time; the closed forms
+(beyond the q-Pascal rows they read) and the dilated (q,b) routes keep no memo.
 
 The closed-form sums (fib_qb_closed, which is fib_carlitz at b = 0,
 lucas_trace_closed, lucas_qb_closed, cheb_u_closed, cheb_t_closed and the
@@ -34,6 +34,7 @@ from .qkernel import (
     ParamPoint,
     PoleError,
     _lowest,
+    _scopes,
     as_rational,
     binom2,
     q_pascal,
@@ -197,8 +198,14 @@ def fib_qb_ext(n: int, point: ParamPoint) -> XsPoly:
 
 def fib_qb_up(m: int, point: ParamPoint) -> XsPoly:
     """F_m(x, qb, qs) for any integer m, the shifted member that the
-    trace-Lucas, transfer-matrix, Cassini and Cassini-Euler identities read."""
+    trace-Lucas, transfer-matrix, Cassini and Cassini-Euler identities read;
+    kept for m >= 0 in a memo scope, built alone outside one."""
+    if m >= 0 and _scopes:
+        return _fib_qb_up(m, point)
     return fib_qb_ext(m, point.shift_b(1)).dilate(point.q, 0, 1)
+
+
+_fib_qb_up = sequence(lambda p: (), lambda m, f, p: fib_qb_ext(m, p.shift_b(1)).dilate(p.q, 0, 1))
 
 
 def _reflected(route, m: int, sign: int, point: ParamPoint) -> XsPoly:
@@ -216,16 +223,18 @@ def _reflected(route, m: int, sign: int, point: ParamPoint) -> XsPoly:
 def fib_qb_backward(n: int, point: ParamPoint) -> XsPoly:
     """Backward-run recurrence oracle for negative indices, from
     F_(n-2) = (F_n - x F_(n-1)) (1-q^(n-2)b)(1-q^(n-1)b) / (q^(n-2) s),
-    walked in one loop from (F_1, F_0) down to F_n.  Step m multiplies by
-    the levels m and m+1, denominators of the forward recurrence, so it
-    raises where they vanish."""
-    if n >= 0:
-        return fib_qb(n, point)
-    hi, mid = fib_qb(1, point), fib_qb(0, point)
-    for m in range(-1, n - 1, -1):
-        num, den = point._over_levels(m, m, m + 1)  # the reciprocal of the step's scalar
-        hi, mid = mid, (hi - X * mid)._times_term(0, -1, *_lowest(den, num))
-    return mid
+    walked from (F_1, F_0) down to F_n, member k of _fib_qb_backward being
+    F_(1-k).  The step to F_m multiplies by the levels m and m+1,
+    denominators of the forward recurrence, so it raises where they vanish."""
+    return fib_qb(n, point) if n >= 0 else _fib_qb_backward(1 - n, point)
+
+
+_fib_qb_backward = sequence(  # the step to F_m divides by q^m / levels, m = 1 - k
+    lambda p: (fib_qb(1, p), fib_qb(0, p)),
+    lambda k, f, p: (f[k - 2] - X * f[k - 1])._times_term(
+        0, -1, *_lowest(*reversed(p._over_levels(1 - k, 1 - k, 2 - k)))
+    ),
+)
 
 
 # -- trace-Lucas l_n ---------------------------------------------------
@@ -304,7 +313,7 @@ def lucas_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     carried = 1
     for k in range(n // 2 + 1):
         factor = v  # term 0 is over v
-        if k:
+        if k and point.b:  # at b = 0 every level is 1, and so is v
             factor, den = point._level_product((k, n - k))
             carried *= den
         m = n - k
@@ -349,7 +358,7 @@ def gen_lucas_neg_closed(n: int, q) -> XsPoly:
 def gen_lucas_backward(n: int, q) -> XsPoly:
     """Backward-run (3.8)-style oracle for L_n(x,-1,s,q) at negative n, from
     L_(m-2) = (L_m - x L_(m-1)) (1+q^(m-2))(1+q^(m-1)) / (q^(m-1) s),
-    walked in one loop from (L_1, L_0) down to L_n."""
+    walked from (L_1, L_0) down to L_n."""
     q = as_rational(q)
     point = _b_minus_1(q)
     if n >= 0:
@@ -360,11 +369,15 @@ def gen_lucas_backward(n: int, q) -> XsPoly:
     # PoleError that gen_lucas_neg_closed raises.
     for j in range(-n):
         point.level_pair(j)
-    hi, mid = lucas_qb(1, point), lucas_qb(0, point)
-    for m in range(1, n + 1, -1):
-        scalar = (1 + q ** (m - 2)) * (1 + q ** (m - 1)) / q ** (m - 1)
-        hi, mid = mid, (hi - X * mid).scale(scalar).shift_s(-1)
-    return mid
+    return _gen_lucas_backward(1 - n, point)
+
+
+_gen_lucas_backward = sequence(  # member k is L_(1-k), made as L_(m-2) at m = 3 - k
+    lambda p: (lucas_qb(1, p), lucas_qb(0, p)),
+    lambda k, f, p: (f[k - 2] - X * f[k - 1])
+    .scale((1 + p.q ** (1 - k)) * (1 + p.q ** (2 - k)) / p.q ** (2 - k))
+    .shift_s(-1),
+)
 
 
 # -- Al-Salam / Ismail -------------------------------------------------
@@ -454,16 +467,18 @@ def cheb_u_backward(n: int, q) -> XsPoly:
 
 
 def _cheb_backward(n: int, q, route, shift: int) -> XsPoly:
-    """P_(m-2) = (P_m - (1+q^(m-shift)) x P_(m-1)) q^(1-m) / s, walked in one
-    loop from route(1, q) and route(0, q) down to P_n, in Fraction steps."""
+    """P_(m-2) = (P_m - (1+q^(m-shift)) x P_(m-1)) q^(1-m) / s, walked from
+    route(1, q) and route(0, q) down to P_n, in Fraction steps."""
     q = as_rational(q)
-    if n >= 0:
-        return route(n, q)
-    hi, mid = route(1, q), route(0, q)
-    for m in range(1, n + 1, -1):
-        step = hi - X.scale(1 + q ** (m - shift)) * mid
-        hi, mid = mid, step.scale(q ** (1 - m)).shift_s(-1)
-    return mid
+    return route(n, q) if n >= 0 else _cheb_walk_back(1 - n, q, route, shift)
+
+
+_cheb_walk_back = sequence(  # member k is P_(1-k), made as P_(m-2) at m = 3 - k
+    lambda q, route, shift: (route(1, q), route(0, q)),
+    lambda k, f, q, route, shift: (f[k - 2] - X.scale(1 + q ** (3 - k - shift)) * f[k - 1])
+    .scale(q ** (k - 2))
+    .shift_s(-1),
+)
 
 
 def cheb_t(n: int, q) -> XsPoly:

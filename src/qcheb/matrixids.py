@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from . import families
 from .polyring import Mat2, ONE, S, X, XsPoly, ZERO
-from .qkernel import ParamPoint, _lowest, as_rational, binom2
+from .qkernel import ParamPoint, _lowest, as_rational, binom2, sequence
 
 
 def fib_factor(j: int, point: ParamPoint) -> Mat2:
@@ -16,13 +16,16 @@ def fib_factor(j: int, point: ParamPoint) -> Mat2:
 
 
 def fib_matrix_product(n: int, point: ParamPoint) -> Mat2:
-    """Left product C(x, q^(n-1)b, q^(n-1)s, q) ... C(x, b, s, q), n >= 1."""
+    """Left product C(x, q^(n-1)b, q^(n-1)s, q) ... C(x, b, s, q), n >= 1:
+    the product at n - 1 times one more factor on the left."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    acc = fib_factor(0, point)
-    for j in range(1, n):
-        acc = fib_factor(j, point) * acc
-    return acc
+    return _fib_matrix_product(n - 1, point)
+
+
+_fib_matrix_product = sequence(
+    lambda point: [fib_factor(0, point)], lambda j, acc, point: fib_factor(j, point) * acc[j - 1]
+)
 
 
 def fib_matrix_expected(n: int, point: ParamPoint) -> Mat2:
@@ -84,14 +87,16 @@ def cheb_factor(k: int, q) -> Mat2:
 
 
 def cheb_matrix_product(n: int, q) -> Mat2:
-    """V_0(x,s,q) V_1(x,s,q) ... V_(n-1)(x,s,q), n >= 1."""
+    """V_0(x,s,q) V_1(x,s,q) ... V_(n-1)(x,s,q), n >= 1: the product at
+    n - 1 times one more factor on the right."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    q = as_rational(q)
-    acc = cheb_factor(0, q)
-    for k in range(1, n):
-        acc = acc * cheb_factor(k, q)
-    return acc
+    return _cheb_matrix_product(n - 1, as_rational(q))
+
+
+_cheb_matrix_product = sequence(
+    lambda q: [cheb_factor(0, q)], lambda k, acc, q: acc[k - 1] * cheb_factor(k, q)
+)
 
 
 def cheb_matrix_expected(n: int, q) -> Mat2:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import families
 from .polyring import ONE, S, X as POLY_X, XsPoly, ZERO
-from .qkernel import ParamPoint, _lowest, as_rational, binom2, q_binom, q_pascal
+from .qkernel import ParamPoint, _lowest, as_rational, binom2, q_binom, q_pascal, sequence
 
 
 def apply_word(word, point: ParamPoint, start=(0, 0, 0)) -> XsPoly:
@@ -192,12 +192,11 @@ def fib_word_check(n: int, point: ParamPoint):
 # -- Binet-like even/odd sums (first/second kind) ----------------------
 
 
-def _even_product(k: int, q) -> XsPoly:
-    """prod_{j=0}^{k-1} (x^2 + q^(2j+1) s)."""
-    out = ONE
-    for j in range(k):
-        out = out * (POLY_X * POLY_X + S.scale(q ** (2 * j + 1)))
-    return out
+# _even_product(k, q) = prod_{j=0}^{k-1} (x^2 + q^(2j+1) s), one more factor per k.
+_even_product = sequence(
+    lambda q: [ONE],
+    lambda k, out, q: out[k - 1] * (POLY_X * POLY_X + S.scale(q ** (2 * k - 1))),
+)
 
 
 def binet_t(n: int, q) -> XsPoly:
@@ -228,12 +227,17 @@ def binet_product_parts(n: int, q):
     """Expand p_n = (x + A)(qx + A)...(q^(n-1)x + A) applied to 1 as an even
     part t_n and odd part u_n (so p_n 1 = t_n + u_n A), iterating with
     A^2 -> (x^2 + qs) times a two-level s-dilation."""
-    q = as_rational(q)
-    t, u = ONE, ZERO
-    for k in range(n):
-        t, u = (
-            POLY_X.scale(q**k) * t + (POLY_X * POLY_X + S.scale(q)) * u.dilate(q, 0, 2),
-            POLY_X.scale(q**k) * u + t,
-        )
-    return t, u
+    return _binet_product_parts(n, as_rational(q))
+
+
+def _binet_step(k: int, parts, q):
+    """(t_k, u_k) from (t_(k-1), u_(k-1)), multiplying by q^(k-1) x + A."""
+    t, u = parts[k - 1]
+    return (
+        POLY_X.scale(q ** (k - 1)) * t + (POLY_X * POLY_X + S.scale(q)) * u.dilate(q, 0, 2),
+        POLY_X.scale(q ** (k - 1)) * u + t,
+    )
+
+
+_binet_product_parts = sequence(lambda q: [(ONE, ZERO)], _binet_step)
 

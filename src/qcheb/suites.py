@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import analysis, families, matrixids, moments, operators
 from .polyring import ONE, S, X, XsPoly
-from .qkernel import DEFAULT_QS, ParamPoint, PoleError, memo_scope, sample_points
+from .qkernel import DEFAULT_QS, ParamPoint, PoleError, memo_scope, sample_points, sequence
 from .report import IdentityReport, check_range, skipped
 
 # Index bounds per key: (default, value under `verify --max-n m`).  The
@@ -188,12 +188,12 @@ def reconstruction_check(n_max, q):
 def _classical(n, p0, p1, x):
     """P_n, n >= 0, of the classical recurrence P_m = x P_(m-1) + s P_(m-2)
     from P_0 = p0 and P_1 = p1."""
-    prev, cur = p0, p1
-    for _ in range(n):
-        prev, cur = cur, x * cur + S * prev
-    return prev
+    return _classical_walk(n, p0, p1, x)
 
 
+_classical_walk = sequence(
+    lambda p0, p1, x: (p0, p1), lambda m, p, p0, p1, x: x * p[m - 1] + S * p[m - 2]
+)
 _classical_fib = partial(_classical, p0=XsPoly.zero(), p1=ONE, x=X)
 _classical_lucas = partial(_classical, p0=XsPoly.const(2), p1=X, x=X)
 

@@ -775,12 +775,13 @@ def test_closed_forms_call_no_recurrence(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a closed form called a recurrence")
 
-    # every memo families holds but the q-Pascal rows, the closed forms' kernel
+    # every memo families holds but the q-Pascal rows, the closed forms' kernel:
+    # the primaries, the dilated Carlitz route, the three backward walks and F_m(x, qb, qs)
     recurrences = [
         name for name, value in vars(families).items()
         if callable(getattr(value, "cache_info", None)) and value is not qkernel.q_pascal
     ]
-    assert len(recurrences) == 6
+    assert len(recurrences) == 10
     for name in [*recurrences, "_dilated_bottom_up"]:
         monkeypatch.setattr(families, name, forbidden)
     with pytest.raises(AssertionError, match="called a recurrence"):

@@ -117,11 +117,11 @@ def _sequence_sizes():
     holds, once per sequence (q_binom reports the memo of the q_pascal rows)."""
     memos = {
         id(value.cache_info): value
-        for module in (qkernel, families)
+        for module in (qkernel, families, matrixids, operators, suites)
         for value in vars(module).values()
         if callable(getattr(value, "cache_info", None))
     }
-    assert len(memos) == 8
+    assert len(memos) == 17
     return [memo.cache_info().currsize for memo in memos.values()]
 
 
