@@ -107,14 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
 # -- writing tables -----------------------------------------------------
 
 
-def _check_digits(values):
+def _check_digits(values, base=1):
     """Raise, before anything is written, the ValueError that str() would
     raise on the first integer printing values converts past Python's
     int-to-str digit limit.  values are XsPolys and Fractions, in print order.
 
     abs(n) >= 10**limit holds exactly when str(n) raises.  A polynomial is
-    reduced to its lowest-terms coefficients only when its unreduced
-    numerators or shared denominator cross that bound."""
+    reduced to its lowest-terms coefficients, by XsPoly.sorted_terms(base),
+    only when its unreduced numerators or shared denominator cross that
+    bound."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent on older Pythons
     if not limit:
         return
@@ -125,7 +126,7 @@ def _check_digits(values):
         elif v.den < bound and all(-bound < c < bound for c in v.num.values()):
             continue
         else:
-            ints = (i for _, n, d in v.sorted_terms() for i in (n, d))
+            ints = (i for _, n, d in v.sorted_terms(base) for i in (n, d))
         for i in ints:
             if abs(i) >= bound:
                 str(i)  # raises Python's own error for it
@@ -171,20 +172,20 @@ def _json_pieces(template, items, depth=0, render=_json_value):
     yield tail if depth else tail + "\n"
 
 
-def _line_pieces(head, poly, tail):
+def _line_pieces(head, poly, tail, base):
     """head + str(poly) + tail in pieces: head with poly's first term, each
-    further term, and tail."""
-    pieces = poly.str_pieces()
+    further term, and tail; base as in XsPoly.sorted_terms."""
+    pieces = poly.str_pieces(base)
     yield head + next(pieces)
     yield from pieces
     yield tail
 
 
-def _write_table(out, values, pieces):
+def _write_table(out, values, pieces, base=1):
     """Check every number of values against the digit limit, then write the
-    table one piece per write: a row, or for gen a term.  Returns the exit
-    code 0."""
-    _check_digits(values)
+    table one piece per write: a row, or for gen a term; base as in
+    XsPoly.sorted_terms.  Returns the exit code 0."""
+    _check_digits(values, base)
     for piece in pieces:
         out.write(piece)
     return 0
@@ -200,6 +201,7 @@ def cmd_gen(args, out) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     point = ParamPoint(q, b)
+    base = point.q.denominator  # the denominators of T, U, F_CARLITZ, ... are its powers
 
     def rows():  # one walk of the members 0 .. n, each built once and dropped
         return enumerate(islice(families.family_walk(family, point), args.n + 1))
@@ -209,18 +211,18 @@ def cmd_gen(args, out) -> int:
         template = {"family": family.value, "q": format_rational(q), "b": format_rational(b),
                     "rows": [None]}
         pieces = _json_pieces(template, (
-            _json_pieces({"n": n, "poly": {"terms": [None]}}, poly.json_terms(), 2, _json_term)
+            _json_pieces({"n": n, "poly": {"terms": [None]}}, poly.json_terms(base), 2, _json_term)
             for n, poly in rows()
         ))
     elif args.format == "csv":
         pieces = chain(["n,poly\n"], chain.from_iterable(
-            _line_pieces(f'{n},"', poly, '"\n') for n, poly in rows()
+            _line_pieces(f'{n},"', poly, '"\n', base) for n, poly in rows()
         ))
     else:
         pieces = chain.from_iterable(
-            _line_pieces(f"{family.value}_{n} = ", poly, "\n") for n, poly in rows()
+            _line_pieces(f"{family.value}_{n} = ", poly, "\n", base) for n, poly in rows()
         )
-    return _write_table(out, (poly for _, poly in rows()), pieces)
+    return _write_table(out, (poly for _, poly in rows()), pieces, base)
 
 
 # -- verify -------------------------------------------------------------

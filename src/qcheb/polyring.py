@@ -4,7 +4,7 @@ q-dilation substitution, q-derivative, truncation by x-degree or by weight
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log
 
 from .qkernel import as_rational
 
@@ -28,6 +28,24 @@ def _power_weights(a: int, b: int, exponents):
     return {e: a ** (e - lo) * b ** (hi - e) for e in exponents}, a**-lo * b**hi
 
 
+def _strip(n, squares, cap):
+    """(n / base^v, v) for the largest v <= cap with base^v dividing n != 0,
+    where squares[j] = base^(2^j) and 2^len(squares) > cap: gallop up through
+    the squares while they divide, then come back down."""
+    v = j = 0
+    while j < len(squares) and v + (1 << j) <= cap:
+        quo, rem = divmod(n, squares[j])
+        if rem:
+            break
+        n, v, j = quo, v + (1 << j), j + 1
+    for i in range(j - 1, -1, -1):
+        if v + (1 << i) <= cap:
+            quo, rem = divmod(n, squares[i])
+            if not rem:
+                n, v = quo, v + (1 << i)
+    return n, v
+
+
 class XsPoly:
     """Polynomial in x, Laurent in s: integer numerators {(deg_x, deg_s): n}
     over one shared denominator den, the layout of FLINT's fmpq_poly.
@@ -37,7 +55,9 @@ class XsPoly:
     stored and den > 0, but num/den is not kept in lowest terms.  == compares
     values by cross-multiplication; lowest terms are made only where a value
     leaves the type: per term in sorted_terms and terms, and over the whole
-    value in __hash__.  Instances are treated as immutable.
+    value in __hash__.  sorted_terms, which printing reads, takes one gcd per
+    term, or strips factors of a given base where den is a power of it.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("num", "den")
@@ -115,18 +135,19 @@ class XsPoly:
 
     # -- ring structure -----------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + other; self - other for sign -1, as __sub__ calls it."""
         other = self._coerce(other)
         if not other.num:
             return self
         if not self.num:
-            return other
-        den, fb = self.den, 1
+            return other if sign > 0 else -other
+        den, fb = self.den, sign
         if den == other.den:
             num = dict(self.num)
         else:
             g = gcd(den, other.den)
-            fa, fb = other.den // g, den // g
+            fa, fb = other.den // g, sign * (den // g)
             num = {k: c * fa for k, c in self.num.items()}
             den *= fa
         for key, c in other.num.items():
@@ -143,7 +164,7 @@ class XsPoly:
         return XsPoly._of({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -314,33 +335,56 @@ class XsPoly:
 
     # -- serialization ------------------------------------------------
 
-    def sorted_terms(self):
+    def sorted_terms(self, base=1):
         """((deg_x, deg_s), n, d) per term, with n/d its coefficient in lowest
         terms and d > 0, in canonical order: descending deg_x, then ascending
-        deg_s.  One gcd per term, and no Fraction; each term is reduced as
-        it is reached."""
-        den = self.den
-        for key in sorted(self.num, key=lambda k: (-k[0], k[1])):
-            c = self.num[key]
-            g = gcd(c, den)
-            yield (key, c, den) if g == 1 else (key, c // g, den // g)
+        deg_s.  Each term is reduced as it is reached, and no Fraction is made.
 
-    def json_terms(self):
-        """The entries of to_json()["terms"], one per term, as they are reached."""
-        for (dx, ds), n, d in self.sorted_terms():
+        base, an integer >= 1, is the number whose powers den may be: q's
+        denominator, for a family at q = a/base whose denominators hold only
+        powers of base.  Where den is base^K, each numerator is stripped of
+        its factors of base, at most K of them, by dividing by base^(2^j); a
+        full gcd follows only where a composite base still shares a prime
+        with what is left.  Where den is no power of base (for base 1, where
+        den > 1), each term takes one gcd with den.  The triples are the same
+        for every base."""
+        num, den = self.num, self.den
+        keys = sorted(num, key=lambda k: (-k[0], k[1]))
+        top = round(log(den, base)) if base > 1 else 0
+        if base**top != den:
+            for key in keys:
+                c = num[key]
+                g = gcd(c, den)
+                yield (key, c, den) if g == 1 else (key, c // g, den // g)
+            return
+        squares = [base]  # base^(2^j) for 2^j <= top
+        while 1 << len(squares) <= top:
+            squares.append(squares[-1] ** 2)
+        for key in keys:
+            c, v = _strip(num[key], squares, top)
+            d = base ** (top - v)
+            if d > 1 and gcd(base, c % base) > 1:
+                g = gcd(c, d)
+                c, d = c // g, d // g
+            yield key, c, d
+
+    def json_terms(self, base=1):
+        """The entries of to_json()["terms"], one per term, as they are
+        reached; base as in sorted_terms."""
+        for (dx, ds), n, d in self.sorted_terms(base):
             yield {"dx": dx, "ds": ds, "c": _format_ratio(n, d)}
 
     def to_json(self):
         return {"terms": list(self.json_terms())}
 
-    def str_pieces(self):
+    def str_pieces(self, base=1):
         """str(self) in pieces, one per term, as they are reached: the first
         term, then " + term" or " - term" for each later one.  A coefficient
-        of 1 is left out beside x or s."""
+        of 1 is left out beside x or s; base as in sorted_terms."""
         if not self.num:
             yield "0"
         sep = ""
-        for (dx, ds), n, d in self.sorted_terms():
+        for (dx, ds), n, d in self.sorted_terms(base):
             sign = sep
             if n < 0:
                 sign, n = (" - " if sep else "-"), -n

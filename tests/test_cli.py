@@ -423,6 +423,14 @@ WRITER_PINS = {
         "7be3e2538dda73c171835d337cb2bef7ddfeb518a3f5b23b85906e95fedc3517",
     "moments --family GEN_LUCAS --n 30 --q 3/5 --format json":
         "8a86193ffca45b70353331cad4962f77366b190a829c9c6257e31d165d99da4a",
+    # denominators that are powers of a composite q-denominator, and a negative
+    # q, recorded at 74ee5fd, while every printed term took one gcd
+    "gen --family T --n 60 --q=7/10 --format json":
+        "c957ebb9b32a9d472ff3d060121352ff17635952954e1a26451cab7cb4cca2d9",
+    "gen --family U --n 40 --q=-5/12 --format text":
+        "6462933841513ee1945d36f25e0cde4b014aac156bd281596326899dd37634b5",
+    "gen --family F_CARLITZ --n 50 --q=7/30 --format csv":
+        "59120ece7788ea135116e9d29a65793a9a75a9c80a2a9206d4e4c16f7f8f5899",
 }
 
 

@@ -2,6 +2,7 @@
 serialization, negative powers of s, 2x2 matrices and truncated series."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +322,34 @@ def test_json_round_trip_negative_s_power():
     p = X.shift_s(-2).scale(F(-3, 4)) + S
     assert p.to_json()["terms"][0] == {"dx": 1, "ds": -2, "c": "-3/4"}
     assert _read_json(p.to_json()) == p
+
+
+# a numerator sign * base^e * m: e may pass K, and m may share a prime with a
+# composite base
+stripped_factors = st.tuples(st.sampled_from([1, -1]), st.integers(0, 16), st.integers(1, 10**6))
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([1, 2, 5, 6, 10, 12, 30, 10007]),
+    st.integers(0, 12),
+    st.sampled_from([1, 7, 12]),
+    st.one_of(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(-2, 2)), stripped_factors, max_size=6
+        ),
+        st.dictionaries(st.just((0, 0)), stripped_factors, max_size=1),
+    ),
+)
+def test_sorted_terms_stripped_by_base_are_the_gcd_reduced_terms(base, k, extra, factors):
+    """Over den = base^k * extra, stripping powers of base gives the triples
+    of one gcd per term, each n/d in lowest terms with d > 0; an extra of 7
+    or 12 leaves den no power of base, and sorted_terms falls back to the gcd."""
+    num = {key: sign * base**e * m for key, (sign, e, m) in factors.items()}
+    poly = XsPoly._of(num, base**k * extra)
+    triples = list(poly.sorted_terms(base))
+    assert triples == list(poly.sorted_terms())
+    assert all(d > 0 and gcd(n, d) == 1 for _, n, d in triples)
 
 
 def test_subs_and_eval():
