@@ -16,6 +16,7 @@ weight order by mod_weight, and its z^n coefficient is its weight-n part.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from . import families
 from .polyring import ONE, S, X, XsPoly, ZERO
@@ -54,45 +55,29 @@ def deriv_relation_u(n: int, q):
     return range(1, n + 1), sides
 
 
-def qode_check_t(n: int, q):
-    """Both forms of the T equation:
-    (x^2+qs) D^2 T_n(x,q^2 s) + q^(n-1) x D T_n(x,s) = [n]^2 T_n(x,s) and
-    (qx^2+s/q) D^2 T_n(x,s) + x D T_n(x,s) = q^(-n) [n]^2 T_n(qx,s)."""
+def _qode_check(shift: int, n: int, q):
+    """Both forms of the T (shift 0) or U (shift 1) equation, with c = [1+2 shift]
+    and the eigenvalue e_n = [n][n+2 shift]:
+    (x^2+qs) D^2 P_n(x,q^2 s) + q^(n-1) c x D P_n(x,s) = e_n P_n(x,s) and
+    (q^(1+2 shift) x^2+s/q) D^2 P_n(x,s) + c x D P_n(x,s) = q^(-n) e_n P_n(qx,s)."""
     q = as_rational(q)
+    c = q_int(1 + 2 * shift, q)
 
     def sides(m):
-        t = families.cheb_t(m, q)
-        d2_dilated = t.dilate(q, 0, 2).q_deriv(q).q_deriv(q)
-        lhs1 = _xsq_plus(q) * d2_dilated + X.scale(q ** (m - 1)) * t.q_deriv(q)
-        yield lhs1, t.scale(q_int(m, q) ** 2)
-        lhs2 = (X.scale(q) * X + S.scale(Fraction(1) / q)) * t.q_deriv(q).q_deriv(
-            q
-        ) + X * t.q_deriv(q)
-        yield lhs2, t.dilate(q, 1, 0).scale(q_int(m, q) ** 2 / q**m)
+        p = (families.cheb_t, families.cheb_u)[shift](m, q)
+        eig = q_int(m, q) * q_int(m + 2 * shift, q)
+        d1 = p.q_deriv(q)
+        d2_dilated = p.dilate(q, 0, 2).q_deriv(q).q_deriv(q)
+        yield _xsq_plus(q) * d2_dilated + X.scale(q ** (m - 1) * c) * d1, p.scale(eig)
+        lead = X.scale(q ** (1 + 2 * shift)) * X + S.scale(1 / q)
+        lhs2 = lead * d1.q_deriv(q) + X.scale(c) * d1
+        yield lhs2, p.dilate(q, 1, 0).scale(eig / q**m)
 
     return range(n + 1), sides
 
 
-def qode_check_u(n: int, q):
-    """Both forms of the U equation:
-    (x^2+qs) D^2 U_n(x,q^2 s) + q^(n-1) [3] x D U_n(x,s) = [n][n+2] U_n(x,s) and
-    (q^3 x^2+s/q) D^2 U_n(x,s) + [3] x D U_n(x,s) = q^(-n) [n][n+2] U_n(qx,s)."""
-    q = as_rational(q)
-    three = q_int(3, q)
-
-    def sides(m):
-        u = families.cheb_u(m, q)
-        eig = q_int(m, q) * q_int(m + 2, q)
-        lhs1 = _xsq_plus(q) * u.dilate(q, 0, 2).q_deriv(q).q_deriv(q) + X.scale(
-            q ** (m - 1) * three
-        ) * u.q_deriv(q)
-        yield lhs1, u.scale(eig)
-        lhs2 = (X.scale(q**3) * X + S.scale(Fraction(1) / q)) * u.q_deriv(q).q_deriv(
-            q
-        ) + X.scale(three) * u.q_deriv(q)
-        yield lhs2, u.dilate(q, 1, 0).scale(eig / q**m)
-
-    return range(n + 1), sides
+qode_check_t = partial(_qode_check, 0)
+qode_check_u = partial(_qode_check, 1)
 
 
 # -- h-series, Pearson equation, Rodrigues formulae --------------------
@@ -204,46 +189,35 @@ def pearson_check(ctx: SeriesContext):
     return [ctx.order], sides, (0, ctx.order)
 
 
-def rodrigues_t(n: int, ctx: SeriesContext):
-    """T_n = q^(n(n+1)) / ([1][3]...[2n-1]) * (1/h(-x^2/s))
-    * D^n( h(-x^2/(q^(2n) s)) prod_{k=1}^n (x^2/q^(2k+1) + s/q) ), with
-    1/h in closed form by the q-binomial theorem (inverse_h_of_x_squared)."""
-    if ctx.order < 2 * n + 10:
-        raise ValueError("series order too small for a degree-n Rodrigues check")
-    q, s, order = ctx.q, ctx.s_val, ctx.order
-    inner = h_of_x_squared(Fraction(-1) / (q ** (2 * n) * s), ctx)
-    for k in range(1, n + 1):
-        inner = (inner * (XsPoly.monomial(q ** (-2 * k - 1), 2, 0) + s / q)).mod_x(order)
-    for _ in range(n):
-        inner = inner.q_deriv(q)
-    pref = q ** (n * (n + 1))
-    for j in range(1, n + 1):
-        pref /= q_int(2 * j - 1, q)
-    # n applications of the q-derivative lose the top n coefficients
-    rhs = (inverse_h_of_x_squared(Fraction(-1) / s, ctx) * inner).mod_x(order - n).scale(pref)
-    lhs = families.cheb_t(n, q).subs_s(s).mod_x(order - n)
-    return [n], lambda _: [(rhs, lhs)]
-
-
-def rodrigues_u(n: int, ctx: SeriesContext):
-    """U_n = q^(n(n+1)) [n+1] / ([3][5]...[2n+1]) * h(-q x^2/s)
+def _rodrigues(shift: int, n: int, ctx: SeriesContext):
+    """T_n (shift 0) and U_n (shift 1) by their Rodrigues formulae,
+    T_n = q^(n(n+1)) / ([1][3]...[2n-1]) * (1/h(-x^2/s))
+    * D^n( h(-x^2/(q^(2n) s)) prod_{k=1}^n (x^2/q^(2k+1) + s/q) ) and
+    U_n = q^(n(n+1)) [n+1] / ([3][5]...[2n+1]) * h(-q x^2/s)
     * D^n( (1/h(-x^2/(q^(2n-1) s))) prod_{k=1}^n (x^2/q^(2k-1) + s/q) ), with
     1/h in closed form by the q-binomial theorem (inverse_h_of_x_squared)."""
     if ctx.order < 2 * n + 10:
         raise ValueError("series order too small for a degree-n Rodrigues check")
     q, s, order = ctx.q, ctx.s_val, ctx.order
-    inner = inverse_h_of_x_squared(Fraction(-1) / (q ** (2 * n - 1) * s), ctx)
+    series = (h_of_x_squared, inverse_h_of_x_squared)  # by name, so a patched one is read
+    inner_h, outer_h = series[shift], series[1 - shift]
+    inner = inner_h(Fraction(-1) / (q ** (2 * n - shift) * s), ctx)
     for k in range(1, n + 1):
-        inner = (inner * (XsPoly.monomial(q ** (1 - 2 * k), 2, 0) + s / q)).mod_x(order)
+        factor = XsPoly.monomial(q ** (2 * shift - 2 * k - 1), 2, 0) + s / q
+        inner = (inner * factor).mod_x(order)
     for _ in range(n):
         inner = inner.q_deriv(q)
-    pref = q ** (n * (n + 1)) * q_int(n + 1, q)
+    pref = q ** (n * (n + 1)) * q_int(n + 1, q) ** shift
     for j in range(1, n + 1):
-        pref /= q_int(2 * j + 1, q)
+        pref /= q_int(2 * j - 1 + 2 * shift, q)
     # n applications of the q-derivative lose the top n coefficients
-    rhs = (h_of_x_squared(-q / s, ctx) * inner).mod_x(order - n).scale(pref)
-    lhs = families.cheb_u(n, q).subs_s(s).mod_x(order - n)
+    rhs = (outer_h(-(q**shift) / s, ctx) * inner).mod_x(order - n).scale(pref)
+    lhs = (families.cheb_t, families.cheb_u)[shift](n, q).subs_s(s).mod_x(order - n)
     return [n], lambda _: [(rhs, lhs)]
+
+
+rodrigues_t = partial(_rodrigues, 0)
+rodrigues_u = partial(_rodrigues, 1)
 
 
 # -- generating functions ----------------------------------------------

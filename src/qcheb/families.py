@@ -9,7 +9,8 @@ negative powers of s, held in the same XsPoly type.
 The primary recurrences, the dilated Carlitz route, the backward walks and
 F_m(x, qb, qs) are `qkernel.sequence`s, built bottom-up and kept for one q
 sample of a run by a `qkernel.memo_scope`, none outside a scope; family_walk
-walks the primaries without the memo, two members at a time; the closed forms
+walks the primaries without the memo, two members at a time (L_TRACE as two
+Fibonacci walks side by side); the closed forms
 (beyond the q-Pascal rows they read) and the dilated (q,b) routes keep no memo.
 
 The closed-form sums (fib_qb_closed, which is fib_carlitz at b = 0,
@@ -26,7 +27,7 @@ families, so the sums hold at q = -1 off their families' poles.
 
 import enum
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import chain, count, islice, repeat
 from typing import Callable, NamedTuple, Optional
 
 from .polyring import ONE, S, X, XsPoly, ZERO
@@ -245,6 +246,16 @@ def lucas_trace(n: int, point: ParamPoint) -> XsPoly:
     scalar = point._over_levels(0, 0, 1)
     shifted = fib_qb_up(n - 1, point)._times_term(0, 1, *scalar)
     return fib_qb_ext(n + 1, point) + shifted
+
+
+def _lucas_trace_walk(point: ParamPoint):
+    """l_0, l_1, ... as lucas_trace builds them, from the walk of F_(n+1)(x,b,s)
+    and that of F_(n-1)(x,qb,qs), two members held of each."""
+    scalar = point._over_levels(0, 0, 1)
+    ups = chain([fib_qb_up(-1, point)],
+                (f.dilate(point.q, 0, 1) for f in _fib_qb.walk(point.shift_b(1))))
+    for f, up in zip(islice(_fib_qb.walk(point), 1, None), ups):
+        yield f + up._times_term(0, 1, *scalar)
 
 
 def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
@@ -625,7 +636,7 @@ class Family(NamedTuple):
     b_free: bool  # b is a parameter of the family; the others fix or ignore it
     lowest_n: int  # the oracle holds for n >= lowest_n
     # walk(point) yields primary(0, point), primary(1, point), ... from the
-    # primary's sequence with no memo; None where the primary keeps no memo
+    # primary's sequences with no memo; None for F_CARLITZ, a closed form
     walk: Optional[Callable]
 
 
@@ -640,11 +651,8 @@ FAMILIES = {
         lambda p: _fib_qb.walk(p),
     ),
     FamilyId.LUCAS_TRACE: Family(
-        lambda n, p: lucas_trace(n, p).as_poly(),
-        lambda n, p: lucas_trace_closed(n, p),
-        True,
-        1,
-        None,
+        lambda n, p: lucas_trace(n, p).as_poly(), lambda n, p: lucas_trace_closed(n, p), True, 1,
+        lambda p: _lucas_trace_walk(p),
     ),
     FamilyId.LUCAS_QB: Family(
         lambda n, p: lucas_qb(n, p), lambda n, p: lucas_qb_closed(n, p), True, 1,

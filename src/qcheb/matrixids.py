@@ -3,6 +3,7 @@ Chebyshev determinant identities and tridiagonal determinant representations.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from . import families
 from .polyring import Mat2, ONE, S, X, XsPoly, ZERO
@@ -148,30 +149,22 @@ def det_identity_sqrt_check(n: int, r):
 # -- tridiagonal determinants -----------------------------------------
 
 
-def _tridiag_det(diagonal, q) -> XsPoly:
-    """Determinant of the tridiagonal matrix with the given diagonal
-    a_1..a_n, superdiagonal q^j s (rows j, j+1) and subdiagonal -1, by
-    first-row expansion over the trailing minors E_j (rows and columns j..n):
+def _tridiag(first: int, n: int, q) -> XsPoly:
+    """Determinant of the n x n tridiagonal matrix with diagonal a_j =
+    (1+q^k)x, k = first+j-1 (x where k = 0), superdiagonal q^j s (rows j, j+1)
+    and subdiagonal -1; first 1 gives U_n, first 0 gives T_n.  It is expanded
+    along the first row over the trailing minors E_j (rows and columns j..n):
     E_j = a_j E_(j+1) + q^j s E_(j+2), E_(n+1) = 1, E_(n+2) = 0, det = E_1."""
+    q = as_rational(q)
+    if n < 1:
+        raise ValueError("n >= 1 required")
     below, minor = ZERO, ONE  # E_(j+2), E_(j+1)
-    for j in range(len(diagonal), 0, -1):
-        below, minor = minor, diagonal[j - 1] * minor + S.scale(q**j) * below
+    for j in range(n, 0, -1):
+        k = first + j - 1
+        a_j = X.scale(1 + q**k) if k else X
+        below, minor = minor, a_j * minor + S.scale(q**j) * below
     return minor
 
 
-def tridiag_u(n: int, q) -> XsPoly:
-    """Determinant of the n x n tridiagonal matrix with diagonal (1+q^k)x,
-    superdiagonal q^k s and subdiagonal -1; equals U_n."""
-    q = as_rational(q)
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    return _tridiag_det([X.scale(1 + q**k) for k in range(1, n + 1)], q)
-
-
-def tridiag_t(n: int, q) -> XsPoly:
-    """The same determinant with diagonal x, (1+q)x, ..., (1+q^(n-1))x;
-    equals T_n."""
-    q = as_rational(q)
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    return _tridiag_det([X] + [X.scale(1 + q**k) for k in range(1, n)], q)
+tridiag_u = partial(_tridiag, 1)
+tridiag_t = partial(_tridiag, 0)

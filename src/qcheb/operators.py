@@ -9,6 +9,7 @@ single final evaluation, so dilation is just an exponent shift.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from . import families
@@ -199,28 +200,19 @@ _even_product = sequence(
 )
 
 
-def binet_t(n: int, q) -> XsPoly:
-    """Even-part sum: sum_k q^C(n-2k,2) [n over 2k] x^(n-2k) prod (x^2+q^(2j+1)s)."""
+def _binet_sum(shift: int, n: int, q) -> XsPoly:
+    """The even-part (shift 0, T) or odd-part (shift 1, U) sum:
+    sum_k q^C(n-2k,2) [n+shift over 2k+shift] x^(n-2k) prod (x^2+q^(2j+1)s)."""
     q = as_rational(q)
     out = ZERO
     for k in range(n // 2 + 1):
-        c = q ** binom2(n - 2 * k) * q_binom(n, 2 * k, q)
+        c = q ** binom2(n - 2 * k) * q_binom(n + shift, 2 * k + shift, q)
         out = out + XsPoly.monomial(c, n - 2 * k, 0) * _even_product(k, q)
     return out
 
 
-def binet_u(n: int, q) -> XsPoly:
-    """Odd-part sum: sum_k q^C(n-2k,2) [n+1 over 2k+1] x^(n-2k) prod (x^2+q^(2j+1)s)."""
-    q = as_rational(q)
-    out = ZERO
-    for k in range((n + 1) // 2 + 1):
-        c = q_binom(n + 1, 2 * k + 1, q)
-        if c == 0 or n - 2 * k < 0:
-            continue
-        out = out + XsPoly.monomial(q ** binom2(n - 2 * k) * c, n - 2 * k, 0) * _even_product(
-            k, q
-        )
-    return out
+binet_t = partial(_binet_sum, 0)
+binet_u = partial(_binet_sum, 1)
 
 
 def binet_product_parts(n: int, q):

@@ -2,10 +2,11 @@
 symbols, Carlitz q-Catalan numbers, parameter points and the memo of every
 recurrence, kept for one q sample of a run by a memo_scope, none outside one.
 
-A ParamPoint (q, b) owns its b-ladder: the levels 1 - q^j b and the
-Pochhammer symbols (q^s b;q)_m that the (q,b) families multiply and divide
-by, each computed once per ladder.  q_poch is the
-general, uncached Pochhammer symbol of order n >= 0 for every other base.
+A ParamPoint (q, b) owns its b-ladder: the levels 1 - q^j b that the (q,b)
+families multiply and divide by, each computed once per ladder; a Pochhammer
+symbol (q^s b;q)_m is the product of m of them, taken anew on each call.
+q_poch is the general, uncached Pochhammer symbol of order n >= 0 for every
+other base.
 
 Nothing here ever rounds.  The arithmetic is in integers: at q = a/c a level
 is an integer pair read by ParamPoint.level_pair, q_poch and q_int multiply
@@ -53,15 +54,16 @@ def _lowest(n: int, d: int):
 class ParamPoint:
     """A concrete rational substitution (q, b), q != 0; x and s stay formal.
 
-    A point owns its b-ladder: the levels 1 - q^j b and the Pochhammer
-    symbols (q^s b;q)_m, each held as an integer pair (numerator,
-    denominator), computed on first use and kept in tables indexed from the
-    point's b.  At q = a/c and b = u/v, level j is the
-    pair (c^j v - a^j u, c^j v), with a and c swapped for j < 0 and the signs
-    turned so that the denominator is positive; it is not in lowest terms.
-    shift_b(j) builds the point at q^j b once and gives it the same tables,
-    indexed j further on, so the points one point shifts to share one ladder,
-    built from the root's b, which lives as long as the last of them.
+    A point owns its b-ladder: the levels 1 - q^j b, each held as an integer
+    pair (numerator, denominator), computed on first use and kept in a table
+    indexed from the point's b; the Pochhammer symbols (q^s b;q)_m are
+    multiplied from it on each call and not kept.  At q = a/c and b = u/v,
+    level j is the pair (c^j v - a^j u, c^j v), with a and c swapped for
+    j < 0 and the signs turned so that the denominator is positive; it is not
+    in lowest terms.  shift_b(j) builds the point at q^j b once and gives it
+    the same table, indexed j further on, so the points one point shifts to
+    share one ladder, built from the root's b, which lives as long as the
+    last of them.
     A Fraction is made only at the public edge, by level().
 
     Every division of the (q,b) families by a factor 1 - q^j b goes through
@@ -77,7 +79,7 @@ class ParamPoint:
         if not ints[0]:
             raise PoleError("q = 0 is not a valid parameter")
         self.__dict__.update(q=q, b=b, _ints=ints, _hash=hash(ints), _shifts={}, _offset=0,
-                             _root=(b, ints[2], ints[3]), _pairs={}, _pochs={})
+                             _root=(b, ints[2], ints[3]), _pairs={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a ParamPoint")
@@ -145,37 +147,19 @@ class ParamPoint:
         return Fraction(*self.level_pair(j))
 
     def _poch_pair(self, s: int, m: int):
-        """(q^s b;q)_m as integers (n, d), d != 0, not in lowest terms.
-
-        For m >= 0 it is the product of the levels s .. s+m-1, any of which
-        may be 0; it is kept once asked for, and extends a kept (s, m-1) by
-        one level.  For m < 0 it is the reciprocal of the product of the
-        levels s+m .. s-1, which is not kept, and raises _poch_pole's
+        """(q^s b;q)_m as integers (n, d), d != 0, not in lowest terms, built
+        anew on each call.  For m >= 0 it is the product of the levels
+        s .. s+m-1, any of which may be 0; for m < 0 it is the reciprocal of
+        the product of the levels s+m .. s-1, and raises _poch_pole's
         PoleError at the first of them that vanishes."""
-        if m < 0:
-            num = den = 1
-            for j in range(s + m, s):
-                n, d = self._pair(j)
-                if not n:
-                    raise _poch_pole(m)
-                num *= n
-                den *= d
-            return den, num
-        start = s + self._offset
-        pair = self._pochs.get((start, m))
-        if pair is None:
-            shorter = self._pochs.get((start, m - 1))
-            if shorter is None:
-                num = den = 1
-                for j in range(s, s + m):
-                    n, d = self._pair(j)
-                    num *= n
-                    den *= d
-            else:
-                n, d = self._pair(s + m - 1)
-                num, den = shorter[0] * n, shorter[1] * d
-            pair = self._pochs[start, m] = (num, den)
-        return pair
+        num = den = 1
+        for j in range(s + m, s) if m < 0 else range(s, s + m):
+            n, d = self._pair(j)
+            if not n and m < 0:
+                raise _poch_pole(m)
+            num *= n
+            den *= d
+        return (num, den) if m >= 0 else (den, num)
 
     def shift_b(self, j: int) -> "ParamPoint":
         """The point with b replaced by q^j * b, built once per j, on this
@@ -183,8 +167,7 @@ class ParamPoint:
         point = self._shifts.get(j)
         if point is None:
             point = ParamPoint(self.q, self.q**j * self.b)
-            point.__dict__.update(_offset=self._offset + j, _root=self._root,
-                                  _pairs=self._pairs, _pochs=self._pochs)
+            point.__dict__.update(_offset=self._offset + j, _root=self._root, _pairs=self._pairs)
             self._shifts[j] = point
         return point
 

@@ -2,12 +2,14 @@
 suite runner's determinism and skip behavior."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -579,6 +581,30 @@ def test_gen_holds_two_members_not_the_table():
     ]:
         gen = _peak_rss_mb("-m", "qcheb.cli", "gen", "--family", "T", *argv, code=code)
         assert gen - base < 1.5, (argv, base, gen)
+
+
+def _gen_peak_mb(family):
+    """The tracemalloc peak of cli.main running gen to n = 80 at (3/5, 3/7),
+    writing to devnull."""
+    argv = ["gen", "--family", family, "--n", "80", "--q=3/5", "--b=3/7"]
+    with open(os.devnull, "w") as out:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli.main(argv, out=out) == 0
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+
+def test_gen_l_trace_holds_a_few_members_as_f_qb_does():
+    """L_TRACE walks F_(n+1)(x,b,s) and F_(n-1)(x,qb,qs) side by side, two
+    members held of each: it peaked at 0.43 MB against 0.27 MB for F_QB,
+    where building l_n by lucas_trace at each n, with both memos kept to
+    the end, peaked at 3.1 MB."""
+    cli.main(["catalan", "--n", "1", "--q", "2"], out=io.StringIO())  # argparse's first imports
+    f_qb, l_trace = _gen_peak_mb("F_QB"), _gen_peak_mb("L_TRACE")
+    assert l_trace < 3 * f_qb, (l_trace, f_qb)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

@@ -237,7 +237,7 @@ def test_ladder_matches_its_definition(qb, queries):
     for t1, t2, s, m, j in queries:
         p = root.shift_b(t1).shift_b(t2)
         assert p == ParamPoint(q, q ** (t1 + t2) * b)
-        for k in (m - 1, m):  # (s, m) extends (s, m - 1)
+        for k in (m - 1, m):  # two neighbouring orders, asked in turn
             poch = _outcome(lambda: Fraction(*p._poch_pair(s, k)))
             assert poch == _outcome(_q_poch_reference, q**s * p.b, q, k)
         level = _outcome(_level_reference, q, b, t1 + t2 + j)

@@ -26,7 +26,6 @@ ALLOWLIST = {
     "polyring.Mat2.__eq__": "dunder: compares transfer matrices in tests",
     "polyring.Mat2.__repr__": "dunder: shown in tests and tracebacks",
     "polyring.XsPoly.terms": "read by perfbench/tracer.py",
-    "polyring.XsPoly.to_json": "timed by perfbench/micro.py; gen writes json_terms",
 }
 
 FORMATS = ("text", "csv", "json")
@@ -39,6 +38,7 @@ COMMANDS = [
     *((["gen", "--family", f.value, "--n", "5", "--q", "3/5", "--b", "3/7", "--format", fmt], 0)
       for f in families.FamilyId for fmt in FORMATS),
     *((["moments", "--family", f, "--n", "5", "--q", "2"], 0) for f in MOMENT_FAMILIES),
+    (["moments", "--family", "GEN_FIB", "--n", "5", "--q", "2", "--format", "json"], 0),
     (["catalan", "--n", "6", "--q", "1/2"], 0),
     (["gen", "--family", "F_QB", "--n", "9", "--q", "2", "--b", "1/256"], 2),  # a pole
     (["gen", "--family", "T", "--n", "3", "--q", "1/0"], 2),  # not a rational
