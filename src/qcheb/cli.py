@@ -110,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_digits(values, base=1):
     """Raise, before anything is written, the ValueError that str() would
-    raise on the first integer printing values converts past Python's
+    raise on the first integer printing values writes past Python's
     int-to-str digit limit.  values are XsPolys and Fractions, in print order.
+    A denominator base^e is written from a Decimal, not by str(), so this
+    check alone stops one past the limit.
 
     abs(n) >= 10**limit holds exactly when str(n) raises.  A polynomial is
     reduced to its lowest-terms coefficients, by XsPoly.sorted_terms(base),

@@ -3,10 +3,16 @@ q-dilation substitution, q-derivative, truncation by x-degree or by weight
 (x of weight 1, s of weight 2) and 2x2 matrices.
 """
 
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from math import gcd, lcm, log
 
 from .qkernel import as_rational
+
+
+# exact integer products: a digit this context could not keep raises, never
+# rounds, and a product of integers keeps exponent 0, so str gives no "E"
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
 def _coerce_coeff(c) -> Fraction:
@@ -55,9 +61,11 @@ class XsPoly:
     stored and den > 0, but num/den is not kept in lowest terms.  == compares
     values by cross-multiplication; lowest terms are made only where a value
     leaves the type: per term in sorted_terms and terms, and over the whole
-    value in __hash__.  sorted_terms, which printing reads, takes one gcd per
-    term, or strips factors of a given base where den is a power of it.
-    Instances are treated as immutable.
+    value in __hash__.  sorted_terms takes one gcd per term, or strips
+    factors of a given base where den is a power of it.  Printing reduces
+    the same way, and writes a reduced denominator base^e from one Decimal
+    per polynomial instead of converting the int.  Instances are treated as
+    immutable.
     """
 
     __slots__ = ("num", "den")
@@ -335,6 +343,32 @@ class XsPoly:
 
     # -- serialization ------------------------------------------------
 
+    def _lowest_terms(self, base):
+        """(key, n, e, d) per term in canonical order, n/d its coefficient in
+        lowest terms with d > 0.  Where the strip leaves d = base^e, d is None
+        and only e is given; elsewhere e is None.  base as in sorted_terms."""
+        num, den = self.num, self.den
+        keys = sorted(num, key=lambda k: (-k[0], k[1]))
+        top = round(log(den, base)) if base > 1 else 0
+        if base**top != den:
+            for key in keys:
+                c = num[key]
+                g = gcd(c, den)
+                yield (key, c, None, den) if g == 1 else (key, c // g, None, den // g)
+            return
+        squares = [base]  # base^(2^j) for 2^j <= top
+        while 1 << len(squares) <= top:
+            squares.append(squares[-1] ** 2)
+        for key in keys:
+            c, v = _strip(num[key], squares, top)
+            e = top - v
+            if e and gcd(base, c % base) > 1:
+                d = base**e
+                g = gcd(c, d)
+                yield key, c // g, None, d // g
+            else:
+                yield key, c, e, None
+
     def sorted_terms(self, base=1):
         """((deg_x, deg_s), n, d) per term, with n/d its coefficient in lowest
         terms and d > 0, in canonical order: descending deg_x, then ascending
@@ -348,47 +382,46 @@ class XsPoly:
         with what is left.  Where den is no power of base (for base 1, where
         den > 1), each term takes one gcd with den.  The triples are the same
         for every base."""
-        num, den = self.num, self.den
-        keys = sorted(num, key=lambda k: (-k[0], k[1]))
-        top = round(log(den, base)) if base > 1 else 0
-        if base**top != den:
-            for key in keys:
-                c = num[key]
-                g = gcd(c, den)
-                yield (key, c, den) if g == 1 else (key, c // g, den // g)
-            return
-        squares = [base]  # base^(2^j) for 2^j <= top
-        while 1 << len(squares) <= top:
-            squares.append(squares[-1] ** 2)
-        for key in keys:
-            c, v = _strip(num[key], squares, top)
-            d = base ** (top - v)
-            if d > 1 and gcd(base, c % base) > 1:
-                g = gcd(c, d)
-                c, d = c // g, d // g
-            yield key, c, d
+        for key, n, e, d in self._lowest_terms(base):
+            yield key, n, base**e if d is None else d
+
+    def _coeff_texts(self, base):
+        """((deg_x, deg_s), text) per term of sorted_terms(base), text its
+        coefficient n/d as _format_ratio writes it.  The whole polynomial is
+        reduced first.  A d that the strip left as base^e is written without
+        int-to-str: one Decimal climbs through the distinct e in increasing
+        order, one multiplication by base^(e - e_prev) each, and is written
+        once per e.  The texts are dropped with the polynomial."""
+        terms = list(self._lowest_terms(base))
+        texts, power, at = {0: ""}, Decimal(1), 0  # e -> "/" + str(base^e)
+        for e in sorted({e for _, _, e, _ in terms if e}):
+            # the step as an int: pure-Python decimal's power at MAX_PREC never ends
+            power = _EXACT.multiply(power, Decimal(base ** (e - at)))
+            texts[e], at = "/" + str(power), e
+        for key, n, e, d in terms:
+            yield key, _format_ratio(n, d) if e is None else f"{n}{texts[e]}"
 
     def json_terms(self, base=1):
-        """The entries of to_json()["terms"], one per term, as they are
-        reached; base as in sorted_terms."""
-        for (dx, ds), n, d in self.sorted_terms(base):
-            yield {"dx": dx, "ds": ds, "c": _format_ratio(n, d)}
+        """The entries of to_json()["terms"], one per term, from
+        _coeff_texts(base); base as in sorted_terms."""
+        for (dx, ds), text in self._coeff_texts(base):
+            yield {"dx": dx, "ds": ds, "c": text}
 
     def to_json(self):
         return {"terms": list(self.json_terms())}
 
     def str_pieces(self, base=1):
-        """str(self) in pieces, one per term, as they are reached: the first
-        term, then " + term" or " - term" for each later one.  A coefficient
-        of 1 is left out beside x or s; base as in sorted_terms."""
+        """str(self) in pieces, one per term, from _coeff_texts(base): the
+        first term, then " + term" or " - term" for each later one.  A
+        coefficient of 1 is left out beside x or s; base as in sorted_terms."""
         if not self.num:
             yield "0"
         sep = ""
-        for (dx, ds), n, d in self.sorted_terms(base):
+        for (dx, ds), text in self._coeff_texts(base):
             sign = sep
-            if n < 0:
-                sign, n = (" - " if sep else "-"), -n
-            factors = [] if n == d == 1 and (dx or ds) else [_format_ratio(n, d)]
+            if text[0] == "-":
+                sign, text = (" - " if sep else "-"), text[1:]
+            factors = [] if text == "1" and (dx or ds) else [text]
             if dx:
                 factors.append("x" if dx == 1 else f"x^{dx}")
             if ds:

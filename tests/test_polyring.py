@@ -1,6 +1,8 @@
 """Polynomial ring layer: XsPoly arithmetic, dilation, q-derivative,
 serialization, negative powers of s, 2x2 matrices and truncated series."""
 
+import contextlib
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcheb.polyring import ONE, S, X, XsPoly, ZERO, Mat2, format_rational
+from qcheb.polyring import ONE, S, X, XsPoly, ZERO, Mat2, _format_ratio, format_rational
 from qcheb.qkernel import q_int
 
 F = Fraction
@@ -350,6 +352,58 @@ def test_sorted_terms_stripped_by_base_are_the_gcd_reduced_terms(base, k, extra,
     triples = list(poly.sorted_terms(base))
     assert triples == list(poly.sorted_terms())
     assert all(d > 0 and gcd(n, d) == 1 for _, n, d in triples)
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift Python's int-to-str digit limit, where it has one, for the
+    references' str() of numbers of up to 12000 digits."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
+
+
+@st.composite
+def ladder_polys(draw):
+    """(base, poly) with den = base^k * extra, k up to 3000, and numerators
+    sign * base^e * m, e up to k + 2: the reduced denominators base^(k - e)
+    of one polynomial are up to six rungs of the Decimal ladder, thousands
+    of digits long; an extra of 7 or 12 sends every term to the gcd."""
+    base = draw(st.sampled_from([1, 2, 5, 6, 10, 12, 30, 10007]))
+    k = draw(st.integers(0, 3000))
+    extra = draw(st.sampled_from([1, 7, 12]))
+    factor = st.tuples(st.sampled_from([1, -1]), st.integers(0, k + 2), st.integers(1, 10**6))
+    factors = draw(st.one_of(
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-2, 2)), factor, max_size=6),
+        st.dictionaries(st.just((0, 0)), factor, max_size=1),  # a constant, or 0
+    ))
+    num = {key: sign * base**e * m for key, (sign, e, m) in factors.items()}
+    return base, XsPoly._of(num, base**k * extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ladder_polys())
+def test_coefficient_texts_are_the_lowest_terms_ratios(case):
+    """json_terms and str_pieces write each coefficient, its denominator
+    from the Decimal ladder where that is a power of base, as _format_ratio
+    writes the triple of sorted_terms, and as the Fraction reference does."""
+    base, poly = case
+    with no_digit_limit():
+        triples = list(poly.sorted_terms(base))
+        entries = list(poly.json_terms(base))
+        pieces = list(poly.str_pieces(base))
+        ref = poly.terms
+        assert [e["c"] for e in entries] == [_format_ratio(n, d) for _, n, d in triples]
+        assert [(e["dx"], e["ds"]) for e in entries] == [key for key, _, _ in triples]
+        assert {"terms": entries} == ref_json(ref)
+        assert len(pieces) == max(1, len(triples))
+        assert "".join(pieces) == ref_str(ref)
+    assert not any("E" in t or "." in t for t in [*pieces, *(e["c"] for e in entries)])
 
 
 def test_subs_and_eval():
