@@ -9,8 +9,9 @@ lowest-terms "num/den" strings.  No command writes before every number it
 will print has been built and checked against Python's int-to-str digit
 limit, so an error, such as a pole or a number past the digit limit, exits 2
 with nothing written to stdout.  `gen` walks its family twice
-(families.family_walk, which holds two members of a recurrence at a time,
-and for L_TRACE two of each of the two Fibonacci walks it adds): the first
+(families.family_walk, which holds two members of a recurrence at a time:
+the primary's, or for F_CARLITZ the oracle's, and for L_TRACE two of each
+of the two Fibonacci walks it adds): the first
 walk builds and checks each member and drops it, stopping at the first
 error; the second builds the members again and writes one term per write.
 `moments` and `catalan` build all of their rows, check them, then write row

@@ -6,11 +6,13 @@ Every family is computable by at least two independent routes (closed-form sum
 and three-term recurrence); negative indices give polynomials in x with
 negative powers of s, held in the same XsPoly type.
 
-The primary recurrences, the dilated Carlitz route, the backward walks and
-F_m(x, qb, qs) are `qkernel.sequence`s, built bottom-up and kept for one q
-sample of a run by a `qkernel.memo_scope`, none outside a scope; family_walk
-walks the primaries without the memo, two members at a time (L_TRACE as two
-Fibonacci walks side by side); the closed forms
+The primary recurrences, each F/L and U/T pair one sequence with a 0/1 flag,
+the dilated Carlitz route, the backward walks and F_m(x, qb, qs) are
+`qkernel.sequence`s, built bottom-up and kept for one q sample of a run by a
+`qkernel.memo_scope`, none outside a scope.  family_walk walks a recurrence
+of every family without the memo, two members at a time: the primary's, or
+for F_CARLITZ, whose primary is a closed form, the dilated route of its
+oracle (L_TRACE as two Fibonacci walks side by side).  The closed forms
 (beyond the q-Pascal rows they read) and the dilated (q,b) routes keep no memo.
 
 The closed-form sums (fib_qb_closed, which is fib_carlitz at b = 0,
@@ -27,8 +29,8 @@ families, so the sums hold at q = -1 off their families' poles.
 
 import enum
 from fractions import Fraction
-from itertools import chain, count, islice, repeat
-from typing import Callable, NamedTuple, Optional
+from itertools import chain, islice
+from typing import Callable, NamedTuple
 
 from .polyring import ONE, S, X, XsPoly, ZERO
 from .qkernel import (
@@ -124,15 +126,15 @@ def fib_qb(n: int, point: ParamPoint) -> XsPoly:
     """
     if n < 0:
         raise ValueError("use fib_qb_ext for negative indices")
-    return _fib_qb(n, point)
+    return _fib_lucas_qb(n, point, 0)
 
 
-# Step m of F_n and L_n: x P_(m-1) + q^e s / ((1 - q^(m-2) b)(1 - q^(m-1) b)) P_(m-2),
-# e = m-2 for F_n and m-1 for L_n, the coefficient a lowest-terms integer pair.
-_fib_qb = sequence(
-    lambda point: (ZERO, ONE),
-    lambda m, f, p: f[m - 1]._times_term(1, 0, 1, 1)
-    + f[m - 2]._times_term(0, 1, *p._over_levels(m - 2, m - 2, m - 1)),
+# Step m of F_n (lucas = 0) and L_n (lucas = 1): x P_(m-1) + q^(m-2+lucas) s /
+# ((1 - q^(m-2) b)(1 - q^(m-1) b)) P_(m-2), the coefficient a lowest-terms integer pair.
+_fib_lucas_qb = sequence(
+    lambda p, lucas: (XsPoly.const(1 - p.b), X) if lucas else (ZERO, ONE),
+    lambda m, f, p, lucas: f[m - 1]._times_term(1, 0, 1, 1)
+    + f[m - 2]._times_term(0, 1, *p._over_levels(m - 2 + lucas, m - 2, m - 1)),
     order=2,
 )
 
@@ -253,8 +255,8 @@ def _lucas_trace_walk(point: ParamPoint):
     and that of F_(n-1)(x,qb,qs), two members held of each."""
     scalar = point._over_levels(0, 0, 1)
     ups = chain([fib_qb_up(-1, point)],
-                (f.dilate(point.q, 0, 1) for f in _fib_qb.walk(point.shift_b(1))))
-    for f, up in zip(islice(_fib_qb.walk(point), 1, None), ups):
+                (f.dilate(point.q, 0, 1) for f in _fib_lucas_qb.walk(point.shift_b(1), 0)))
+    for f, up in zip(islice(_fib_lucas_qb.walk(point, 0), 1, None), ups):
         yield f + up._times_term(0, 1, *scalar)
 
 
@@ -298,15 +300,7 @@ def lucas_qb(n: int, point: ParamPoint) -> XsPoly:
     L_n = x L_(n-1) + q^(n-1) s / ((1 - q^(n-2) b)(1 - q^(n-1) b)) L_(n-2)."""
     if n < 0:
         raise ValueError("lucas_qb needs n >= 0")
-    return _lucas_qb(n, point)
-
-
-_lucas_qb = sequence(
-    lambda point: (XsPoly.const(1 - point.b), X),
-    lambda m, f, p: f[m - 1]._times_term(1, 0, 1, 1)
-    + f[m - 2]._times_term(0, 1, *p._over_levels(m - 1, m - 2, m - 1)),
-    order=2,
-)
+    return _fib_lucas_qb(n, point, 1)
 
 
 def lucas_qb_closed(n: int, point: ParamPoint) -> XsPoly:
@@ -383,6 +377,9 @@ def gen_lucas_backward(n: int, q) -> XsPoly:
     return _gen_lucas_backward(1 - n, point)
 
 
+# The step multiplies by its levels 1 + q^j, j < 0, as Fractions: a vanishing one gives
+# the 0 member gen_lucas_neg_closed gives (L_(-1) at q = -1), where _over_levels, as in
+# _fib_qb_backward, would raise, and eq-4.6 at q = -1 would name 1 - q^-1 b, not 1 - q^1 b.
 _gen_lucas_backward = sequence(  # member k is L_(1-k), made as L_(m-2) at m = 3 - k
     lambda p: (lucas_qb(1, p), lucas_qb(0, p)),
     lambda k, f, p: (f[k - 2] - X * f[k - 1])
@@ -422,13 +419,16 @@ def cheb_u(n: int, q) -> XsPoly:
     """U_n = (1+q^n) x U_(n-1) + q^(n-1) s U_(n-2); U_0 = 1, U_1 = (1+q)x."""
     if n < 0:
         raise ValueError("use cheb_u_ext for negative indices")
-    return _cheb_u(n, *_q_ints(q))
+    return _cheb(n, *_q_ints(q), 0)
 
 
-# At q = a/c, 1 + q^m = (c^m + a^m) / c^m and q^m = a^m / c^m are in lowest terms.
-_cheb_u = sequence(
-    lambda a, c: (ONE, X._times_term(0, 0, c + a, c)),
-    lambda m, u, a, c: u[m - 1]._times_term(1, 0, c**m + a**m, c**m)
+# Step m of U_n (shift = 0) and T_n (shift = 1): (1+q^(m-shift)) x P_(m-1) + q^(m-1) s P_(m-2).
+# At q = a/c, 1 + q^j = (c^j + a^j) / c^j and q^j = a^j / c^j are in lowest terms.
+_cheb = sequence(
+    lambda a, c, shift: (ONE, X if shift else X._times_term(0, 0, c + a, c)),
+    lambda m, u, a, c, shift: u[m - 1]._times_term(
+        1, 0, c ** (m - shift) + a ** (m - shift), c ** (m - shift)
+    )
     + u[m - 2]._times_term(0, 1, a ** (m - 1), c ** (m - 1)),
     order=2,
 )
@@ -496,15 +496,7 @@ def cheb_t(n: int, q) -> XsPoly:
     """T_n = (1+q^(n-1)) x T_(n-1) + q^(n-1) s T_(n-2); T_0 = 1, T_1 = x."""
     if n < 0:
         raise ValueError("use cheb_t_ext for negative indices")
-    return _cheb_t(n, *_q_ints(q))
-
-
-_cheb_t = sequence(
-    lambda a, c: (ONE, X),
-    lambda m, t, a, c: t[m - 1]._times_term(1, 0, c ** (m - 1) + a ** (m - 1), c ** (m - 1))
-    + t[m - 2]._times_term(0, 1, a ** (m - 1), c ** (m - 1)),
-    order=2,
-)
+    return _cheb(n, *_q_ints(q), 1)
 
 
 def cheb_t_closed(n: int, q) -> XsPoly:
@@ -628,27 +620,29 @@ def _hypergeom_sum(n: int, q: Fraction, top: int) -> XsPoly:
 
 class Family(NamedTuple):
     """A family's two routes, each called as route(n, point), and the walk
-    of its primary route.  The oracle is independent: it never calls the
-    recurrence of the primary route."""
+    of a recurrence of the family.  The oracle is independent: it never
+    calls the recurrence of the primary route."""
 
     primary: Callable
     oracle: Callable
     b_free: bool  # b is a parameter of the family; the others fix or ignore it
     lowest_n: int  # the oracle holds for n >= lowest_n
-    # walk(point) yields primary(0, point), primary(1, point), ... from the
-    # primary's sequences with no memo; None for F_CARLITZ, a closed form
-    walk: Optional[Callable]
+    # walk(point) yields the members 0, 1, 2, ... from a recurrence with no
+    # memo: the primary's, or for F_CARLITZ, whose primary is a closed form,
+    # the oracle's
+    walk: Callable
 
 
 # The routes are looked up by name when called, so each call reaches the
 # module-level function even where that name has been rebound.
 FAMILIES = {
     FamilyId.FIB_CARLITZ: Family(
-        lambda n, p: fib_carlitz(n, p.q), lambda n, p: fib_carlitz_rec(n, p.q), False, 0, None
+        lambda n, p: fib_carlitz(n, p.q), lambda n, p: fib_carlitz_rec(n, p.q), False, 0,
+        lambda p: _fib_carlitz_rec.walk(*_q_ints(p.q)),
     ),
     FamilyId.FIB_QB: Family(
         lambda n, p: fib_qb(n, p), lambda n, p: fib_qb_closed(n, p), True, 0,
-        lambda p: _fib_qb.walk(p),
+        lambda p: _fib_lucas_qb.walk(p, 0),
     ),
     FamilyId.LUCAS_TRACE: Family(
         lambda n, p: lucas_trace(n, p).as_poly(), lambda n, p: lucas_trace_closed(n, p), True, 1,
@@ -656,26 +650,26 @@ FAMILIES = {
     ),
     FamilyId.LUCAS_QB: Family(
         lambda n, p: lucas_qb(n, p), lambda n, p: lucas_qb_closed(n, p), True, 1,
-        lambda p: _lucas_qb.walk(p),
+        lambda p: _fib_lucas_qb.walk(p, 1),
     ),
     FamilyId.GEN_FIB: Family(
         lambda n, p: gen_fib(n, p.q),
         lambda n, p: fib_qb_closed(n, _b_minus_1(p.q)),
         False,
         0,
-        lambda p: _fib_qb.walk(_b_minus_1(p.q)),
+        lambda p: _fib_lucas_qb.walk(_b_minus_1(p.q), 0),
     ),
     FamilyId.GEN_LUCAS: Family(
         lambda n, p: gen_lucas(n, p.q), lambda n, p: hypergeom_gen_lucas(n, p.q), False, 1,
-        lambda p: _lucas_qb.walk(_b_minus_1(p.q)),
+        lambda p: _fib_lucas_qb.walk(_b_minus_1(p.q), 1),
     ),
     FamilyId.CHEB_U: Family(
         lambda n, p: cheb_u(n, p.q), lambda n, p: cheb_u_closed(n, p.q), False, 0,
-        lambda p: _cheb_u.walk(*_q_ints(p.q)),
+        lambda p: _cheb.walk(*_q_ints(p.q), 0),
     ),
     FamilyId.CHEB_T: Family(
         lambda n, p: cheb_t(n, p.q), lambda n, p: cheb_t_closed(n, p.q), False, 0,
-        lambda p: _cheb_t.walk(*_q_ints(p.q)),
+        lambda p: _cheb.walk(*_q_ints(p.q), 1),
     ),
     FamilyId.ALSALAM_ISMAIL: Family(
         lambda n, p: alsalam_ismail(n, p.q, S.scale(-p.q), p.q),
@@ -694,13 +688,10 @@ def family_poly(family: FamilyId, n: int, point: ParamPoint) -> XsPoly:
 
 
 def family_walk(family: FamilyId, point: ParamPoint):
-    """The members 0, 1, 2, ... of a family at a parameter point, by its
-    primary route, without end; a recurrence keeps only the members its
-    next step reads.  This is the surface `qcheb gen` consumes."""
-    spec = FAMILIES[family]
-    if spec.walk is None:
-        return map(spec.primary, count(), repeat(point))
-    return spec.walk(point)
+    """The members 0, 1, 2, ... of a family at a parameter point, by the
+    recurrence of its walk, without end, keeping only the members its next
+    step reads.  This is the surface `qcheb gen` consumes."""
+    return FAMILIES[family].walk(point)
 
 
 def binet_float_fib(n: int, x_val: float, s_val: float) -> float:

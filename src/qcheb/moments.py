@@ -117,46 +117,25 @@ def expand_in_basis(poly: XsPoly, basis):
 # -- closed-form expansions and moments --------------------------------
 
 
-def expand_x_fib(n: int, q):
-    """Coefficients c_k of x^n = sum_k c_k F_(n+1-2k)(x,-1,s,q):
-    c_k = ([n over k] - [n over k-1]) (-s)^k / ((-q;q)_k (-q^(n+2-2k);q)_k)."""
+def _reconstruct_x(lucas: int, n: int, q) -> XsPoly:
+    """x^n as the sum of c_k P_m, m = n + 1 - lucas - 2k, over the basis
+    F_m(x,-1,s,q) (lucas = 0) or L*_m(x,s,q) (lucas = 1), with
+    c_k = ([n over k] - [n over k-1]) (-s)^k / ((-q;q)_k (-q^(m+1);q)_k) for F,
+    c_k = [n over k] (-qs)^k / ((-q;q)_k (-q^(m+1);q)_k) for L*."""
     q = as_rational(q)
-    out = []
-    for k in range(n // 2 + 1):
-        scalar = (q_binom(n, k, q) - q_binom(n, k - 1, q)) / (
-            q_poch(-q, q, k) * q_poch(-(q ** (n + 2 - 2 * k)), q, k)
-        )
-        out.append(XsPoly.monomial(scalar * Fraction(-1) ** k, 0, k))
-    return out
-
-
-def expand_x_lucas(n: int, q):
-    """Coefficients c_k of x^n = sum_k c_k L*_(n-2k)(x,s,q):
-    c_k = [n over k] (-qs)^k / ((-q;q)_k (-q^(n-2k+1);q)_k)."""
-    q = as_rational(q)
-    out = []
-    for k in range(n // 2 + 1):
-        scalar = q_binom(n, k, q) / (
-            q_poch(-q, q, k) * q_poch(-(q ** (n - 2 * k + 1)), q, k)
-        )
-        out.append(XsPoly.monomial(scalar * (-q) ** k, 0, k))
-    return out
-
-
-def reconstruct_x_fib(n: int, q) -> XsPoly:
+    basis = families.gen_lucas if lucas else families.gen_fib
     total = ZERO
-    for k, c in enumerate(expand_x_fib(n, q)):
-        total = total + c * families.gen_fib(n + 1 - 2 * k, q)
+    for k in range(n // 2 + 1):
+        m = n + 1 - lucas - 2 * k
+        top = q_binom(n, k, q) * q**k if lucas else q_binom(n, k, q) - q_binom(n, k - 1, q)
+        scalar = top / (q_poch(-q, q, k) * q_poch(-(q ** (m + 1)), q, k))
+        c = XsPoly.monomial(scalar * Fraction(-1) ** k, 0, k)
+        total = total + c * (ONE if m == 0 else basis(m, q))
     return total
 
 
-def reconstruct_x_lucas(n: int, q) -> XsPoly:
-    total = ZERO
-    for k, c in enumerate(expand_x_lucas(n, q)):
-        m = n - 2 * k
-        basis_poly = ONE if m == 0 else families.gen_lucas(m, q)
-        total = total + c * basis_poly
-    return total
+reconstruct_x_fib = partial(_reconstruct_x, 0)
+reconstruct_x_lucas = partial(_reconstruct_x, 1)
 
 
 def moments_fib_closed(n: int, q) -> XsPoly:

@@ -421,23 +421,25 @@ def test_pole_error_repeats_after_a_partial_fill(point, n, message):
 
 # -- walks: the recurrences without their memo ------------------------
 
-# Each sequence that has a walk, with params of its own.
+# Each sequence that has a walk, with params of its own; a sequence with a 0/1
+# flag once at each value, keyed by the twin it then walks (_fib_lucas_qb as
+# _fib_qb and _lucas_qb, _cheb as _cheb_u and _cheb_t).
 WALKS = {
     "q_pascal": (qkernel.q_pascal, (3, 5)),
     "_fib_carlitz_rec": (families._fib_carlitz_rec, (-3, 5)),
-    "_fib_qb": (families._fib_qb, (ParamPoint(F(3, 5), F(3, 7)),)),
-    "_lucas_qb": (families._lucas_qb, (ParamPoint(F(-3, 5), F(3, 7)),)),
+    "_fib_qb": (families._fib_lucas_qb, (ParamPoint(F(3, 5), F(3, 7)), 0)),
+    "_lucas_qb": (families._fib_lucas_qb, (ParamPoint(F(-3, 5), F(3, 7)), 1)),
     "_alsalam_ismail": (families._alsalam_ismail,
                         families._alsalam_params(F(3, 5), S.scale(F(-3, 5)), F(3, 5))),
-    "_cheb_u": (families._cheb_u, (3, 5)),
-    "_cheb_t": (families._cheb_t, (-3, 5)),
+    "_cheb_u": (families._cheb, (3, 5, 0)),
+    "_cheb_t": (families._cheb, (-3, 5, 1)),
 }
 
 
 def test_every_walk_is_tested_and_q_catalan_has_none():
-    walks = {name for module in (qkernel, families) for name, value in vars(module).items()
+    walks = {value: name for module in (qkernel, families) for name, value in vars(module).items()
              if hasattr(value, "cache_info") and hasattr(value, "walk")}
-    assert walks == set(WALKS)
+    assert {walks.get(fn) for fn, _ in WALKS.values()} == set(walks.values())
     assert not hasattr(qkernel._q_catalan, "walk")  # its step reads every member
 
 
@@ -473,14 +475,16 @@ def test_a_walk_yields_the_members_and_leaves_the_memo_alone(name):
 @pytest.mark.parametrize(
     "fn, point, message",
     [
-        (families._fib_qb, ParamPoint(F(2), F(1, 8)), "1 - q^3 b vanishes at q=2, b=1/8"),
-        (families._lucas_qb, ParamPoint(F(-1), F(-1)), "1 - q^1 b vanishes at q=-1, b=-1"),
+        (families._fib_lucas_qb, ParamPoint(F(2), F(1, 8)), "1 - q^3 b vanishes at q=2, b=1/8"),
+        (families._fib_lucas_qb, ParamPoint(F(-1), F(-1)), "1 - q^1 b vanishes at q=-1, b=-1"),
     ],
 )
 def test_a_walk_raises_the_pole_of_its_sequence_at_the_same_member(fn, point, message):
-    walked = _until_error(islice(fn.walk(point), 12))
-    assert walked == _until_error(fn(n, point) for n in range(12))
-    assert walked[1:] == (PoleError, message)
+    """F (lucas = 0) and L (lucas = 1) meet their first pole at the same level."""
+    for lucas in (0, 1):
+        walked = _until_error(islice(fn.walk(point, lucas), 12))
+        assert walked == _until_error(fn(n, point, lucas) for n in range(12))
+        assert walked[1:] == (PoleError, message)
 
 
 @pytest.mark.parametrize(
@@ -776,12 +780,13 @@ def test_closed_forms_call_no_recurrence(monkeypatch):
         raise AssertionError("a closed form called a recurrence")
 
     # every memo families holds but the q-Pascal rows, the closed forms' kernel:
-    # the primaries, the dilated Carlitz route, the three backward walks and F_m(x, qb, qs)
+    # the primaries (each F/L and U/T pair one sequence), the dilated Carlitz
+    # route, the three backward walks and F_m(x, qb, qs)
     recurrences = [
         name for name, value in vars(families).items()
         if callable(getattr(value, "cache_info", None)) and value is not qkernel.q_pascal
     ]
-    assert len(recurrences) == 10
+    assert len(recurrences) == 8
     for name in [*recurrences, "_dilated_bottom_up"]:
         monkeypatch.setattr(families, name, forbidden)
     with pytest.raises(AssertionError, match="called a recurrence"):

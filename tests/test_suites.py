@@ -126,7 +126,7 @@ def _sequence_sizes():
         for value in vars(module).values()
         if callable(getattr(value, "cache_info", None))
     }
-    assert len(memos) == 17
+    assert len(memos) == 15
     return [memo.cache_info().currsize for memo in memos.values()]
 
 
