@@ -15,10 +15,12 @@ for F_CARLITZ, whose primary is a closed form, the dilated route of its
 oracle (L_TRACE as two Fibonacci walks side by side).  The closed forms
 (beyond the q-Pascal rows they read) and the dilated (q,b) routes keep no memo.
 
-The closed-form sums (fib_qb_closed, which is fib_carlitz at b = 0,
-lucas_trace_closed, lucas_qb_closed, cheb_u_closed, cheb_t_closed and the
-hypergeometric forms) work in integers at q = a/c.  Term k is an integer numerator over a power of
-c times a product that gains one integer factor per k; its Gaussian
+The closed-form sums work in integers at q = a/c: _fib_lucas_qb_closed,
+one sum with a 0/1 flag behind fib_qb_closed (fib_carlitz at b = 0) and
+lucas_qb_closed; lucas_trace_closed; _cheb_closed, likewise behind
+cheb_u_closed and cheb_t_closed; and the hypergeometric forms.  Each raises
+ValueError below the n it holds from.  Term k is an integer numerator over a
+power of c times a product that gains one integer factor per k; its Gaussian
 binomials are entries of the rows qkernel.q_pascal(m, a, c), and the (q,b)
 forms take each factor 1 - q^j b from ParamPoint.level_pair(j), in the order
 that raises the first vanishing one.  _one_denominator puts every term over
@@ -141,21 +143,36 @@ _fib_lucas_qb = sequence(
 
 def fib_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     """Closed-form sum route for the (q,b)-Fibonacci polynomials:
-    sum of q^(k^2) [n-1-k over k] s^k x^(n-1-2k) / ((qb;q)_k (q^(n-k) b;q)_k).
+    sum of q^(k^2) [n-1-k over k] s^k x^(n-1-2k) / ((qb;q)_k (q^(n-k) b;q)_k)."""
+    return _fib_lucas_qb_closed(n, point, 0)
+
+
+def _fib_lucas_qb_closed(n: int, point: ParamPoint, lucas: int) -> XsPoly:
+    """F_n (lucas = 0) and L_n (lucas = 1, n >= 1) as the sum over k of
+    q^(k^2) w_k s^k x^(m-k) / ((qb;q)_k (q^(n-k) b;q)_k), m = n - 1 + lucas - k,
+    with w_k = [m over k] for F and [m over k] - q^m b [m-1 over k-1] for L.
 
     The denominator gains the two factors (1 - q^k b)(1 - q^(n-k) b) per k:
     their numerators are term k's new factor, their denominators multiply
-    its numerator."""
+    its numerator.  At q = a/c and b = u/v, L's term k is over c^(km+k) v."""
+    if n < lucas:
+        raise ValueError(f"closed form holds for n >= {lucas}")
     a, c = point.q.numerator, point.q.denominator
+    u, v = point.b.numerator, point.b.denominator
     terms = []
     carried = 1
-    for k in range((n - 1) // 2 + 1) if n >= 1 else range(0):
-        factor = 1
-        if k and point.b:  # at b = 0 every level is 1
+    for k in range((n - 1 + lucas) // 2 + 1):
+        factor = v**lucas  # L's term 0 is over v
+        if k and point.b:  # at b = 0 every level is 1, and so is v
             factor, den = point._level_product((k, n - k))
             carried *= den
-        m = n - 1 - k
-        terms.append(((m - k, k), a ** (k * k) * q_pascal(m, a, c)[k] * carried, k * m, factor))
+        m = n - 1 + lucas - k
+        value = q_pascal(m, a, c)[k]
+        if lucas:
+            value *= c**k * v
+            if k:
+                value -= a**m * u * q_pascal(m - 1, a, c)[k - 1]
+        terms.append(((m - k, k), a ** (k * k) * value * carried, k * m + lucas * k, factor))
     return _one_denominator(terms, c)
 
 
@@ -267,7 +284,7 @@ def lucas_trace_closed(n: int, point: ParamPoint) -> XsPoly:
     term divides by [n-k].
 
     The denominator gains the two factors (1 - q^(k-1) b)(1 - q^(n-k+1) b)
-    per k, carried as in fib_qb_closed."""
+    per k, carried as in _fib_lucas_qb_closed."""
     if n <= 0:
         raise ValueError("closed form holds for n > 0")
     a, c = point.q.numerator, point.q.denominator
@@ -306,27 +323,8 @@ def lucas_qb(n: int, point: ParamPoint) -> XsPoly:
 def lucas_qb_closed(n: int, point: ParamPoint) -> XsPoly:
     """Closed form, n >= 1:
     sum of q^(k^2) s^k x^(n-2k) ([n-k over k] - q^(n-k) b [n-1-k over k-1])
-    / ((qb;q)_k (q^(n-k) b;q)_k).
-
-    At q = a/c and b = u/v, term k is over c^(k(n-k)+k) v and the level
-    factors, which are carried as in fib_qb_closed."""
-    if n < 1:
-        raise ValueError("closed form holds for n >= 1")
-    a, c = point.q.numerator, point.q.denominator
-    u, v = point.b.numerator, point.b.denominator
-    terms = []
-    carried = 1
-    for k in range(n // 2 + 1):
-        factor = v  # term 0 is over v
-        if k and point.b:  # at b = 0 every level is 1, and so is v
-            factor, den = point._level_product((k, n - k))
-            carried *= den
-        m = n - k
-        value = c**k * v * q_pascal(m, a, c)[k]
-        if k:
-            value -= a**m * u * q_pascal(m - 1, a, c)[k - 1]
-        terms.append(((m - k, k), a ** (k * k) * value * carried, k * m + k, factor))
-    return _one_denominator(terms, c)
+    / ((qb;q)_k (q^(n-k) b;q)_k)."""
+    return _fib_lucas_qb_closed(n, point, 1)
 
 
 def lucas_qb_dilated(n: int, point: ParamPoint) -> XsPoly:
@@ -435,26 +433,35 @@ _cheb = sequence(
 
 
 def cheb_u_closed(n: int, q) -> XsPoly:
-    """Closed form: sum of q^(k^2) [n-k over k] (-q^(k+1);q)_(n-2k) s^k x^(n-2k).
+    """Closed form: sum of q^(k^2) [n-k over k] (-q^(k+1);q)_(n-2k) s^k x^(n-2k)."""
+    return _cheb_closed(n, q, 0)
 
-    The sum runs from k = n//2 down to 0, so the Pochhammer symbol
-    (1+q^(k+1))...(1+q^(n-k)) grows by the two factors (1+q^(k+1))(1+q^(n-k))
-    per step and is never divided (a factor vanishes at q = -1).  At q = a/c
-    it is poch / c^sigma, poch the product of the c^j + a^j."""
+
+def _cheb_closed(n: int, q, shift: int) -> XsPoly:
+    """U_n (shift = 0) and T_n (shift = 1): the sum over k of q^(k^2) w_k
+    (1+q^(k+1))...(1+q^(n-k-shift)) s^k x^(n-2k), w_k = [n-k over k] for U and
+    the division-free _lucas_weight's [n]/[n-k] [n-k over k] for T, whose
+    k = n/2 term is q^(k^2).  From k = n//2 down the product grows by its two
+    end factors per step and is never divided (a factor vanishes at q = -1);
+    at q = a/c it is poch / c^sigma, poch the product of the c^j + a^j."""
     q = as_rational(q)
     if n < 0:
         raise ValueError("closed form holds for n >= 0")
     a, c = q.numerator, q.denominator
-    half = n // 2
-    poch, sigma = (c ** (half + 1) + a ** (half + 1), half + 1) if n % 2 else (1, 0)
+    poch, sigma = 1, 0
     terms = []
-    for k in range(half, -1, -1):
+    for k in range(n // 2, -1, -1):
         m = n - k
-        if k < half:
-            poch *= (c ** (k + 1) + a ** (k + 1)) * (c**m + a**m)
-            sigma += n + 1
-        value = a ** (k * k) * q_pascal(m, a, c)[k] * poch
-        terms.append(((m - k, k), value, k * m + sigma, 1))
+        top = m - shift  # the product runs over j = k+1 .. top
+        if top < k:  # T's n = 2k term
+            terms.append(((0, k), a ** (k * k), k * k, 1))
+            continue
+        if k < top:
+            for j in {k + 1, top}:  # one factor where they meet
+                poch *= c**j + a**j
+                sigma += j
+        weight = _lucas_weight(m, k, a, c) if shift else q_pascal(m, a, c)[k]
+        terms.append(((m - k, k), a ** (k * k) * weight * poch, k * m + shift * k + sigma, 1))
     return _one_denominator(terms, c)
 
 
@@ -474,19 +481,19 @@ def cheb_u_ext(n: int, q) -> XsPoly:
 def cheb_u_backward(n: int, q) -> XsPoly:
     """Backward-run recurrence oracle for negative U-indices, from
     U_(m-2) = (U_m - (1+q^m) x U_(m-1)) q^(1-m) / s."""
-    return _cheb_backward(n, q, cheb_u, 0)
+    return _cheb_backward(n, q, 0)
 
 
-def _cheb_backward(n: int, q, route, shift: int) -> XsPoly:
-    """P_(m-2) = (P_m - (1+q^(m-shift)) x P_(m-1)) q^(1-m) / s, walked from
-    route(1, q) and route(0, q) down to P_n, in Fraction steps."""
+def _cheb_backward(n: int, q, shift: int) -> XsPoly:
+    """P_(m-2) = (P_m - (1+q^(m-shift)) x P_(m-1)) q^(1-m) / s for U (shift = 0)
+    and T (shift = 1), walked from P_1 and P_0 down to P_n, in Fraction steps."""
     q = as_rational(q)
-    return route(n, q) if n >= 0 else _cheb_walk_back(1 - n, q, route, shift)
+    return (cheb_u, cheb_t)[shift](n, q) if n >= 0 else _cheb_walk_back(1 - n, q, shift)
 
 
 _cheb_walk_back = sequence(  # member k is P_(1-k), made as P_(m-2) at m = 3 - k
-    lambda q, route, shift: (route(1, q), route(0, q)),
-    lambda k, f, q, route, shift: (f[k - 2] - X.scale(1 + q ** (3 - k - shift)) * f[k - 1])
+    lambda q, shift: ((cheb_u, cheb_t)[shift](1, q), (cheb_u, cheb_t)[shift](0, q)),
+    lambda k, f, q, shift: (f[k - 2] - X.scale(1 + q ** (3 - k - shift)) * f[k - 1])
     .scale(q ** (k - 2))
     .shift_s(-1),
 )
@@ -502,33 +509,8 @@ def cheb_t(n: int, q) -> XsPoly:
 def cheb_t_closed(n: int, q) -> XsPoly:
     """Closed form via (-q;q)_(n-1) times the generalized q-Lucas sum:
     sum of q^(k^2) [n]/[n-k] [n-k over k] (-q;q)_(n-1) s^k x^(n-2k)
-    / ((-q;q)_k (-q^(n-k);q)_k).
-
-    Division-free: [n]/[n-k] [n-k over k] = q^k [n-k over k] + [n-k-1 over k-1],
-    and the Pochhammer quotient is (-q^(k+1);q)_(n-1-2k), so the k = n/2 term
-    is q^(k^2).  As in cheb_u_closed the sum runs from k = n//2 down, and the
-    product of the factors 1 + q^j, j = k+1 .. n-k-1, grows at both ends."""
-    q = as_rational(q)
-    if n < 0:
-        raise ValueError("closed form holds for n >= 0")
-    if n == 0:
-        return ONE
-    a, c = q.numerator, q.denominator
-    half = n // 2
-    poch, sigma = 1, 0
-    terms = []
-    for k in range(half, -1, -1):
-        m = n - k
-        if m == k:
-            terms.append(((0, k), a ** (k * k), k * k, 1))
-            continue
-        if k < half:
-            for j in {k + 1, m - 1}:  # one factor where they meet, at n = 2k + 2
-                poch *= c**j + a**j
-                sigma += j
-        value = a ** (k * k) * _lucas_weight(m, k, a, c) * poch
-        terms.append(((m - k, k), value, k * m + k + sigma, 1))
-    return _one_denominator(terms, c)
+    / ((-q;q)_k (-q^(n-k);q)_k)."""
+    return _cheb_closed(n, q, 1)
 
 
 def cheb_t_ext(n: int, q) -> XsPoly:
@@ -543,7 +525,7 @@ def cheb_t_ext(n: int, q) -> XsPoly:
 def cheb_t_backward(n: int, q) -> XsPoly:
     """Backward-run recurrence oracle for negative T-indices, from
     T_(m-2) = (T_m - (1+q^(m-1)) x T_(m-1)) q^(1-m) / s."""
-    return _cheb_backward(n, q, cheb_t, 1)
+    return _cheb_backward(n, q, 1)
 
 
 # -- hypergeometric forms (b = -1 families) ---------------------------
@@ -594,6 +576,8 @@ def _hypergeom_sum(n: int, q: Fraction, top: int) -> XsPoly:
     with the integers w(m) = c^(m-1) [m]_q at q = a/c: the sum is finite at
     q = 1, where w(m) = m, and a vanishing [m]_q (m even at q = -1) leaves a
     zero denominator."""
+    if n < 0:
+        raise ValueError("closed form holds for n >= 0")
     if q == 0:
         raise PoleError("q must be nonzero")
     a, c = q.numerator, q.denominator
@@ -604,7 +588,7 @@ def _hypergeom_sum(n: int, q: Fraction, top: int) -> XsPoly:
 
     terms = []
     num = 1
-    for k in range(n // 2 + 1) if n >= 0 else range(0):
+    for k in range(n // 2 + 1):
         factor = 1
         if k:
             level = point.level_pair(k)[0]  # c^k (1 + q^k)

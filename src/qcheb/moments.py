@@ -81,7 +81,7 @@ def moments_from_recurrence(spec: RecurrenceSpec, count: int):
     moment.  Returns [moment(x^0), ..., moment(x^(count-1))] as s-polynomials.
     """
     coeffs = {0: ONE}  # x^0 = p_0
-    moments = [ONE]
+    moments = [ONE][:count]
     for _ in range(1, count):
         nxt = {}
         for k, c in coeffs.items():
@@ -138,34 +138,28 @@ reconstruct_x_fib = partial(_reconstruct_x, 0)
 reconstruct_x_lucas = partial(_reconstruct_x, 1)
 
 
-def moments_fib_closed(n: int, q) -> XsPoly:
-    """Even moment of the generalized q-Fibonacci functional:
-    (1/[n+1]) [2n over n] (-qs)^n / ((-q;q)_n (-q^2;q)_n).
+def _gen_even_moment(lucas: int, n: int, q) -> XsPoly:
+    """Even moment Lambda(x^(2n)) of the generalized q-Fibonacci (lucas = 0)
+    or q-Lucas (lucas = 1) functional:
+    [2n over n] (-qs)^n / ((-q;q)_n (-q^(2-lucas);q)_n), over [n+1] for F.
 
     The (-qs)^n factor (rather than (-s)^n) is forced by the expansion of
     x^(2n) in the basis; the recurrence DP is the oracle here."""
     q = as_rational(q)
-    scalar = (
-        q_binom(2 * n, n, q)
-        / q_int(n + 1, q)
-        * (-q) ** n
-        / (q_poch(-q, q, n) * q_poch(-(q**2), q, n))
-    )
-    return XsPoly.monomial(scalar, 0, n)
+    den = q_poch(-q, q, n) * q_poch(-(q ** (2 - lucas)), q, n)
+    if not lucas:
+        den *= q_int(n + 1, q)
+    return XsPoly.monomial(q_binom(2 * n, n, q) * (-q) ** n / den, 0, n)
+
+
+moments_fib_closed = partial(_gen_even_moment, 0)
+moments_lucas_closed = partial(_gen_even_moment, 1)
 
 
 def moments_carlitz_closed(n: int, q) -> XsPoly:
     """Even moment of the Carlitz functional: (-qs)^n C_n(q)."""
     q = as_rational(q)
     return XsPoly.monomial((-q) ** n * q_catalan(n, q), 0, n)
-
-
-def moments_lucas_closed(n: int, q) -> XsPoly:
-    """Even moment of the generalized q-Lucas functional:
-    [2n over n] (-qs)^n / (-q;q)_n^2."""
-    q = as_rational(q)
-    scalar = q_binom(2 * n, n, q) * (-q) ** n / q_poch(-q, q, n) ** 2
-    return XsPoly.monomial(scalar, 0, n)
 
 
 # -- consistency checks ------------------------------------------------

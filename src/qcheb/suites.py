@@ -33,6 +33,7 @@ BOUNDS = {
     "det_sqrt": (10, lambda m: min(m, 12)),
     "tridiag": (12, lambda m: min(m, 14)),
     "moments": (10, lambda m: min(m, 12)),
+    "classical_moments": (8, None),
     "reconstruct": (12, lambda m: min(m, 14)),
     "orthogonality": (8, None),
     "deriv": (16, lambda m: m),
@@ -381,7 +382,7 @@ def checks():
         Check("eq-4.9-4.13", "q", reconstruction_check, "reconstruct"),
         Check("orthogonality", "q", moments.orthogonality_check, "orthogonality"),
         Check("nonorthogonality", "q", moments.nonorthogonality_witness, None),
-        Check("eq-4.7-4.8", "fixed", partial(moments.classical_moment_check, 8), None),
+        Check("eq-4.7-4.8", "fixed", moments.classical_moment_check, "classical_moments"),
         # q-analysis
         Check("eq-5.18", "q", analysis.deriv_relation_t, "deriv"),
         Check("eq-5.19", "q", analysis.deriv_relation_u, "deriv"),

@@ -388,6 +388,15 @@ def test_cold_q_catalan_needs_no_recursion():
         (families.cheb_u, (-1, 2), "use cheb_u_ext for negative indices"),
         (families.cheb_t, (-1, 2), "use cheb_t_ext for negative indices"),
         (q_catalan, (-1, 2), "q_catalan needs n >= 0"),
+        # F_(-2) is -27/125 x s^-2 at (3/5, 0), not the empty sum
+        (families.fib_qb_closed, (-2, ParamPoint(F(3, 5), 0)), "closed form holds for n >= 0"),
+        (families.fib_carlitz, (-2, F(3, 5)), "closed form holds for n >= 0"),
+        (lambda n, q: families.family_poly(families.FamilyId.FIB_CARLITZ, n, ParamPoint(q, 0)),
+         (-2, F(3, 5)), "closed form holds for n >= 0"),
+        (families.lucas_qb_closed, (0, ParamPoint(F(3, 5), 0)), "closed form holds for n >= 1"),
+        # hypergeom_gen_fib(n) is F_(n+1)
+        (families.hypergeom_gen_fib, (-3, F(3, 5)), "closed form holds for n >= 0"),
+        (families.hypergeom_gen_fib, (-1, F(3, 5)), "closed form holds for n >= 0"),
     ],
 )
 def test_negative_index_raises_value_error(fn, args, message):

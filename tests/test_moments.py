@@ -47,6 +47,14 @@ def test_moments_small_values():
     assert dp[3] == ZERO
 
 
+@pytest.mark.parametrize("name", sorted(moments.SPECS))
+def test_moments_from_recurrence_gives_count_moments(name):
+    """count 0 asks for no moment, as basis(0) gives no polynomial."""
+    spec = moments.SPECS[name](F(2))
+    assert moments.moments_from_recurrence(spec, 0) == [] == spec.basis(0)
+    assert moments.moments_from_recurrence(spec, 1) == [ONE]
+
+
 @pytest.mark.parametrize("q", QS)
 def test_moment_closed_forms(q):
     check = moments.moment_consistency_check

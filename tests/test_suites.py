@@ -28,7 +28,7 @@ def test_max_n_rules():
     at_6 = suites.bounds_for(6)
     assert at_6["dual"] == 6 and at_6["cassini"] == (-6, 6)
     # --max-n leaves these keys at their defaults
-    for key in ("orthogonality", "series_order", "binet_float"):
+    for key in ("orthogonality", "series_order", "binet_float", "classical_moments"):
         assert at_6[key] == suites.bounds_for()[key]
 
 
@@ -67,6 +67,13 @@ PINNED = {
     # before each T/U pair of those rows became one function
     "verify --suite all --max-n 12":
         "51f625f8deaeb066bb839d0ecef402432144517c5da2a24e7a67f66e37b91f89",
+    # the closed forms out to n = 40, where at q = -1 the factors 1 + q^j
+    # vanish and T's n = 2k term cancels past the n <= 24 of the pin above;
+    # recorded at e86b51e, before each closed-form twin became one sum
+    "verify --suite core --q=-1 --max-n 40":
+        "67c9e4595c88c99246e671253a253e706190bcc9bcab4455ac4a2bcbf01f6a35",
+    "verify --suite core --q=-5/12 --max-n 40":
+        "28787d1ac8512bc439bc54b267ff9875c4fed09aa727229299b02c9120026826",
 }
 
 
