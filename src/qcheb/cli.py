@@ -5,18 +5,24 @@ Exit codes: 0 = success / all identities pass, 1 = at least one identity
 failure, 2 = usage or parameter error, 141 (128 + SIGPIPE) = the reader
 closed stdout before all of the output was written, as `qcheb gen ... | head`
 does; nothing is printed for it.  Rationals are always serialized as
-lowest-terms "num/den" strings.  No command writes before every number it
-will print has been built and checked against Python's int-to-str digit
-limit, so an error, such as a pole or a number past the digit limit, exits 2
-with nothing written to stdout.  `gen` walks its family twice
+lowest-terms "num/den" strings.
+
+Each command's handler returns its exit code and its output in pieces, and
+main is the one place that writes them, one piece per write, then flushes.
+A piece is a row, a report line, a value or, for gen, a term, never a whole
+table: one write() past the pipe's size is cut short without an error when
+the reader closes, and the command would exit 0, not 141.  No command writes
+before every number it will print has been built and checked against
+Python's int-to-str digit limit, so an error, such as a pole or a number
+past the digit limit, exits 2 with nothing written to stdout.  `verify`,
+`moments` and `catalan` render all of their pieces first, and meet any such
+error while rendering.  `gen` walks its family twice
 (families.family_walk, which holds two members of a recurrence at a time:
 the primary's, or for F_CARLITZ the oracle's, and for L_TRACE two of each
-of the two Fibonacci walks it adds): the first
-walk builds and checks each member and drops it, stopping at the first
-error; the second builds the members again and writes one term per write.
-`moments` and `catalan` build all of their rows, check them, then write row
-by row; `verify` renders every report, then writes one report per write.
-Each command runs in one qkernel.memo_scope, which drops its memos.
+of the two Fibonacci walks it adds): the first walk builds and checks each
+member, by _check_digits, and drops it, stopping at the first error; the
+second builds the members again as main writes them.  Each command runs in
+one qkernel.memo_scope, which drops its memos.
 
 Startup: each command loads only the modules it runs.  `gen` and `catalan`
 need nothing beyond what `import qcheb` loads; `moments` imports
@@ -106,34 +112,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# -- writing tables -----------------------------------------------------
+# -- rendering tables ---------------------------------------------------
 
 
-def _check_digits(values, base=1):
+def _check_digits(polys, base):
     """Raise, before anything is written, the ValueError that str() would
-    raise on the first integer printing values writes past Python's
-    int-to-str digit limit.  values are XsPolys and Fractions, in print order.
-    A denominator base^e is written from a Decimal, not by str(), so this
-    check alone stops one past the limit.
+    raise on the first integer gen writes past Python's int-to-str digit
+    limit.  polys are XsPolys, in print order.  A denominator base^e is
+    written from a Decimal, not by str(), so this check alone stops one past
+    the limit.
 
     abs(n) >= 10**limit holds exactly when str(n) raises.  A polynomial is
-    reduced to its lowest-terms coefficients, by XsPoly.sorted_terms(base),
+    reduced to its lowest-terms coefficients, by XsPoly._lowest_terms(base),
     only when its unreduced numerators or shared denominator cross that
     bound."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent on older Pythons
     if not limit:
         return
     bound = 10**limit
-    for v in values:
-        if isinstance(v, Fraction):
-            ints = (v.numerator, v.denominator)
-        elif v.den < bound and all(-bound < c < bound for c in v.num.values()):
+    for p in polys:
+        if p.den < bound and all(-bound < c < bound for c in p.num.values()):
             continue
-        else:
-            ints = (i for _, n, d in v.sorted_terms(base) for i in (n, d))
-        for i in ints:
-            if abs(i) >= bound:
-                str(i)  # raises Python's own error for it
+        for _, n, e, d in p._lowest_terms(base):
+            for i in (n, base**e if d is None else d):
+                if abs(i) >= bound:
+                    str(i)  # raises Python's own error for it
 
 
 def _json_value(value, at):
@@ -178,41 +181,31 @@ def _json_pieces(template, items, depth=0, render=_json_value):
 
 def _line_pieces(head, poly, tail, base):
     """head + str(poly) + tail in pieces: head with poly's first term, each
-    further term, and tail; base as in XsPoly.sorted_terms."""
+    further term, and tail; base as in XsPoly._lowest_terms."""
     pieces = poly.str_pieces(base)
     yield head + next(pieces)
     yield from pieces
     yield tail
 
 
-def _write_table(out, values, pieces, base=1):
-    """Check every number of values against the digit limit, then write the
-    table one piece per write: a row, or for gen a term; base as in
-    XsPoly.sorted_terms.  Returns the exit code 0."""
-    _check_digits(values, base)
-    for piece in pieces:
-        out.write(piece)
-    return 0
-
-
 # -- gen ----------------------------------------------------------------
 
 
-def cmd_gen(args, out) -> int:
+def cmd_gen(args):
     family = _parse_family(args.family)
     q = _parse_rational(args.q)
     b = _parse_rational(args.b)
     if args.n < 0:
         raise UsageError("--n must be >= 0")
-    point = ParamPoint(q, b)
+    fixed_b = families.FAMILIES[family].fixed_b
+    point = ParamPoint(q, b if fixed_b is None else fixed_b)  # the point the rows are at
     base = point.q.denominator  # the denominators of T, U, F_CARLITZ, ... are its powers
 
     def rows():  # one walk of the members 0 .. n, each built once and dropped
         return enumerate(islice(families.family_walk(family, point), args.n + 1))
 
-    # _write_table checks the members of one walk, then writes those of another
     if args.format == "json":
-        template = {"family": family.value, "q": format_rational(q), "b": format_rational(b),
+        template = {"family": family.value, "q": format_rational(q), "b": format_rational(point.b),
                     "rows": [None]}
         pieces = _json_pieces(template, (
             _json_pieces({"n": n, "poly": {"terms": [None]}}, poly.json_terms(base), 2, _json_term)
@@ -226,47 +219,47 @@ def cmd_gen(args, out) -> int:
         pieces = chain.from_iterable(
             _line_pieces(f"{family.value}_{n} = ", poly, "\n", base) for n, poly in rows()
         )
-    return _write_table(out, (poly for _, poly in rows()), pieces, base)
+    _check_digits((poly for _, poly in rows()), base)  # one walk checked, another written
+    return 0, pieces
 
 
 # -- verify -------------------------------------------------------------
 
 
-def _emit_reports(reports, counts, fmt, out):
+def _report_pieces(reports, counts, fmt):
+    """The reports rendered in full: in json one piece per report, else one
+    per line."""
     if fmt == "json":
-        # every report is rendered before the first write
-        items = [r.to_json() for r in reports]
-        for piece in _json_pieces({"summary": counts, "reports": [None]}, items):
-            out.write(piece)
-    elif fmt == "csv":
+        return list(_json_pieces({"summary": counts, "reports": [None]},
+                                 [r.to_json() for r in reports]))
+    if fmt == "csv":
         lines = ["identity_id,q,b,n_lo,n_hi,status\n"]
         for r in reports:
             q = format_rational(r.point.q) if r.point else ""
             b = format_rational(r.point.b) if r.point else ""
             lo, hi = r.index_range
             lines.append(f"{r.identity_id},{q},{b},{lo},{hi},{r.status}\n")
-        out.write("".join(lines))
-    else:
-        lines = []
-        for r in reports:
-            where = ""
-            if r.point is not None:
-                where = f" @ q={format_rational(r.point.q)}, b={format_rational(r.point.b)}"
-            lines.append(f"{r.status:7s} {r.identity_id}{where}  n in {r.index_range}\n")
-            if r.reason is not None:
-                lines.append(f"        reason: {r.reason}\n")
-            if r.witness is not None:
-                lines.append(f"        witness n={r.witness['n']}:\n")
-                lines.append(f"          lhs = {r.witness['lhs']}\n")
-                lines.append(f"          rhs = {r.witness['rhs']}\n")
-        lines.append(
-            f"summary: {counts['pass']} pass, {counts['fail']} fail, "
-            f"{counts['skipped']} skipped\n"
-        )
-        out.write("".join(lines))
+        return lines
+    lines = []
+    for r in reports:
+        where = ""
+        if r.point is not None:
+            where = f" @ q={format_rational(r.point.q)}, b={format_rational(r.point.b)}"
+        lines.append(f"{r.status:7s} {r.identity_id}{where}  n in {r.index_range}\n")
+        if r.reason is not None:
+            lines.append(f"        reason: {r.reason}\n")
+        if r.witness is not None:
+            lines.append(f"        witness n={r.witness['n']}:\n")
+            lines.append(f"          lhs = {r.witness['lhs']}\n")
+            lines.append(f"          rhs = {r.witness['rhs']}\n")
+    lines.append(
+        f"summary: {counts['pass']} pass, {counts['fail']} fail, "
+        f"{counts['skipped']} skipped\n"
+    )
+    return lines
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args):
     from .suites import bounds_for, run_suite, summarize
 
     qs = [_parse_rational(args.q)] if args.q is not None else None
@@ -283,14 +276,13 @@ def cmd_verify(args, out) -> int:
         bounds=bounds_for(args.max_n),
     )
     counts = summarize(reports)
-    _emit_reports(reports, counts, args.format, out)
-    return 0 if counts["fail"] == 0 else 1
+    return (0 if counts["fail"] == 0 else 1), _report_pieces(reports, counts, args.format)
 
 
 # -- moments ------------------------------------------------------------
 
 
-def cmd_moments(args, out) -> int:
+def cmd_moments(args):
     from . import moments
 
     q = _parse_rational(args.q)
@@ -301,40 +293,34 @@ def cmd_moments(args, out) -> int:
         valid = ", ".join(moments.SPECS)
         raise UsageError(f"unknown moment family {args.family!r}; choose from {valid}")
     spec = moments.SPECS[name](q)
-    values = moments.moments_from_recurrence(spec, args.n + 1)
+    rows = enumerate(moments.moments_from_recurrence(spec, args.n + 1))
     if args.format == "json":
         pieces = _json_pieces(
             {"family": name, "q": format_rational(spec.q), "rows": [None]},
-            ({"m": m, "moment": v.to_json()} for m, v in enumerate(values)),
+            ({"m": m, "moment": v.to_json()} for m, v in rows),
         )
     elif args.format == "csv":
-        pieces = chain(["m,moment\n"], (f'{m},"{v}"\n' for m, v in enumerate(values)))
+        pieces = chain(["m,moment\n"], (f'{m},"{v}"\n' for m, v in rows))
     else:
-        pieces = (f"moment(x^{m}) = {v}\n" for m, v in enumerate(values))
-    return _write_table(out, values, pieces)
+        pieces = (f"moment(x^{m}) = {v}\n" for m, v in rows)
+    return 0, list(pieces)
 
 
 # -- catalan ------------------------------------------------------------
 
 
-def cmd_catalan(args, out) -> int:
+def cmd_catalan(args):
     q = _parse_rational(args.q)
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     if q == 0:
         raise UsageError("q must be nonzero")
-    values = [q_catalan(n, q) for n in range(args.n + 1)]
+    values = [format_rational(q_catalan(n, q)) for n in range(args.n + 1)]
     if args.format == "json":
-        pieces = _json_pieces(
-            {"q": format_rational(q), "values": [None]}, (format_rational(v) for v in values)
-        )
-    elif args.format == "csv":
-        pieces = chain(
-            ["n,catalan\n"], (f"{n},{format_rational(v)}\n" for n, v in enumerate(values))
-        )
-    else:
-        pieces = [", ".join(format_rational(v) for v in values) + "\n"]  # one line
-    return _write_table(out, values, pieces)
+        return 0, list(_json_pieces({"q": format_rational(q), "values": [None]}, values))
+    if args.format == "csv":
+        return 0, ["n,catalan\n", *(f"{n},{v}\n" for n, v in enumerate(values))]
+    return 0, [v + ", " for v in values[:-1]] + [values[-1] + "\n"]  # one line
 
 
 def main(argv=None, out=None) -> int:
@@ -352,7 +338,9 @@ def main(argv=None, out=None) -> int:
     }
     try:
         with memo_scope():
-            code = handlers[args.command](args, out)
+            code, pieces = handlers[args.command](args)
+            for piece in pieces:  # a row, a report line, a value, or for gen a term
+                out.write(piece)
         out.flush()  # so that a closed pipe is met here, not at exit
         return code
     except BrokenPipeError:

@@ -615,6 +615,7 @@ class Family(NamedTuple):
     # memo: the primary's, or for F_CARLITZ, whose primary is a closed form,
     # the oracle's
     walk: Callable
+    fixed_b: Fraction | None = None  # the b its members are at, whatever b is asked for
 
 
 # The routes are looked up by name when called, so each call reaches the
@@ -622,7 +623,7 @@ class Family(NamedTuple):
 FAMILIES = {
     FamilyId.FIB_CARLITZ: Family(
         lambda n, p: fib_carlitz(n, p.q), lambda n, p: fib_carlitz_rec(n, p.q), False, 0,
-        lambda p: _fib_carlitz_rec.walk(*_q_ints(p.q)),
+        lambda p: _fib_carlitz_rec.walk(*_q_ints(p.q)), Fraction(0),
     ),
     FamilyId.FIB_QB: Family(
         lambda n, p: fib_qb(n, p), lambda n, p: fib_qb_closed(n, p), True, 0,
@@ -642,10 +643,11 @@ FAMILIES = {
         False,
         0,
         lambda p: _fib_lucas_qb.walk(_b_minus_1(p.q), 0),
+        Fraction(-1),
     ),
     FamilyId.GEN_LUCAS: Family(
         lambda n, p: gen_lucas(n, p.q), lambda n, p: hypergeom_gen_lucas(n, p.q), False, 1,
-        lambda p: _fib_lucas_qb.walk(_b_minus_1(p.q), 1),
+        lambda p: _fib_lucas_qb.walk(_b_minus_1(p.q), 1), Fraction(-1),
     ),
     FamilyId.CHEB_U: Family(
         lambda n, p: cheb_u(n, p.q), lambda n, p: cheb_u_closed(n, p.q), False, 0,

@@ -60,10 +60,10 @@ class XsPoly:
     members, whose denominators are pure powers of s.  No zero numerator is
     stored and den > 0, but num/den is not kept in lowest terms.  == compares
     values by cross-multiplication; lowest terms are made only where a value
-    leaves the type: per term in sorted_terms and terms, and over the whole
-    value in __hash__.  sorted_terms takes one gcd per term, or strips
-    factors of a given base where den is a power of it.  Printing reduces
-    the same way, and writes a reduced denominator base^e from one Decimal
+    leaves the type: per term in _lowest_terms and terms, and over the whole
+    value in __hash__.  _lowest_terms takes one gcd per term, or strips
+    factors of a given base where den is a power of it; printing reduces
+    by it, and writes a reduced denominator base^e from one Decimal
     per polynomial instead of converting the int.  Instances are treated as
     immutable.
     """
@@ -344,9 +344,18 @@ class XsPoly:
     # -- serialization ------------------------------------------------
 
     def _lowest_terms(self, base):
-        """(key, n, e, d) per term in canonical order, n/d its coefficient in
-        lowest terms with d > 0.  Where the strip leaves d = base^e, d is None
-        and only e is given; elsewhere e is None.  base as in sorted_terms."""
+        """(key, n, e, d) per term in canonical order, descending deg_x then
+        ascending deg_s, n/d its coefficient in lowest terms with d > 0.
+        Where the strip leaves d = base^e, d is None and only e is given;
+        elsewhere e is None.  No Fraction is made.
+
+        base >= 1 is the number whose powers den may be: q's denominator, for
+        a family at q = a/base.  Where den is base^K, each numerator is
+        stripped of at most K factors of base, dividing by base^(2^j); a full
+        gcd follows only where a composite base still shares a prime with
+        what is left.  Where den is no power of base (for base 1, where
+        den > 1), each term takes one gcd with den.  The ratios n/d are the
+        same for every base."""
         num, den = self.num, self.den
         keys = sorted(num, key=lambda k: (-k[0], k[1]))
         top = round(log(den, base)) if base > 1 else 0
@@ -369,24 +378,8 @@ class XsPoly:
             else:
                 yield key, c, e, None
 
-    def sorted_terms(self, base=1):
-        """((deg_x, deg_s), n, d) per term, with n/d its coefficient in lowest
-        terms and d > 0, in canonical order: descending deg_x, then ascending
-        deg_s.  Each term is reduced as it is reached, and no Fraction is made.
-
-        base, an integer >= 1, is the number whose powers den may be: q's
-        denominator, for a family at q = a/base whose denominators hold only
-        powers of base.  Where den is base^K, each numerator is stripped of
-        its factors of base, at most K of them, by dividing by base^(2^j); a
-        full gcd follows only where a composite base still shares a prime
-        with what is left.  Where den is no power of base (for base 1, where
-        den > 1), each term takes one gcd with den.  The triples are the same
-        for every base."""
-        for key, n, e, d in self._lowest_terms(base):
-            yield key, n, base**e if d is None else d
-
     def _coeff_texts(self, base):
-        """((deg_x, deg_s), text) per term of sorted_terms(base), text its
+        """((deg_x, deg_s), text) per term of _lowest_terms(base), text its
         coefficient n/d as _format_ratio writes it.  The whole polynomial is
         reduced first.  A d that the strip left as base^e is written without
         int-to-str: one Decimal climbs through the distinct e in increasing
@@ -403,7 +396,7 @@ class XsPoly:
 
     def json_terms(self, base=1):
         """The entries of to_json()["terms"], one per term, from
-        _coeff_texts(base); base as in sorted_terms."""
+        _coeff_texts(base); base as in _lowest_terms."""
         for (dx, ds), text in self._coeff_texts(base):
             yield {"dx": dx, "ds": ds, "c": text}
 
@@ -413,7 +406,7 @@ class XsPoly:
     def str_pieces(self, base=1):
         """str(self) in pieces, one per term, from _coeff_texts(base): the
         first term, then " + term" or " - term" for each later one.  A
-        coefficient of 1 is left out beside x or s; base as in sorted_terms."""
+        coefficient of 1 is left out beside x or s; base as in _lowest_terms."""
         if not self.num:
             yield "0"
         sep = ""

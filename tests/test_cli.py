@@ -157,6 +157,19 @@ def test_the_moments_header_names_the_q_of_its_rows(family, q, header):
     assert json.loads(text)["q"] == header
 
 
+@pytest.mark.parametrize("family, header", [
+    ("GEN_FIB", "-1"), ("GEN_LUCAS", "-1"), ("F_CARLITZ", "0"), ("F_QB", "5"), ("L_TRACE", "5"),
+    ("T", "5"), ("U", "5"), ("ALSALAM_ISMAIL", "5"),
+])
+def test_the_gen_header_names_the_b_of_its_rows(family, header):
+    """GEN_FIB and GEN_LUCAS are at b = -1 and F_CARLITZ at b = 0 whatever
+    --b asks for, and say so; T, U and ALSALAM_ISMAIL take no b and echo it."""
+    code, text = run_cli(["gen", "--family", family, "--n", "2", "--q", "2", "--b", "5",
+                          "--format", "json"])
+    assert code == 0
+    assert json.loads(text)["b"] == header
+
+
 def test_a_malformed_q_exits_2_for_every_moment_family(capsys):
     for family in moments.SPECS:
         code, text = run_cli(["moments", "--family", family, "--n", "2", "--q", "1/0"])
@@ -640,22 +653,35 @@ def test_gen_writes_the_denominators_of_one_member_at_a_time():
     assert t < 3 * f_qb, (t, f_qb)
 
 
+# each writes far more than the pipe holds: gen about 1 MB, moments 265 KB and
+# catalan 235 KB, whose text is one line
+CLOSED_PIPE_COMMANDS = [
+    "gen --family T --n 60 --q=3/5 --format json",
+    "moments --family CARLITZ --n 200 --q=3/5 --format text",
+    "moments --family CARLITZ --n 200 --q=3/5 --format json",
+    "catalan --n 100 --q=3/5 --format text",
+    "catalan --n 100 --q=3/5 --format json",
+]
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    """The reader takes the first 10 bytes by os.read, since readline would
+    wait for the whole of catalan's one-line text, and closes."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["gen", "--family", "T", "--n", "60", "--q=3/5", "--format", "json"]
-    proc = subprocess.Popen([sys.executable, "-m", "qcheb.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    # about 1 MB follows, far more than the pipe holds
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == 141
-    assert err == b""
+    got = {}
+    for command in CLOSED_PIPE_COMMANDS:
+        proc = subprocess.Popen([sys.executable, "-m", "qcheb.cli", *command.split()], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(os.read(proc.stdout.fileno(), 10)) > 0
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        got[command] = proc.wait(timeout=120), err
+    assert got == {command: (141, b"") for command in CLOSED_PIPE_COMMANDS}
 
 
 # -- the exit-code gate -------------------------------------------------

@@ -326,6 +326,11 @@ def test_json_round_trip_negative_s_power():
     assert _read_json(p.to_json()) == p
 
 
+def _lowest_triples(poly, base):
+    """((deg_x, deg_s), n, d) per term of poly._lowest_terms(base)."""
+    return [(key, n, base**e if d is None else d) for key, n, e, d in poly._lowest_terms(base)]
+
+
 # a numerator sign * base^e * m: e may pass K, and m may share a prime with a
 # composite base
 stripped_factors = st.tuples(st.sampled_from([1, -1]), st.integers(0, 16), st.integers(1, 10**6))
@@ -343,14 +348,14 @@ stripped_factors = st.tuples(st.sampled_from([1, -1]), st.integers(0, 16), st.in
         st.dictionaries(st.just((0, 0)), stripped_factors, max_size=1),
     ),
 )
-def test_sorted_terms_stripped_by_base_are_the_gcd_reduced_terms(base, k, extra, factors):
-    """Over den = base^k * extra, stripping powers of base gives the triples
+def test_lowest_terms_stripped_by_base_are_the_gcd_reduced_terms(base, k, extra, factors):
+    """Over den = base^k * extra, stripping powers of base gives the terms
     of one gcd per term, each n/d in lowest terms with d > 0; an extra of 7
-    or 12 leaves den no power of base, and sorted_terms falls back to the gcd."""
+    or 12 leaves den no power of base, and _lowest_terms falls back to the gcd."""
     num = {key: sign * base**e * m for key, (sign, e, m) in factors.items()}
     poly = XsPoly._of(num, base**k * extra)
-    triples = list(poly.sorted_terms(base))
-    assert triples == list(poly.sorted_terms())
+    triples = _lowest_triples(poly, base)
+    assert triples == _lowest_triples(poly, 1)
     assert all(d > 0 and gcd(n, d) == 1 for _, n, d in triples)
 
 
@@ -391,10 +396,11 @@ def ladder_polys(draw):
 def test_coefficient_texts_are_the_lowest_terms_ratios(case):
     """json_terms and str_pieces write each coefficient, its denominator
     from the Decimal ladder where that is a power of base, as _format_ratio
-    writes the triple of sorted_terms, and as the Fraction reference does."""
+    writes the lowest terms of _lowest_terms, and as the Fraction reference
+    does."""
     base, poly = case
     with no_digit_limit():
-        triples = list(poly.sorted_terms(base))
+        triples = _lowest_triples(poly, base)
         entries = list(poly.json_terms(base))
         pieces = list(poly.str_pieces(base))
         ref = poly.terms

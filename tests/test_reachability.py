@@ -42,7 +42,7 @@ COMMANDS = [
     (["catalan", "--n", "6", "--q", "1/2"], 0),
     (["gen", "--family", "F_QB", "--n", "9", "--q", "2", "--b", "1/256"], 2),  # a pole
     (["gen", "--family", "T", "--n", "3", "--q", "1/0"], 2),  # not a rational
-    # past the int-to-str digit limit: only the check reduces by sorted_terms
+    # past the int-to-str digit limit: gen's digit check reduces by _lowest_terms
     (["gen", "--family", "T", "--n", "12", "--q=1/1" + "0" * 70], 2),
 ]
 
